@@ -16,8 +16,8 @@ goes through:
   streams chunks to ``repro worker serve`` hosts
   (:mod:`repro.engine.remote`), and both autotune chunk sizes from
   measured per-job wall time;
-* :class:`~repro.engine.cache.ResultCache` — npz-per-job disk tier plus
-  an in-memory LRU front, keyed by job content hash, with a byte-capped
+* :class:`~repro.engine.cache.ResultCache` — one checksummed record per
+  job on disk plus an in-memory LRU front, keyed by job content hash, with a byte-capped
   mtime-LRU lifecycle (``gc`` / ``gc_versions`` / ``clear``);
 * :class:`~repro.engine.executor.ExecutionEngine` — composes the two:
   batch cache lookups, in-batch deduplication, miss execution — with a

@@ -1,4 +1,4 @@
-"""Result cache: npz-per-job on disk with an in-memory LRU front.
+"""Result cache: one checksummed record per job on disk, LRU in memory.
 
 Repeated experiment and figure runs re-simulate the exact same
 (benchmark, configuration) grid; with a :class:`ResultCache` attached to
@@ -21,17 +21,24 @@ The disk tier has a real lifecycle:
 * byte/entry accounting surfaced through :meth:`disk_bytes`,
   :meth:`describe` and the ``repro cache`` CLI.
 
-Disk writes are atomic (tmp file + ``os.replace``) so a crashed or
-interrupted sweep never leaves a truncated entry behind; unreadable
-entries are treated as misses and overwritten.
+An entry is one record (``MAGIC``, JSON header length, CRC32 of the
+rest, JSON header, config values, raw array bytes), written atomically
+in one ``write`` (tmp file + ``os.replace``) and read in one ``read``.
+A wrong magic, CRC or length, or a non-numeric dtype, makes it a miss
+that the next store overwrites.  Legacy ``*.npz`` entries are never
+read, but are counted and collected by :meth:`ResultCache.gc_versions`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
+import json
+import math
 import os
+import struct
 import tempfile
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +54,20 @@ from repro.uarch.simulator import SimulationResult
 #: Filesystem-safe form of the current job-key version, used as the
 #: filename prefix of every disk entry this cache writes.
 VERSION_TAG = KEY_VERSION.replace("/", "-")
+
+#: Entry filename suffix, and that of the earlier npz entries.
+SUFFIX, LEGACY_SUFFIX = ".res", ".npz"
+
+#: First bytes of every entry; bump the digit on a layout change.
+MAGIC = b"REPRORS1"
+_PREFIX = struct.Struct("<8sII")  # MAGIC, header length, CRC32 of rest
+
+#: The only dtype kinds stored or loaded: never object arrays.
+_NUMERIC_KINDS = "biufc"
+
+#: MachineConfig field -> the declared type its value is rebuilt with.
+_CONFIG_TYPES = {f.name: {"bool": bool, "int": int}.get(f.type, float)
+                 for f in dataclasses.fields(MachineConfig)}
 
 
 @dataclass
@@ -81,41 +102,13 @@ class CacheStats:
         return text
 
 
-def _config_arrays(config: MachineConfig):
-    """(field names, float values, bool mask) for npz round-tripping."""
-    names, values, bools = [], [], []
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        names.append(f.name)
-        values.append(float(value))
-        bools.append(isinstance(value, bool))
-    return (np.array(names), np.array(values, dtype=float),
-            np.array(bools, dtype=bool))
-
-
-def _config_from_arrays(names, values, bools) -> MachineConfig:
-    field_types = {f.name: f.type for f in dataclasses.fields(MachineConfig)}
-    kwargs = {}
-    for name, value, is_bool in zip(names, values, bools):
-        name = str(name)
-        if name not in field_types:
-            continue  # forward compatibility: ignore unknown fields
-        if is_bool:
-            kwargs[name] = bool(value)
-        elif field_types[name] in ("int", int):
-            kwargs[name] = int(value)
-        else:
-            kwargs[name] = float(value)
-    return MachineConfig(**kwargs)
-
-
 class ResultCache:
     """Two-level (memory LRU + optional disk) simulation-result cache.
 
     Parameters
     ----------
     cache_dir:
-        Directory for the on-disk npz tier; ``None`` keeps the cache
+        Directory for the on-disk tier; ``None`` keeps the cache
         purely in-memory.  Created on first store.
     memory_items:
         Capacity of the in-memory LRU front (0 disables it).
@@ -175,7 +168,7 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{VERSION_TAG}-{key}.npz"
+        return self.cache_dir / f"{VERSION_TAG}-{key}{SUFFIX}"
 
     def _remember(self, key: str, result: SimulationResult) -> None:
         if self.memory_items == 0:
@@ -192,15 +185,21 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Disk index
     # ------------------------------------------------------------------
+    def _entries(self) -> List[Path]:
+        """Every disk entry, current format and legacy npz alike."""
+        if self.cache_dir is None or not self.cache_dir.exists():
+            return []
+        return [path for path in self.cache_dir.iterdir()
+                if path.name.endswith((SUFFIX, LEGACY_SUFFIX))]
+
     def _scan_disk(self) -> Dict[str, Tuple[int, int]]:
         index: Dict[str, Tuple[int, int]] = {}
-        if self.cache_dir is not None and self.cache_dir.exists():
-            for path in self.cache_dir.glob("*.npz"):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue  # deleted underneath us (shared directory)
-                index[path.name] = (stat.st_mtime_ns, stat.st_size)
+        for path in self._entries():
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # deleted underneath us (shared directory)
+            index[path.name] = (stat.st_mtime_ns, stat.st_size)
         return index
 
     def _rescan(self) -> Dict[str, Tuple[int, int]]:
@@ -281,16 +280,14 @@ class ResultCache:
             self._memory.move_to_end(key)
             return self._memory[key]
         if self.cache_dir is not None:
-            path = self._path(key)
-            if path.exists():
-                try:
-                    result = self._load(path)
-                except Exception:
-                    result = None  # corrupt entry: treat as miss
-                if result is not None:
-                    self.stats.disk_hits += 1
-                    self._remember(key, result)
-                    return result
+            try:
+                result = self._load(self._path(key))
+            except Exception:
+                pass  # absent or corrupt entry: a miss
+            else:
+                self.stats.disk_hits += 1
+                self._remember(key, result)
+                return result
         self.stats.misses += 1
         return None
 
@@ -349,16 +346,16 @@ class ResultCache:
 
         A key-version bump (:data:`repro.engine.jobs.KEY_VERSION`) makes
         old entries unreachable — this reclaims their space.  Entries
-        from the seed naming scheme (bare hex, no version prefix) are
-        unreachable too and are collected alike.  Returns
-        ``(entries_removed, bytes_freed)``.
+        from the seed naming scheme (bare hex, no version prefix) and
+        legacy ``*.npz`` entries of any version are unreachable too and
+        are collected alike.  Returns ``(entries_removed, bytes_freed)``.
         """
         if self.cache_dir is None:
             return (0, 0)
         self._rescan()
         prefix = VERSION_TAG + "-"
         stale = [name for name in self._index()
-                 if not name.startswith(prefix)]
+                 if not (name.startswith(prefix) and name.endswith(SUFFIX))]
         freed = 0
         for name in stale:
             freed += self._evict(name)
@@ -396,38 +393,41 @@ class ResultCache:
         """Number of entries in the disk tier (memory-only: LRU size)."""
         if self.cache_dir is None:
             return len(self._memory)
-        if not self.cache_dir.exists():
-            return 0
-        return sum(1 for _ in self.cache_dir.glob("*.npz"))
+        return len(self._entries())
 
     # ------------------------------------------------------------------
-    # npz serialization
+    # Entry serialization
     # ------------------------------------------------------------------
     @staticmethod
     def _dump(path: Path, result: SimulationResult) -> None:
-        # Arena-backed results serialize straight from their
-        # shared-memory rows: npz writes each (contiguous) view without
-        # an intermediate copy or pickle pass.
-        names, values, bools = _config_arrays(result.config)
-        payload = {
-            "benchmark": np.array(result.benchmark),
-            "backend": np.array(result.backend),
-            "n_samples": np.array(result.n_samples),
-            "cfg_names": names,
-            "cfg_values": values,
-            "cfg_bools": bools,
-        }
-        payload.update({f"trace_{d}": arr for d, arr in result.traces.items()})
-        payload.update(
-            {f"comp_{d}": arr for d, arr in result.components.items()}
-        )
+        config = result.config
+        # Config values as one float64 block (exact below 2**53) give
+        # every entry of one benchmark and layout the same size.
+        arrays = [np.array([getattr(config, name) for name in _CONFIG_TYPES],
+                           dtype="<f8")]
+        layout = {"traces": [], "components": []}
+        for group in layout:
+            for name, arr in getattr(result, group).items():
+                if arr.dtype.kind not in _NUMERIC_KINDS:
+                    raise EngineError(f"cannot cache non-numeric {group} "
+                                      f"array {name!r} ({arr.dtype})")
+                # Arena-backed rows are already contiguous: no copy.
+                arrays.append(np.ascontiguousarray(arr))
+                layout[group].append([name, arr.dtype.str, arr.shape])
+        header = json.dumps(dict(
+            benchmark=result.benchmark, backend=result.backend,
+            n_samples=int(result.n_samples), config=list(_CONFIG_TYPES),
+            **layout), separators=(",", ":")).encode("utf8")
+        crc = zlib.crc32(header)
+        for arr in arrays:
+            crc = zlib.crc32(arr, crc)
+        record = b"".join(
+            [_PREFIX.pack(MAGIC, len(header), crc), header, *arrays])
         fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                    prefix=path.stem, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                # Uncompressed: per-job trace payloads are a few KB, and
-                # load latency is what the disk tier is judged on.
-                np.savez(handle, **payload)
+                handle.write(record)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -436,19 +436,38 @@ class ResultCache:
 
     @staticmethod
     def _load(path: Path) -> SimulationResult:
-        with np.load(path, allow_pickle=False) as data:
-            config = _config_from_arrays(
-                data["cfg_names"], data["cfg_values"], data["cfg_bools"]
-            )
-            traces = {key[len("trace_"):]: data[key]
-                      for key in data.files if key.startswith("trace_")}
-            components = {key[len("comp_"):]: data[key]
-                          for key in data.files if key.startswith("comp_")}
-            return SimulationResult(
-                benchmark=str(data["benchmark"]),
-                config=config,
-                n_samples=int(data["n_samples"]),
-                backend=str(data["backend"]),
-                traces=traces,
-                components=components,
-            )
+        """Decode one entry; any damage raises (the caller's miss)."""
+        record = path.read_bytes()
+        magic, header_len, crc = _PREFIX.unpack_from(record)
+        body = memoryview(record)[_PREFIX.size:]
+        if magic != MAGIC or zlib.crc32(body) != crc:
+            raise ValueError(f"{path.name}: bad magic or checksum")
+        header = json.loads(bytes(body[:header_len]))
+        offset = _PREFIX.size + header_len
+
+        def take(descr, shape) -> np.ndarray:
+            nonlocal offset
+            dtype = np.dtype(descr)
+            if dtype.kind not in _NUMERIC_KINDS:
+                raise ValueError(f"{path.name}: refusing dtype {descr}")
+            count = math.prod(shape)
+            arr = np.frombuffer(record, dtype, count, offset)
+            offset += count * dtype.itemsize
+            return arr.reshape(shape).copy()  # owns its memory
+
+        names = header["config"]
+        values = take("<f8", [len(names)]).tolist()
+        groups = {group: {name: take(descr, shape)
+                          for name, descr, shape in header[group]}
+                  for group in ("traces", "components")}
+        if offset != len(record):
+            raise ValueError(f"{path.name}: length mismatch")
+        config = MachineConfig(**{
+            name: _CONFIG_TYPES[name](value)
+            for name, value in zip(names, values)
+            if name in _CONFIG_TYPES  # forward compatibility
+        })
+        return SimulationResult(
+            benchmark=str(header["benchmark"]), config=config,
+            n_samples=int(header["n_samples"]),
+            backend=str(header["backend"]), **groups)

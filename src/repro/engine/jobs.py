@@ -52,6 +52,19 @@ def _canonical(obj):
     return obj
 
 
+def _canonical_config(config: MachineConfig):
+    """:func:`_canonical` of a config, memoized on the frozen instance.
+
+    A sweep builds one job per (benchmark, config) pair, so every config
+    is keyed once per benchmark; the field walk runs only the first time.
+    """
+    cached = config.__dict__.get("_canonical")
+    if cached is None:
+        cached = _canonical(config)
+        object.__setattr__(config, "_canonical", cached)
+    return cached
+
+
 @dataclass(frozen=True)
 class SimJob:
     """One (workload, configuration) simulation request.
@@ -153,7 +166,7 @@ class SimJob:
             self.benchmark,
             self.backend,
             self.n_samples,
-            _canonical(self.config),
+            _canonical_config(self.config),
         ]
         if self.backend == "interval":
             parts.append(("noise", self.noise))

@@ -117,6 +117,14 @@ class MachineConfig:
             object.__setattr__(self, "_key", cached)
         return cached
 
+    def __getstate__(self):
+        # SimJob.key() memoizes the config's canonical form on the
+        # instance; it is larger than the config itself and workers
+        # receive jobs already keyed, so it stays out of pickles.
+        state = dict(self.__dict__)
+        state.pop("_canonical", None)
+        return state
+
     def with_dvm(self, enabled: bool = True, threshold: float = None) -> "MachineConfig":
         """Copy of this config with the DVM design parameter changed."""
         kwargs = {"dvm_enabled": enabled}

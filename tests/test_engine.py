@@ -20,6 +20,7 @@ from repro.engine import (
     create_engine,
     make_jobs,
 )
+from repro.engine.cache import SUFFIX
 from repro.errors import EngineError
 from repro.uarch.params import baseline_config
 from repro.uarch.simulator import SimulationResult, Simulator
@@ -166,7 +167,7 @@ class TestResultCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path, jobs):
         cache = ResultCache(tmp_path)
         cache.put(jobs[0], jobs[0].run())
-        [path] = list(Path(tmp_path).glob("*.npz"))
+        [path] = list(Path(tmp_path).glob(f"*{SUFFIX}"))
         path.write_bytes(b"not an npz")
         cache.clear_memory()
         assert cache.get(jobs[0]) is None

@@ -32,6 +32,7 @@ from repro.engine import (
     ResultCache,
     SimJob,
 )
+from repro.engine.cache import SUFFIX
 from repro.errors import SimulationError
 
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
@@ -164,7 +165,7 @@ class TestDeterministicEviction:
         sizes = {}
         for job in jobs:
             cache.put(job, job.run())
-            [path] = [p for p in Path(cache.cache_dir).glob("*.npz")
+            [path] = [p for p in Path(cache.cache_dir).glob(f"*{SUFFIX}")
                       if job.key() in p.name]
             sizes[path.name] = path.stat().st_size
         return sizes
@@ -183,7 +184,7 @@ class TestDeterministicEviction:
         removed, freed = fresh.gc(max_bytes=target)
         assert removed == 2
         assert freed == sizes[ordered[0]] + sizes[ordered[1]]
-        survivors = {p.name for p in Path(tmp_path).glob("*.npz")}
+        survivors = {p.name for p in Path(tmp_path).glob(f"*{SUFFIX}")}
         assert survivors == set(ordered[2:])
 
     def test_incremental_index_matches_rescan_order(self, tmp_path,
@@ -203,7 +204,7 @@ class TestDeterministicEviction:
         ordered = sorted(sizes)
         cache._enforce_cap(sum(sizes.values()) - 1)  # evict exactly one
         incremental_victim = set(sizes) - {p.name for p
-                                           in Path(tmp_path).glob("*.npz")}
+                                           in Path(tmp_path).glob(f"*{SUFFIX}")}
         assert incremental_victim == {ordered[0]}
 
     def test_overwrite_refreshes_recency(self, tmp_path, configs):
@@ -219,7 +220,7 @@ class TestDeterministicEviction:
             heapq.heappush(cache._heap, (old * 10**9, name))
         cache.put(jobs[0], jobs[0].run())  # rewrite: fresh mtime
         cache._enforce_cap(sum(sizes.values()) - 1)
-        survivors = {p.name for p in Path(tmp_path).glob("*.npz")}
+        survivors = {p.name for p in Path(tmp_path).glob(f"*{SUFFIX}")}
         [kept] = [name for name in sizes if jobs[0].key() in name]
         assert kept in survivors and len(survivors) == 1
 

@@ -23,6 +23,7 @@ from repro.engine import (
     SimJob,
     create_engine,
 )
+from repro.engine.cache import SUFFIX
 from repro.errors import EngineError
 
 
@@ -268,7 +269,7 @@ class TestCacheLifecycle:
         entries, freed = cache.gc_versions()
         assert entries == 2 and freed > 0
         assert len(cache) == 1
-        assert list(tmp_path.glob("*.npz"))[0].name.startswith(
+        assert list(tmp_path.glob(f"*{SUFFIX}"))[0].name.startswith(
             VERSION_TAG + "-")
 
     def test_clear_empties_both_tiers(self, tmp_path, jobs):
@@ -306,7 +307,7 @@ class TestCacheCli:
         out = io.StringIO()
         assert main(["cache", "gc", "--cache-dir", str(tmp_path),
                      "--max-bytes", str(size)], out=out) == 0
-        assert len(list(tmp_path.glob("*.npz"))) == 1
+        assert len(list(tmp_path.glob(f"*{SUFFIX}"))) == 1
         assert "size gc: removed 2 entries" in out.getvalue()
 
     def test_clear_honours_env_cache_dir(self, tmp_path, jobs, monkeypatch):
@@ -314,7 +315,7 @@ class TestCacheCli:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         out = io.StringIO()
         assert main(["cache", "clear"], out=out) == 0
-        assert list(tmp_path.glob("*.npz")) == []
+        assert list(tmp_path.glob(f"*{SUFFIX}")) == []
 
     def test_missing_cache_dir_is_an_error(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
