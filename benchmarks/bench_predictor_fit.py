@@ -1,0 +1,187 @@
+"""Bench: presorted all-feature split search vs the per-feature scan.
+
+Every wavelet predictor fits one regression tree per retained
+coefficient, and the tree's split search dominated the predictor fit.
+The tree now sorts ``X`` once at the root, hands each child its
+parent's per-feature order filtered to the child's rows, and scores all
+features of a node in one vectorized prefix-sum pass.  This bench pins
+that rewrite on the 16 trees of one paper-scale predictor (gcc, cpi,
+200 training configurations x 9 parameters):
+
+* the presorted trees must be **>= 2x** faster to fit than a reference
+  builder that re-sorts and re-scans each feature at each node
+  (min-of-``REPEATS`` over all 16 trees on both sides);
+* every split record and every node of every tree must be
+  **byte-identical** to the reference, and to the trees inside the
+  fitted predictor.
+
+Results land in ``BENCH_predictor_fit.json`` (uploaded as a CI artifact).
+"""
+
+import json
+import time
+
+import numpy as np
+
+from repro.core.predictor import WaveletNeuralPredictor
+from repro.core.regression_tree import RegressionTree, SplitRecord
+from repro.core.wavelets import dwt_batch
+from repro.engine import create_engine
+from repro.experiments.context import ExperimentContext, Scale
+
+BENCHMARK = "gcc"
+DOMAIN = "cpi"
+REPEATS = 5
+MIN_SPEEDUP = 2.0
+
+
+def _reference_best_split(X, y, min_leaf):
+    """Per-feature split search: re-sort and re-scan each column."""
+    n, d = X.shape
+    if n < 2 * min_leaf:
+        return None
+    total_sse = float(np.sum((y - y.mean()) ** 2))
+    best = None
+    for feat in range(d):
+        order = np.argsort(X[:, feat], kind="stable")
+        xs = X[order, feat]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csum2 = np.cumsum(ys * ys)
+        counts = np.arange(1, n)
+        left_sum = csum[:-1]
+        left_sse = csum2[:-1] - left_sum ** 2 / counts
+        right_cnt = n - counts
+        right_sum = csum[-1] - left_sum
+        right_sse = (csum2[-1] - csum2[:-1]) - right_sum ** 2 / right_cnt
+        sse = left_sse + right_sse
+        valid = ((counts >= min_leaf) & (right_cnt >= min_leaf)
+                 & (xs[:-1] < xs[1:]))
+        if not np.any(valid):
+            continue
+        sse = np.where(valid, sse, np.inf)
+        i = int(np.argmin(sse))
+        improvement = total_sse - float(sse[i])
+        if best is None or improvement > best[0] + 1e-12:
+            best = (improvement, feat, float(0.5 * (xs[i] + xs[i + 1])))
+    return best
+
+
+class _ReferenceTree(RegressionTree):
+    """Breadth-first builder that re-sorts every feature at every node."""
+
+    def fit(self, X, y):
+        self._n_features = X.shape[1]
+        self._splits = []
+        root = self._make_node(y, 0, X.min(axis=0), X.max(axis=0))
+        queue = [(root, X, y)]
+        while queue:
+            node, Xn, yn = queue.pop(0)
+            if node.depth >= self.max_depth or yn.size < self.min_samples_split:
+                continue
+            found = _reference_best_split(Xn, yn, self.min_samples_leaf)
+            if found is None or found[0] < self.min_impurity_decrease:
+                continue
+            improvement, feat, thr = found
+            mask = Xn[:, feat] <= thr
+            node.feature, node.threshold = feat, thr
+            self._splits.append(SplitRecord(
+                position=len(self._splits), depth=node.depth, feature=feat,
+                threshold=thr, improvement=improvement))
+            lo_l, up_l = node.lower.copy(), node.upper.copy()
+            up_l[feat] = thr
+            lo_r, up_r = node.lower.copy(), node.upper.copy()
+            lo_r[feat] = thr
+            node.left = self._make_node(yn[mask], node.depth + 1, lo_l, up_l)
+            node.right = self._make_node(yn[~mask], node.depth + 1, lo_r, up_r)
+            queue.append((node.left, Xn[mask], yn[mask]))
+            queue.append((node.right, Xn[~mask], yn[~mask]))
+        self._root = root
+        return self
+
+
+def _fingerprint(tree):
+    """Every split and node field, floats as exact bit patterns."""
+    splits = [(r.position, r.depth, r.feature, r.threshold.hex(),
+               r.improvement.hex()) for r in tree.splits]
+    nodes = [(n.depth, n.value.hex(), n.n_samples, n.sse.hex(),
+              n.lower.tobytes(), n.upper.tobytes(), n.feature)
+             for n in tree.nodes()]
+    return splits, nodes
+
+
+def _paper_scale_targets():
+    """``X`` and the 16 standardized coefficient targets of one predictor."""
+    ctx = ExperimentContext(scale=Scale.paper(), engine=create_engine())
+    train, _ = ctx.dataset(BENCHMARK)
+    X = train.design_matrix()
+    traces = train.domain(DOMAIN)
+    model = WaveletNeuralPredictor(
+        n_coefficients=ctx.scale.n_coefficients).fit(X, traces)
+    s = model.settings
+    coeffs = dwt_batch(traces, wavelet=s.wavelet, convention=s.convention)
+    targets = [(coeffs[:, idx] - model._target_mean[idx])
+               / model._target_scale[idx] for idx in model.models_]
+    fitted = [net.tree_ for net in model.models_.values()]
+    return X, targets, fitted, dict(max_depth=s.rbf_max_depth,
+                                    min_samples_leaf=s.rbf_min_samples_leaf)
+
+
+def _min_of(repeats, fn):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_presorted_trees_2x_and_bit_identical():
+    X, targets, fitted, params = _paper_scale_targets()
+
+    def fit_all(cls):
+        return [cls(**params).fit(X, y) for y in targets]
+
+    fit_all(RegressionTree)
+    fit_all(_ReferenceTree)  # warm both paths
+    reference_s = _min_of(REPEATS, lambda: fit_all(_ReferenceTree))
+    presorted_s = _min_of(REPEATS, lambda: fit_all(RegressionTree))
+    speedup = reference_s / presorted_s
+
+    new = [_fingerprint(t) for t in fit_all(RegressionTree)]
+    ref = [_fingerprint(t) for t in fit_all(_ReferenceTree)]
+    in_model = [_fingerprint(t) for t in fitted]
+    identical = new == ref == in_model
+    n_nodes = sum(len(nodes) for _, nodes in new)
+
+    record = {
+        "bench": "predictor_fit",
+        "benchmark": BENCHMARK,
+        "domain": DOMAIN,
+        "n_train": int(X.shape[0]),
+        "n_features": int(X.shape[1]),
+        "n_trees": len(targets),
+        "n_nodes": n_nodes,
+        "repeats": REPEATS,
+        "reference_seconds": round(reference_s, 4),
+        "presorted_seconds": round(presorted_s, 4),
+        "tree_speedup": round(speedup, 2),
+        "min_speedup": MIN_SPEEDUP,
+        "trees_bit_identical": identical,
+    }
+    with open("BENCH_predictor_fit.json", "w") as handle:
+        json.dump(record, handle, indent=2)
+
+    print()
+    print(f"predictor_fit: {BENCHMARK}/{DOMAIN}, {len(targets)} trees on "
+          f"{X.shape[0]}x{X.shape[1]}, {n_nodes} nodes (min of {REPEATS})")
+    print(f"  per-feature scan : {reference_s * 1e3:8.1f} ms")
+    print(f"  presorted scan   : {presorted_s * 1e3:8.1f} ms "
+          f"({speedup:.2f}x, bit-identical: {identical})")
+
+    assert identical, "presorted trees drifted from the per-feature reference"
+    assert speedup >= MIN_SPEEDUP, (
+        f"presorted split search speedup {speedup:.2f}x fell below the "
+        f"pinned {MIN_SPEEDUP:.1f}x floor ({reference_s:.3f}s reference vs "
+        f"{presorted_s:.3f}s presorted)"
+    )

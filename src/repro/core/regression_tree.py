@@ -13,12 +13,21 @@ parameter-importance measure —
 This module implements the tree with exact variance-reduction splitting,
 records per-feature *first-split depth* and *split frequency*, and exposes
 every node's bounding box for RBF center extraction.
+
+The split search sorts the training data once per tree: the root takes a
+stable ``argsort`` of every column of ``X``, and each child inherits its
+parent's per-feature order filtered to the child's rows (the split mask
+keeps relative row order, so the filtered stable order *is* the child's
+stable order) and renumbered to the child's row indices.  Each node then
+scores every candidate threshold of every feature in one vectorized
+``(n - 1, d)`` prefix-sum pass; no node re-sorts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from collections import deque
+from dataclasses import dataclass
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -77,43 +86,63 @@ class SplitRecord:
     improvement: float
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
+def _best_split(X: np.ndarray, y: np.ndarray, order: np.ndarray,
+                total_sse: float, min_leaf: int):
     """Exact best (feature, threshold) by SSE reduction, or ``None``.
 
-    For every feature the candidate thresholds are midpoints between
-    consecutive distinct sorted values; prefix sums give each candidate's
-    two-sided SSE in O(n) after the sort.
+    ``order`` is the node's ``(n, d)`` per-feature stable sort order of
+    ``X`` (column ``f`` lists the node's rows by ascending ``X[:, f]``),
+    inherited from the parent rather than re-sorted; ``total_sse`` is
+    the node's SSE about its mean (``TreeNode.sse``).  The candidate
+    thresholds are midpoints between consecutive distinct sorted values.
+    Column-wise prefix sums give every candidate's two-sided SSE for all
+    features in one ``(n - 1, d)`` pass; each column's ``cumsum`` is the
+    same sequential accumulation as a 1-D ``cumsum`` of that feature, so
+    the scores match a per-feature scan bit for bit.  Features with no
+    valid threshold are skipped, and on (near-)equal improvements the
+    lowest feature index wins.
     """
     n, d = X.shape
     if n < 2 * min_leaf:
         return None
-    total_sse = float(np.sum((y - y.mean()) ** 2))
+    cols = np.arange(d)
+    xs = X[order, cols]
+    ys = y[order]
+    csum = np.cumsum(ys, axis=0)
+    csum2 = np.cumsum(ys * ys, axis=0)
+    total_sum, total_sum2 = csum[-1], csum2[-1]
+    # Split after row i (count i+1 on the left), one column per feature.
+    counts = np.arange(1, n)[:, None]
+    left_sum = csum[:-1]
+    left_sse = csum2[:-1] - left_sum ** 2 / counts
+    right_cnt = n - counts
+    right_sum = total_sum - left_sum
+    right_sse = (total_sum2 - csum2[:-1]) - right_sum ** 2 / right_cnt
+    sse = left_sse + right_sse
+    valid = (counts >= min_leaf) & (right_cnt >= min_leaf) & (xs[:-1] < xs[1:])
+    sse = np.where(valid, sse, np.inf)
+    rows = np.argmin(sse, axis=0)
+    minima = sse[rows, cols].tolist()
     best = None
-    for feat in range(d):
-        order = np.argsort(X[:, feat], kind="stable")
-        xs = X[order, feat]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csum2 = np.cumsum(ys * ys)
-        total_sum, total_sum2 = csum[-1], csum2[-1]
-        # Split after position i (1-based count i+1 on the left).
-        counts = np.arange(1, n)
-        left_sum = csum[:-1]
-        left_sse = csum2[:-1] - left_sum ** 2 / counts
-        right_cnt = n - counts
-        right_sum = total_sum - left_sum
-        right_sse = (total_sum2 - csum2[:-1]) - right_sum ** 2 / right_cnt
-        sse = left_sse + right_sse
-        valid = (counts >= min_leaf) & (right_cnt >= min_leaf) & (xs[:-1] < xs[1:])
-        if not np.any(valid):
-            continue
-        sse = np.where(valid, sse, np.inf)
-        i = int(np.argmin(sse))
-        improvement = total_sse - float(sse[i])
+    for feat in np.flatnonzero(valid.any(axis=0)).tolist():
+        improvement = total_sse - minima[feat]
         if best is None or improvement > best[0] + 1e-12:
-            threshold = 0.5 * (xs[i] + xs[i + 1])
+            i = rows[feat]
+            threshold = 0.5 * (xs[i, feat] + xs[i + 1, feat])
             best = (improvement, feat, float(threshold))
     return best
+
+
+def _child_order(order: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The parent's per-feature ``order`` restricted to the rows in ``mask``.
+
+    Filtering keeps each column's relative order, and ``cumsum(mask) - 1``
+    renumbers the surviving parent rows to the child's row indices.
+    """
+    keep = mask[order]
+    rank = np.cumsum(mask) - 1
+    kept = order.T[keep.T].reshape(order.shape[1], -1)
+    return rank[kept].T
 
 
 class RegressionTree:
@@ -173,12 +202,12 @@ class RegressionTree:
         # Breadth-first construction so SplitRecord.position reflects the
         # order in which the most significant partitions were made.
         root = self._make_node(y, 0, lower.copy(), upper.copy())
-        queue: List[tuple] = [(root, X, y)]
+        queue = deque([(root, X, y, np.argsort(X, axis=0, kind="stable"))])
         while queue:
-            node, Xn, yn = queue.pop(0)
+            node, Xn, yn, order = queue.popleft()
             if node.depth >= self.max_depth or yn.size < self.min_samples_split:
                 continue
-            found = _best_split(Xn, yn, self.min_samples_leaf)
+            found = _best_split(Xn, yn, order, node.sse, self.min_samples_leaf)
             if found is None:
                 continue
             improvement, feat, thr = found
@@ -196,8 +225,10 @@ class RegressionTree:
             lo_r[feat] = thr
             node.left = self._make_node(yn[mask], node.depth + 1, lo_l, up_l)
             node.right = self._make_node(yn[~mask], node.depth + 1, lo_r, up_r)
-            queue.append((node.left, Xn[mask], yn[mask]))
-            queue.append((node.right, Xn[~mask], yn[~mask]))
+            queue.append((node.left, Xn[mask], yn[mask],
+                          _child_order(order, mask)))
+            queue.append((node.right, Xn[~mask], yn[~mask],
+                          _child_order(order, ~mask)))
         self._root = root
         return self
 
@@ -261,9 +292,9 @@ class RegressionTree:
     def nodes(self) -> Iterator[TreeNode]:
         """Yield every node, breadth-first from the root."""
         self._check_fitted()
-        queue = [self._root]
+        queue = deque([self._root])
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             yield node
             if not node.is_leaf:
                 queue.append(node.left)

@@ -55,6 +55,21 @@ def test_batched_floor_gated_on_enforcement_flag(tmp_path):
                       "detailed_kernel.batched.resumed_speedup"}
 
 
+def test_predictor_fit_gates_speedup_and_bit_identity(tmp_path):
+    record = {"bench": "predictor_fit", "tree_speedup": 2.6,
+              "trees_bit_identical": True}
+    _write(tmp_path, "BENCH_predictor_fit.json", record)
+    summary = bench_report.build_summary(tmp_path)
+    assert summary["failures"] == 0 and summary["checks_run"] == 2
+
+    record.update(tree_speedup=1.8, trees_bit_identical=False)
+    _write(tmp_path, "BENCH_predictor_fit.json", record)
+    failed = {c["check"] for c in
+              bench_report.build_summary(tmp_path)["failed_checks"]}
+    assert failed == {"predictor_fit.tree_speedup",
+                      "predictor_fit.bit_identical"}
+
+
 def test_corrupt_file_is_a_failure(tmp_path):
     (tmp_path / "BENCH_kernel.json").write_text("{not json")
     summary = bench_report.build_summary(tmp_path)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.rbf import DEFAULT_LAMBDA_GRID, RBFNetwork, _design_matrix
+from repro.core.rbf import (
+    DEFAULT_LAMBDA_GRID, DESIGN_BLOCK_ROWS, RBFNetwork, _design_matrix,
+)
 from repro.errors import ModelError, NotFittedError
 
 
@@ -41,6 +43,19 @@ class TestDesignMatrix:
                              rng.normal(size=(6, 4)),
                              np.abs(rng.normal(size=(6, 4))) + 0.1)
         assert np.all(phi > 0.0) and np.all(phi <= 1.0)
+
+    @pytest.mark.parametrize("n_rows", [1, DESIGN_BLOCK_ROWS,
+                                        4 * DESIGN_BLOCK_ROWS + 37])
+    def test_blocked_rows_match_one_shot_broadcast(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        X = rng.uniform(size=(n_rows, 9))
+        centers = rng.uniform(size=(65, 9))
+        radii = rng.uniform(0.05, 1.0, size=(65, 9))
+        one_shot = np.exp(-np.sum(((X[:, None] - centers) / radii) ** 2,
+                                  axis=2))
+        phi = _design_matrix(X, centers, radii)
+        assert phi.shape == one_shot.shape
+        assert phi.tobytes() == one_shot.tobytes()
 
 
 class TestFitPredict:

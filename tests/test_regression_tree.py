@@ -193,3 +193,131 @@ class TestVectorizedPredict:
         y = rng.normal(size=50)
         tree = RegressionTree(max_depth=0).fit(X, y)
         assert np.allclose(tree.predict(X), y.mean())
+
+
+def _reference_best_split(X, y, min_leaf):
+    """Per-feature split search: re-sort and re-scan each column."""
+    n, d = X.shape
+    if n < 2 * min_leaf:
+        return None
+    total_sse = float(np.sum((y - y.mean()) ** 2))
+    best = None
+    for feat in range(d):
+        order = np.argsort(X[:, feat], kind="stable")
+        xs = X[order, feat]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csum2 = np.cumsum(ys * ys)
+        total_sum, total_sum2 = csum[-1], csum2[-1]
+        counts = np.arange(1, n)
+        left_sum = csum[:-1]
+        left_sse = csum2[:-1] - left_sum ** 2 / counts
+        right_cnt = n - counts
+        right_sum = total_sum - left_sum
+        right_sse = (total_sum2 - csum2[:-1]) - right_sum ** 2 / right_cnt
+        sse = left_sse + right_sse
+        valid = ((counts >= min_leaf) & (right_cnt >= min_leaf)
+                 & (xs[:-1] < xs[1:]))
+        if not np.any(valid):
+            continue
+        sse = np.where(valid, sse, np.inf)
+        i = int(np.argmin(sse))
+        improvement = total_sse - float(sse[i])
+        if best is None or improvement > best[0] + 1e-12:
+            best = (improvement, feat, float(0.5 * (xs[i] + xs[i + 1])))
+    return best
+
+
+class _ReferenceTree(RegressionTree):
+    """Breadth-first builder that re-sorts every feature at every node."""
+
+    def fit(self, X, y):
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        self._n_features = X.shape[1]
+        self._splits = []
+        root = self._make_node(y, 0, X.min(axis=0), X.max(axis=0))
+        queue = [(root, X, y)]
+        while queue:
+            node, Xn, yn = queue.pop(0)
+            if node.depth >= self.max_depth or yn.size < self.min_samples_split:
+                continue
+            found = _reference_best_split(Xn, yn, self.min_samples_leaf)
+            if found is None or found[0] < self.min_impurity_decrease:
+                continue
+            improvement, feat, thr = found
+            mask = Xn[:, feat] <= thr
+            node.feature, node.threshold = feat, thr
+            self._splits.append(SplitRecord(
+                position=len(self._splits), depth=node.depth, feature=feat,
+                threshold=thr, improvement=improvement))
+            lo_l, up_l = node.lower.copy(), node.upper.copy()
+            up_l[feat] = thr
+            lo_r, up_r = node.lower.copy(), node.upper.copy()
+            lo_r[feat] = thr
+            node.left = self._make_node(yn[mask], node.depth + 1, lo_l, up_l)
+            node.right = self._make_node(yn[~mask], node.depth + 1, lo_r, up_r)
+            queue.append((node.left, Xn[mask], yn[mask]))
+            queue.append((node.right, Xn[~mask], yn[~mask]))
+        self._root = root
+        return self
+
+
+def _fingerprint(tree):
+    """Every split and node field, floats as exact bit patterns."""
+    splits = [(r.position, r.depth, r.feature, r.threshold.hex(),
+               r.improvement.hex()) for r in tree.splits]
+    nodes = [(n.depth, n.value.hex(), n.n_samples, n.sse.hex(),
+              n.lower.tobytes(), n.upper.tobytes(), n.feature,
+              None if n.threshold is None else n.threshold.hex())
+             for n in tree.nodes()]
+    return splits, nodes
+
+
+class TestPresortedSplitSearch:
+    """The presorted all-feature scan must rebuild the per-feature trees bit for bit."""
+
+    @staticmethod
+    def _case(index):
+        rng = np.random.default_rng([index, 15])
+        min_leaf = (1, 3, 5)[index % 3]
+        d = 1 if index % 5 == 0 else int(rng.integers(2, 10))
+        if index % 4 == 0:
+            n = 2 * min_leaf + int(rng.integers(1, 3))
+        else:
+            n = int(rng.integers(2 * min_leaf + 3, 160))
+        if index % 2:
+            X = rng.integers(0, 4, size=(n, d)).astype(float)
+        else:
+            X = rng.uniform(size=(n, d))
+        if index % 6 == 1:
+            X[:, rng.integers(d)] = 2.5
+        if index % 3 == 0:
+            y = rng.integers(0, 3, size=n).astype(float)
+        else:
+            y = rng.normal(size=n) + 3.0 * X[:, 0]
+        max_depth = (3, 6, 8)[(index // 3) % 3]
+        return X, y, max_depth, min_leaf
+
+    def test_matches_per_feature_reference_on_random_cases(self):
+        for index in range(240):
+            X, y, max_depth, min_leaf = self._case(index)
+            params = dict(max_depth=max_depth, min_samples_leaf=min_leaf)
+            tree = RegressionTree(**params).fit(X, y)
+            reference = _ReferenceTree(**params).fit(X, y)
+            assert _fingerprint(tree) == _fingerprint(reference), index
+            assert all(type(r.feature) is int for r in tree.splits)
+
+    def test_equal_improvement_keeps_the_lower_feature(self):
+        rng = np.random.default_rng(7)
+        for min_leaf in (1, 5):
+            col = rng.integers(0, 6, size=60).astype(float)
+            noise = rng.uniform(size=60)
+            X = np.column_stack([noise, col, noise[::-1], col])
+            y = col ** 2 + 0.1 * rng.normal(size=60)
+            params = dict(max_depth=6, min_samples_leaf=min_leaf)
+            tree = RegressionTree(**params).fit(X, y)
+            assert 3 not in {r.feature for r in tree.splits}
+            assert tree.split_counts()[1] > 0
+            assert (_fingerprint(tree)
+                    == _fingerprint(_ReferenceTree(**params).fit(X, y)))

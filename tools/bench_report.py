@@ -30,7 +30,7 @@ from pathlib import Path
 #: field.  Records without an entry are collated but not checked.
 KNOWN_BENCHES = (
     "kernel", "detailed_kernel", "detailed_backend", "shm_transport",
-    "streaming_sweep", "remote_executor", "active_dse",
+    "streaming_sweep", "remote_executor", "active_dse", "predictor_fit",
 )
 
 
@@ -115,6 +115,15 @@ def _check_active_dse(record, checks):
            f"budget (ceiling 50%)")
 
 
+def _check_predictor_fit(record, checks):
+    speedup = record.get("tree_speedup", 0.0)
+    _check(checks, "predictor_fit.tree_speedup", speedup >= 2.0,
+           f"{speedup}x presorted vs per-feature split search (floor 2x)")
+    _check(checks, "predictor_fit.bit_identical",
+           record.get("trees_bit_identical") is True,
+           "presorted trees == per-feature reference trees")
+
+
 _CHECKERS = {
     "kernel": _check_kernel,
     "detailed_kernel": _check_detailed_kernel,
@@ -123,6 +132,7 @@ _CHECKERS = {
     "streaming_sweep": _check_streaming_sweep,
     "remote_executor": _check_remote_executor,
     "active_dse": _check_active_dse,
+    "predictor_fit": _check_predictor_fit,
 }
 
 
