@@ -36,6 +36,30 @@ digests); the core converts its microarchitectural state between the
 two representations through one canonical snapshot format
 (:meth:`OutOfOrderCore.snapshot_state`), which is also what detailed
 checkpointing persists.
+
+The interpreter is event-driven; the kernel steps every cycle.  A
+*dead* cycle commits, issues, dispatches and fetches nothing, and
+until the next event every following cycle repeats it exactly.  The
+interpreter therefore jumps to the cycle before the earliest of:
+
+* the ROB head's ``ready_cycle`` (commit);
+* the earliest completion of an issued producer that blocked an issue
+  queue entry in this cycle's scan (wakeup; a dead cycle has no ready
+  entry, since every FU budget is positive);
+* ``fetch_stall_until`` (fetch resumes);
+* with DVM on, the miss-heap top (a pop can clear the L2-miss input of
+  ``should_throttle``) and the next sample cycle (``on_sample`` moves
+  ``wq_ratio``); a cycle that just sampled never skips;
+* ``max_cycles + 1``, so the deadlock guard raises at the same cycle.
+
+The skipped cycles' accumulators are replayed exactly.  The IQ, ROB and
+LSQ ACE sums, the DVM window ACE and the throttled-cycle count add the
+same integer each cycle and stay far below 2**53, so one ``k * x``
+multiply-add equals ``k`` adds.  The register-file term is not an
+integer, and float addition does not associate, so it repeats the
+per-cycle add ``k`` times.  ``tests/test_detailed_kernel.py``
+(``TestDeadCycleSkip``) checks the two engines against each other to
+the bit.
 """
 
 from __future__ import annotations
@@ -88,11 +112,12 @@ class _InFlight:
     __slots__ = ("index", "op", "ace", "is_mem", "issued", "ready_cycle",
                  "mispredict", "src1", "src2")
 
-    def __init__(self, index: int, op: int, ace: bool, src1: int, src2: int):
+    def __init__(self, index: int, op: int, ace: bool, is_mem: bool,
+                 src1: int, src2: int):
         self.index = index
         self.op = op
         self.ace = ace
-        self.is_mem = op in (OpClass.LOAD, OpClass.STORE)
+        self.is_mem = is_mem
         self.issued = False
         self.ready_cycle: Optional[int] = None   # set when issued
         self.mispredict = False
@@ -355,7 +380,6 @@ class OutOfOrderCore:
         # (the interval only ends once everything commits), matching the
         # historical global completion dict bit-for-bit.
         comp_cycle = [0] * n
-        comp_issued = bytearray(n)
         lsq_count = 0
         iq_ace = rob_ace = lsq_ace = 0
 
@@ -373,12 +397,15 @@ class OutOfOrderCore:
         dvm_window_cycles = self._dvm_window_cycles
         dvm_sample_period = self._dvm_sample_period
         max_cycles = start_cycle + max(n * _MAX_CPI, 10_000)
+        # The deadlock guard is an event too: a skip never jumps past it.
+        no_event = max_cycles + 1
 
         while committed < n:
             cycle += 1
             if cycle > max_cycles:
                 raise SimulationError(
-                    f"interval exceeded {_MAX_CPI} CPI — model deadlock"
+                    f"interval exceeded {_MAX_CPI} CPI at cycle {cycle} "
+                    f"— model deadlock"
                 )
 
             # ---------------- commit ---------------------------------
@@ -408,29 +435,34 @@ class OutOfOrderCore:
                        cfg.mem_ports, cfg.int_alu]
             issued = 0
             ready_count = 0
+            # Earliest completion of a producer that blocks an IQ entry:
+            # the next cycle at which some entry may become ready.
+            wake = no_event
             still_waiting: List[_InFlight] = []
             for entry in iq:
                 if issued >= fetch_width:
                     still_waiting.append(entry)
                     continue
                 li = entry.index
-                src_ready = True
+                # A source blocks while its producer (same interval,
+                # dist <= li) has issued and not yet completed; an
+                # unissued producer's completion cycle is 0.
                 dist = entry.src1
-                if dist > 0:
-                    producer = li - dist
-                    if producer >= 0 and comp_issued[producer] \
-                            and comp_cycle[producer] > cycle:
-                        src_ready = False
-                if src_ready:
-                    dist = entry.src2
-                    if dist > 0:
-                        producer = li - dist
-                        if producer >= 0 and comp_issued[producer] \
-                                and comp_cycle[producer] > cycle:
-                            src_ready = False
-                if not src_ready:
-                    still_waiting.append(entry)
-                    continue
+                if 0 < dist <= li:
+                    done = comp_cycle[li - dist]
+                    if done > cycle:
+                        if done < wake:
+                            wake = done
+                        still_waiting.append(entry)
+                        continue
+                dist = entry.src2
+                if 0 < dist <= li:
+                    done = comp_cycle[li - dist]
+                    if done > cycle:
+                        if done < wake:
+                            wake = done
+                        still_waiting.append(entry)
+                        continue
                 ready_count += 1
                 op = entry.op
                 if fu_free[op] <= 0:
@@ -460,7 +492,6 @@ class OutOfOrderCore:
                             fetch_stall_until = stall
                 entry.issued = True
                 entry.ready_cycle = cycle + latency
-                comp_issued[li] = 1
                 comp_cycle[li] = cycle + latency
                 issued += 1
                 iq_ace -= entry.ace
@@ -477,13 +508,13 @@ class OutOfOrderCore:
 
             # ---------------- dispatch -------------------------------
             throttled = False
+            dispatched = 0
             if dvm is not None:
                 throttled = dvm.should_throttle(waiting, ready_count,
                                                 bool(miss_heap))
                 if throttled:
                     throttled_cycles += 1
             if not throttled:
-                dispatched = 0
                 while (dispatched < fetch_width
                        and dispatch_ptr < fetch_ptr
                        and len(rob) < rob_size
@@ -493,7 +524,7 @@ class OutOfOrderCore:
                     is_mem = op == 2 or op == 3
                     if is_mem and lsq_count >= lsq_size:
                         break
-                    entry = _InFlight(local, op, t_ace[local],
+                    entry = _InFlight(local, op, t_ace[local], is_mem,
                                       t_src1[local], t_src2[local])
                     rob.append(entry)
                     iq.append(entry)
@@ -508,8 +539,8 @@ class OutOfOrderCore:
                     c_rob += 1.0
 
             # ---------------- fetch ----------------------------------
+            fetched = 0
             if cycle >= fetch_stall_until:
-                fetched = 0
                 while (fetched < fetch_width and fetch_ptr < n
                        and fetch_ptr - dispatch_ptr < 2 * fetch_width):
                     line = t_pc[fetch_ptr] // il1_line_bytes
@@ -544,6 +575,48 @@ class OutOfOrderCore:
                     dvm.on_sample(online_avf)
                     dvm_window_ace = 0.0
                     dvm_window_cycles = 0
+
+            # ---------------- dead-cycle skip ------------------------
+            if commits or issued or dispatched or fetched:
+                continue
+            # Nothing moved, so every later cycle repeats this one until
+            # the next event (see the module docstring): jump to the
+            # cycle before it and replay the skipped accumulators.
+            nxt = wake
+            if rob:
+                head = rob[0]
+                if head.issued and head.ready_cycle < nxt:
+                    nxt = head.ready_cycle
+            if cycle < fetch_stall_until < nxt:
+                nxt = fetch_stall_until
+            if dvm is not None:
+                if not dvm_window_cycles:
+                    # A sample just moved wq_ratio, so the next cycle's
+                    # throttle decision may differ from this one's.
+                    continue
+                if miss_heap and miss_heap[0] < nxt:
+                    nxt = miss_heap[0]
+                sample = cycle + dvm_sample_period - dvm_window_cycles
+                if sample < nxt:
+                    nxt = sample
+            skip = nxt - cycle - 1
+            if skip <= 0:
+                continue
+            # Integer-valued sums far below 2**53: one multiply-add is
+            # exact.  The regfile term is not an integer and float adds
+            # do not associate, so it repeats the per-cycle add.
+            a_iq += skip * (iq_ace * bits_iq)
+            a_rob += skip * (rob_ace * bits_rob)
+            a_lsq += skip * (lsq_ace * bits_lsq)
+            regfile_ace = (32 + 0.5 * len(rob)) * bits_regfile * 0.45
+            for _ in range(skip):
+                a_regfile += regfile_ace
+            if dvm is not None:
+                dvm_window_ace += skip * iq_ace
+                dvm_window_cycles += skip
+                if throttled:
+                    throttled_cycles += skip
+            cycle += skip
 
         self._global_index += n
         self._cycle = cycle

@@ -137,16 +137,25 @@ def synthesize_interval(workload: WorkloadModel, sample_index: int,
     # O(1) generation (an independent-reference Zipf-like stream).  The
     # remainder of accesses hits a tiny hot region (stack/globals).
     fp_log2, fp_w = workload.footprint_components()
-    address = np.zeros(n_instructions, dtype=np.int64)
+    # The loops below draw one scalar at a time (the draws are
+    # sequential), so they read plain-list views and bound methods
+    # instead of boxing a NumPy scalar per element access.
+    # ``rng.random()`` returns the value ``rng.uniform()`` would
+    # (``0.0 + 1.0 * x`` is ``x``) without its argument handling.
+    draw = rng.random
+    integers = rng.integers
+    phase_list = phase_ids.tolist()
+    fp_log2_rows = fp_log2.tolist()
+    fp_w_rows = fp_w.tolist()
+    address = [0] * n_instructions
     is_mem = (op == OpClass.LOAD) | (op == OpClass.STORE)
-    mem_idx = np.nonzero(is_mem)[0]
-    for i in mem_idx:
-        ph = phase_ids[i]
-        r = rng.uniform()
+    for i in np.flatnonzero(is_mem).tolist():
+        ph = phase_list[i]
+        r = draw()
         acc = 0.0
         chosen = -1
-        for k in range(fp_w.shape[1]):
-            acc += fp_w[ph, k]
+        for k, weight in enumerate(fp_w_rows[ph]):
+            acc += weight
             if r < acc:
                 chosen = k
                 break
@@ -154,40 +163,42 @@ def synthesize_interval(workload: WorkloadModel, sample_index: int,
             # Hot region: 4 KB of stack/global data.
             base = 0x1000_0000
             n_lines = 4096 // _LINE_BYTES
-            line = int(rng.integers(n_lines))
+            line = int(integers(n_lines))
         else:
-            base = 0x4000_0000 + (int(fp_log2[ph, chosen] * 8) << 24) \
-                + (ph << 20)
-            n_lines = max(int(2 ** fp_log2[ph, chosen] * 1024) // _LINE_BYTES, 1)
-            line = int(n_lines ** rng.uniform()) - 1
+            log2_kb = fp_log2_rows[ph][chosen]
+            base = 0x4000_0000 + (int(log2_kb * 8) << 24) + (ph << 20)
+            n_lines = max(int(2 ** log2_kb * 1024) // _LINE_BYTES, 1)
+            line = int(n_lines ** draw()) - 1
         address[i] = base + line * _LINE_BYTES
+    address = np.array(address, dtype=np.int64)
 
     # Instruction addresses: sequential runs with phase-dependent spans;
     # the run length sets IL1 locality.
     inst_fp = workload.phase_vector("inst_footprint_log2kb")[phase_ids]
-    pc = np.zeros(n_instructions, dtype=np.int64)
+    pc = []
     current = 0x0040_0000
-    for i in range(n_instructions):
-        if rng.uniform() < 0.06:  # jump somewhere in the code footprint
-            span = int(2 ** inst_fp[i] * 1024)
-            current = 0x0040_0000 + (int(rng.integers(max(span // 4, 1))) * 4)
+    for log2_kb in inst_fp.tolist():
+        if draw() < 0.06:  # jump somewhere in the code footprint
+            span = int(2 ** log2_kb * 1024)
+            current = 0x0040_0000 + (int(integers(max(span // 4, 1))) * 4)
         else:
             current += 4
-        pc[i] = current
+        pc.append(current)
+    pc = np.array(pc, dtype=np.int64)
 
     # Branch outcomes: a mixture of strongly-biased sites (predictable)
     # and weakly-biased sites whose share is set by the phase's intrinsic
     # misprediction rate under the Table 1 gshare.
-    taken = np.zeros(n_instructions, dtype=bool)
-    br_idx = np.nonzero(op == OpClass.BRANCH)[0]
-    mispredict = workload.phase_vector("branch_mispredict")[phase_ids]
-    for i in br_idx:
+    taken = [False] * n_instructions
+    mispredict = workload.phase_vector("branch_mispredict")[phase_ids].tolist()
+    for i in np.flatnonzero(op == OpClass.BRANCH).tolist():
         # A weakly-biased branch (p ~ 0.5) mispredicts ~50% of the time;
         # mixing fraction 2*m of such branches yields ~m overall.
-        if rng.uniform() < 2.0 * mispredict[i]:
-            taken[i] = rng.uniform() < 0.5
+        if draw() < 2.0 * mispredict[i]:
+            taken[i] = draw() < 0.5
         else:
-            taken[i] = rng.uniform() < 0.95
+            taken[i] = draw() < 0.95
+    taken = np.array(taken, dtype=bool)
 
     ace_frac = workload.phase_vector("ace_fraction")[phase_ids]
     ace = rng.uniform(size=n_instructions) < ace_frac

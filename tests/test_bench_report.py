@@ -4,8 +4,6 @@ import json
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import bench_report
@@ -88,8 +86,40 @@ def test_main_writes_summary_and_sets_exit_code(tmp_path):
     assert bench_report.main(["--dir", str(tmp_path), "--out", str(out)]) == 1
 
 
-def test_repo_records_pass_as_committed():
-    repo_root = Path(__file__).resolve().parents[1]
-    if not list(repo_root.glob("BENCH_*.json")):
-        pytest.skip("no benchmark records present")
-    assert bench_report.build_summary(repo_root)["failures"] == 0
+#: One record per known bench with every gated metric exactly at its
+#: pinned floor or ceiling and every conditional floor enforced.
+_RECORDS_AT_PINNED_GATES = {
+    "kernel": {"speedup": 10.0, "min_speedup": 10.0,
+               "rows_bit_identical": True, "jit_available": True,
+               "jit_bit_identical": True},
+    "detailed_kernel": {
+        "speedup": 5.0, "min_speedup_enforced": 5.0,
+        "bit_identical_fresh": True, "bit_identical_resumed": True,
+        "batched": {"bit_identical": True, "speedup": 3.0,
+                    "resumed_speedup": 3.0, "min_speedup_enforced": 3.0}},
+    "detailed_backend": {"bit_identical": True, "chunk_interval": 8,
+                         "chunk_detailed": 1},
+    "shm_transport": {"transport_speedup": 2.0, "bit_identical": True},
+    "streaming_sweep": {"bit_identical": True},
+    "remote_executor": {"dispatch_overhead": 0.15, "max_overhead": 0.15},
+    "active_dse": {"active_budget_fraction": 0.5},
+    "predictor_fit": {"tree_speedup": 2.0, "trees_bit_identical": True},
+}
+
+
+def test_records_at_pinned_gates_pass(tmp_path):
+    """Every known bench, written at its gates, passes every check.
+
+    The records are written here rather than read from the checkout
+    root: ``BENCH_*.json`` there are gitignored leftovers of local bench
+    runs, so gating them made tier-1 depend on the last local run.
+    """
+    assert set(_RECORDS_AT_PINNED_GATES) == set(bench_report.KNOWN_BENCHES)
+    for name, record in _RECORDS_AT_PINNED_GATES.items():
+        _write(tmp_path, f"BENCH_{name}.json", dict(record, bench=name))
+    out = tmp_path / "BENCH_SUMMARY.json"
+    assert bench_report.main(["--dir", str(tmp_path), "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["failures"] == 0
+    assert summary["checks_run"] == 18
+    assert summary["skipped"] == []

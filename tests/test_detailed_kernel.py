@@ -14,12 +14,15 @@ interpreter and the struct-of-arrays kernel (optionally numba-compiled)
 * canonical-snapshot round-trips across engines, checkpoint
   resume-mid-run (including crashing under one engine and resuming
   under the other), and v1-checkpoint invalidation;
+* the interpreter's dead-cycle skipping against the kernel, which
+  steps every cycle (:class:`TestDeadCycleSkip`);
 * the trace memo's sharing and isolation guarantees.
 
 Regenerate the digest table with ``tools/capture_detailed_goldens.py``
 after an *intended* behaviour change.
 """
 
+import dataclasses
 import hashlib
 import os
 import time
@@ -27,15 +30,18 @@ import time
 import numpy as np
 import pytest
 
+from repro.dse.lhs import sample_train_configs
+from repro.dse.space import paper_design_space
 from repro.errors import SimulationError
 from repro.reliability.dvm import DVMController, DVMPolicy
 from repro.uarch import jit
 from repro.uarch.detailed import (CHECKPOINT_VERSION, DetailedSimulator,
                                   sweep_checkpoints)
 from repro.uarch.params import MachineConfig, baseline_config
-from repro.uarch.pipeline import OutOfOrderCore
+from repro.uarch.pipeline import _MAX_CPI, OutOfOrderCore
+from repro.uarch.trace import InstructionTrace, OpClass
 from repro.workloads.generator import clear_trace_memo, synthesize_interval
-from repro.workloads.spec2000 import get_benchmark
+from repro.workloads.spec2000 import BENCHMARK_NAMES, get_benchmark
 
 N_SAMPLES = 8
 IPS = 400
@@ -215,6 +221,166 @@ def test_restore_rejects_mismatched_shapes():
     small = MachineConfig(il1_size_kb=8, dl1_size_kb=8)
     with pytest.raises(Exception, match="does not match"):
         OutOfOrderCore(small).restore_state(snapshot)
+
+
+# ----------------------------------------------------------------------
+# Dead-cycle skipping: interpreter vs the every-cycle kernel
+# ----------------------------------------------------------------------
+def _exact(value):
+    """``value`` with every float as its exact bit pattern."""
+    if isinstance(value, dict):
+        return tuple((key, _exact(item)) for key, item in value.items())
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+def _hand_trace(ops, src1=None, address=None, pc=None, taken=None):
+    """A hand-built interval: ``ops`` as OpClass values, ACE everywhere."""
+    n = len(ops)
+    return InstructionTrace(
+        op=np.asarray(ops, dtype=np.int8),
+        src1_dist=np.asarray(src1 if src1 is not None else [0] * n,
+                             dtype=np.int64),
+        src2_dist=np.zeros(n, dtype=np.int64),
+        address=np.asarray(address if address is not None else [0] * n,
+                           dtype=np.int64),
+        pc=np.asarray(pc if pc is not None
+                      else [0x400000 + 4 * i for i in range(n)],
+                      dtype=np.int64),
+        taken=np.asarray(taken if taken is not None else [False] * n,
+                         dtype=bool),
+        ace=np.ones(n, dtype=bool))
+
+
+def _lhs_cases():
+    configs = sample_train_configs(paper_design_space(), 24, seed=11)
+    cases = []
+    for index, config in enumerate(configs):
+        bench = BENCHMARK_NAMES[index % len(BENCHMARK_NAMES)]
+        for dvm in (None, 0.05, 0.3):
+            label = f"{index}-{bench}-" + ("nodvm" if dvm is None
+                                           else f"dvm{dvm}")
+            cases.append(pytest.param(
+                bench, (config.with_dvm(False) if dvm is None
+                        else config.with_dvm(True, dvm)), id=label))
+    return cases
+
+
+class TestDeadCycleSkip:
+    """The interpreter jumps over cycles in which nothing commits,
+    issues, dispatches or fetches; the array kernel run as plain Python
+    steps every cycle.  Every statistic and the final snapshot must
+    agree to the bit, including where an event lands inside a dead run.
+    """
+
+    @staticmethod
+    def _core(config):
+        dvm = (DVMController(DVMPolicy(threshold=config.dvm_threshold))
+               if config.dvm_enabled else None)
+        return OutOfOrderCore(config, dvm=dvm)
+
+    def _differential(self, config, traces):
+        skipping, stepping = self._core(config), self._core(config)
+        stats = []
+        for trace in traces:
+            got = skipping.run_interval(trace, engine="python")
+            want = stepping.run_interval(trace, engine="kernel-interp")
+            assert ([_exact(getattr(got, f.name))
+                     for f in dataclasses.fields(got)]
+                    == [_exact(getattr(want, f.name))
+                        for f in dataclasses.fields(want)])
+            stats.append(got)
+        got, want = skipping.snapshot_state(), stepping.snapshot_state()
+        assert sorted(got) == sorted(want)
+        for key in got:
+            assert got[key].dtype == want[key].dtype, key
+            assert got[key].tobytes() == want[key].tobytes(), key
+        return stats, skipping
+
+    @pytest.mark.parametrize("bench,config", _lhs_cases())
+    def test_lhs_configs_match_stepping_kernel(self, bench, config):
+        workload = get_benchmark(bench)
+        self._differential(config, [
+            synthesize_interval(workload, i, 4, 250) for i in range(2)])
+
+    def test_dvm_sample_inside_dead_run(self):
+        """Samples land inside dead runs and flip the throttle there.
+
+        With a one-entry DTLB and a 600-cycle TLB miss, every load after
+        the first two hits the DL1 but holds its three consumers for
+        600 cycles with no L2 miss outstanding, so the waiting/ready
+        ratio alone gates dispatch.  A 200-cycle sample inside such a
+        dead run raises ``wq_ratio`` past the waiting count, and the
+        buffered instructions dispatch on the very next cycle.
+        """
+        config = MachineConfig(dtlb_entries=1, tlb_miss_latency=600
+                               ).with_dvm(True, 0.3)
+        ops, src1, address = [], [], []
+        for block in range(12):
+            ops += [OpClass.LOAD] + [OpClass.INT_ALU] * 5
+            src1 += [0, 1, 2, 3, 0, 0]
+            address += [0x2000_0000 + (block % 2) * 4096] + [0] * 5
+        stats, core = self._differential(
+            config, [_hand_trace(ops, src1, address)])
+        assert stats[0].counters["l2"] == 2          # two cold lines only
+        assert stats[0].dvm_throttled_cycles > 0
+        assert core.dvm.sample_count >= stats[0].cycles // 200 >= 10
+
+    def test_l2_miss_throttled_window(self):
+        """An outstanding L2 miss throttles dispatch through a dead run
+        that only the miss-heap pop ends.
+
+        The ROB head is a load that hits the DL1 but misses the
+        two-entry DTLB (600 cycles, no L2 miss).  Behind it, a load to a
+        resident page misses the L2 and returns after ~220 cycles with
+        no consumer waiting on it: dispatch resumes at that pop, long
+        before the head can commit.
+        """
+        def trace(addresses):
+            return _hand_trace([OpClass.LOAD] * len(addresses)
+                               + [OpClass.INT_ALU] * (32 - len(addresses)),
+                               address=addresses
+                               + [0] * (32 - len(addresses)))
+
+        warm = trace([0x2000_0000, 0x2100_0000, 0x2200_0000])
+        probe = trace([0x2000_0000, 0x2200_0800])
+        config = MachineConfig(dtlb_entries=2, tlb_miss_latency=600
+                               ).with_dvm(True, 0.3)
+        stats, _ = self._differential(config, [warm, probe])
+        assert stats[1].counters["l2"] == 1
+        assert 0 < stats[1].dvm_throttled_cycles < stats[1].cycles - 300
+
+    def test_mispredict_fetch_stall(self):
+        """Mispredicted branches stall fetch for ``pipeline_depth``
+        cycles after they resolve; the drained core is dead until the
+        stall ends."""
+        rng = np.random.default_rng(5)
+        n = 200
+        ops = [OpClass.BRANCH if i % 3 == 2 else OpClass.INT_ALU
+               for i in range(n)]
+        taken = [bool(op == OpClass.BRANCH and rng.random() < 0.5)
+                 for op in ops]
+        stats, _ = self._differential(
+            baseline_config(), [_hand_trace(ops, taken=taken)] * 2)
+        assert all(s.branch_mispredicts > 0 for s in stats)
+
+    @pytest.mark.parametrize("dvm", [None, 0.3], ids=["nodvm", "dvm"])
+    def test_max_cycles_guard_raises_at_same_cycle(self, dvm):
+        """A load that never returns inside the interval's cycle budget
+        trips the deadlock guard at ``max_cycles + 1`` in both engines,
+        with no cycle skipped past it."""
+        config = MachineConfig(memory_latency=50_000)
+        if dvm is not None:
+            config = config.with_dvm(True, dvm)
+        trace = _hand_trace([OpClass.LOAD, OpClass.INT_ALU], [0, 1],
+                            [0x5000_0000, 0])
+        limit = max(len(trace) * _MAX_CPI, 10_000)
+        with pytest.raises(SimulationError,
+                           match=f"at cycle {limit + 1} "):
+            self._core(config).run_interval(trace, engine="python")
+        with pytest.raises(SimulationError, match="model deadlock"):
+            self._core(config).run_interval(trace, engine="kernel-interp")
 
 
 # ----------------------------------------------------------------------
