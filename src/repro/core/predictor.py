@@ -164,10 +164,10 @@ class WaveletNeuralPredictor:
         self.selected_indices_ = selected
         self.n_samples_ = n_samples
         self.n_features_ = X.shape[1]
-        self.models_ = {}
         self._target_mean = {}
         self._target_scale = {}
-        for idx in selected:
+        targets = np.empty((X.shape[0], selected.size))
+        for col, idx in enumerate(selected):
             y = coeffs[:, idx]
             mean, scale = 0.0, 1.0
             if s.standardize_targets:
@@ -175,15 +175,18 @@ class WaveletNeuralPredictor:
                 scale = float(y.std())
                 if scale < 1e-12:
                     scale = 1.0
-            net = RBFNetwork(
-                max_depth=s.rbf_max_depth,
-                min_samples_leaf=s.rbf_min_samples_leaf,
-                radius_scale=s.rbf_radius_scale,
-                solver=s.rbf_solver,
-            ).fit(X, (y - mean) / scale)
-            self.models_[int(idx)] = net
+            targets[:, col] = (y - mean) / scale
             self._target_mean[int(idx)] = mean
             self._target_scale[int(idx)] = scale
+        # One call grows every coefficient's tree together over one
+        # presort of X (see RBFNetwork.fit_columns).
+        nets = RBFNetwork(
+            max_depth=s.rbf_max_depth,
+            min_samples_leaf=s.rbf_min_samples_leaf,
+            radius_scale=s.rbf_radius_scale,
+            solver=s.rbf_solver,
+        ).fit_columns(X, targets)
+        self.models_ = {int(idx): net for idx, net in zip(selected, nets)}
         return self
 
     # ------------------------------------------------------------------

@@ -16,13 +16,14 @@ units.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import copy
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro._validation import as_2d_float_array
 from repro.errors import ModelError, NotFittedError
-from repro.core.regression_tree import RegressionTree
+from repro.core.regression_tree import RegressionTree, as_targets
 
 #: Weight-solving strategies.
 SOLVERS = ("ridge_gcv", "forward")
@@ -59,25 +60,32 @@ def _gcv_ridge(phi: np.ndarray, y: np.ndarray,
                lambda_grid: Sequence[float]):
     """Ridge weights with lambda chosen by GCV, via SVD of ``phi``.
 
-    Returns ``(weights, best_lambda, gcv_score)``.
+    Returns ``(weights, best_lambda, gcv_score)``.  The grid is scored in
+    one ``(L, k)`` pass; the first lambda with the lowest score wins and
+    only its weights are solved.  Each row sum is the same pairwise sum
+    as a 1-D ``np.sum`` of that row, and the per-lambda tail stays in
+    Python floats: ``denom ** 2`` there is libm ``pow``, which differs
+    from NumPy's ``x * x`` square in the last bit for about one value
+    in a thousand.
     """
     n = phi.shape[0]
     u, s, vt = np.linalg.svd(phi, full_matrices=False)
     uty = u.T @ y
     y_norm2 = float(y @ y)
-    best = None
-    for lam in lambda_grid:
-        shrink = s * s / (s * s + lam)           # diagonal of the hat matrix core
-        fitted_norm2 = float(np.sum((shrink * uty) ** 2))
-        cross = float(np.sum(shrink * uty * uty))
-        rss = max(y_norm2 - 2.0 * cross + fitted_norm2, 0.0)
-        trace_s = float(np.sum(shrink))
-        denom = max(n - trace_s, 1e-9)
-        gcv = n * rss / denom ** 2
-        if best is None or gcv < best[2]:
-            coef = vt.T @ ((s / (s * s + lam)) * uty)
-            best = (coef, lam, gcv)
-    return best
+    lams = np.asarray(lambda_grid, dtype=float)
+    ss = s * s
+    shrink = ss / (ss + lams[:, None])       # diagonals of the hat matrix core
+    fitted_norm2 = np.sum((shrink * uty) ** 2, axis=1).tolist()
+    cross = np.sum(shrink * uty * uty, axis=1).tolist()
+    trace_s = np.sum(shrink, axis=1).tolist()
+    scores = [
+        n * max(y_norm2 - 2.0 * c + f, 0.0) / max(n - t, 1e-9) ** 2
+        for f, c, t in zip(fitted_norm2, cross, trace_s)
+    ]
+    best = min(range(len(scores)), key=scores.__getitem__)
+    lam = lambda_grid[best]
+    coef = vt.T @ ((s / (ss + lam)) * uty)
+    return coef, lam, scores[best]
 
 
 class RBFNetwork:
@@ -145,22 +153,36 @@ class RBFNetwork:
     def fit(self, X, y) -> "RBFNetwork":
         """Fit tree, derive candidate units, solve output weights."""
         X = as_2d_float_array(X, name="X")
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 1 or y.size != X.shape[0]:
-            raise ModelError(
-                f"y must be 1-D with len(y) == X.shape[0], got {y.shape} vs {X.shape}"
-            )
-        self.tree_ = RegressionTree(
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-        ).fit(X, y)
-        centers, radii = self._units_from_tree()
-        self.centers_, self.radii_ = centers, radii
+        y = as_targets(y, X.shape[0])
+        return self._fit_weights(X, y, self._tree().fit(X, y))
+
+    def fit_columns(self, X, Y) -> List["RBFNetwork"]:
+        """One network per column of ``Y`` (n, T), their trees grown together.
+
+        Each returned network is a copy of this one, fitted on its
+        column, and equals a separate :meth:`fit` bit for bit (see
+        :meth:`RegressionTree.fit_columns`).  ``self`` is not modified.
+        """
+        X = as_2d_float_array(X, name="X")
+        Y = as_targets(Y, X.shape[0], ndim=2)
+        trees = self._tree().fit_columns(X, Y)
+        return [copy.copy(self)._fit_weights(X, y, tree)
+                for y, tree in zip(np.ascontiguousarray(Y.T), trees)]
+
+    def _tree(self) -> RegressionTree:
+        return RegressionTree(max_depth=self.max_depth,
+                              min_samples_leaf=self.min_samples_leaf)
+
+    def _fit_weights(self, X: np.ndarray, y: np.ndarray,
+                     tree: RegressionTree) -> "RBFNetwork":
+        """Derive candidate units from the fitted ``tree``, solve weights."""
+        self.tree_ = tree
+        self.centers_, self.radii_ = self._units_from_tree()
         # Work on centred targets; the intercept absorbs the mean, which
         # keeps the ridge penalty from shrinking the overall level.
         self.bias_ = float(y.mean())
         resid = y - self.bias_
-        phi = _design_matrix(X, centers, radii)
+        phi = _design_matrix(X, self.centers_, self.radii_)
         if self.include_bias:
             phi = np.hstack([phi, np.ones((phi.shape[0], 1))])
         if self.solver == "ridge_gcv":
@@ -171,15 +193,18 @@ class RBFNetwork:
         return self
 
     def _units_from_tree(self):
-        """Candidate centers/radii from every tree node's bounding box."""
-        centers, radii = [], []
-        for node in self.tree_.nodes():
-            mid = (node.lower + node.upper) / 2.0
-            half = (node.upper - node.lower) / 2.0
-            rad = np.maximum(half * self.radius_scale, self.min_radius)
-            centers.append(mid)
-            radii.append(rad)
-        return np.vstack(centers), np.vstack(radii)
+        """Candidate centers/radii from every tree node's bounding box.
+
+        One unit per node, in breadth-first order: centered at the box
+        midpoint, with radii ``radius_scale`` times the half widths,
+        floored at ``min_radius``.
+        """
+        nodes = list(self.tree_.nodes())
+        lower = np.array([node.lower for node in nodes])
+        upper = np.array([node.upper for node in nodes])
+        radii = np.maximum((upper - lower) / 2.0 * self.radius_scale,
+                           self.min_radius)
+        return (lower + upper) / 2.0, radii
 
     def _forward_select(self, phi: np.ndarray, y: np.ndarray):
         """Greedy forward selection of columns of ``phi`` minimizing GCV."""

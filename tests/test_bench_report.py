@@ -55,16 +55,18 @@ def test_batched_floor_gated_on_enforcement_flag(tmp_path):
 
 def test_predictor_fit_gates_speedup_and_bit_identity(tmp_path):
     record = {"bench": "predictor_fit", "tree_speedup": 2.6,
-              "trees_bit_identical": True}
+              "forest_speedup": 5.9, "trees_bit_identical": True}
     _write(tmp_path, "BENCH_predictor_fit.json", record)
     summary = bench_report.build_summary(tmp_path)
-    assert summary["failures"] == 0 and summary["checks_run"] == 2
+    assert summary["failures"] == 0 and summary["checks_run"] == 3
 
-    record.update(tree_speedup=1.8, trees_bit_identical=False)
+    record.update(tree_speedup=1.8, forest_speedup=3.9,
+                  trees_bit_identical=False)
     _write(tmp_path, "BENCH_predictor_fit.json", record)
     failed = {c["check"] for c in
               bench_report.build_summary(tmp_path)["failed_checks"]}
     assert failed == {"predictor_fit.tree_speedup",
+                      "predictor_fit.forest_speedup",
                       "predictor_fit.bit_identical"}
 
 
@@ -103,7 +105,8 @@ _RECORDS_AT_PINNED_GATES = {
     "streaming_sweep": {"bit_identical": True},
     "remote_executor": {"dispatch_overhead": 0.15, "max_overhead": 0.15},
     "active_dse": {"active_budget_fraction": 0.5},
-    "predictor_fit": {"tree_speedup": 2.0, "trees_bit_identical": True},
+    "predictor_fit": {"tree_speedup": 2.0, "forest_speedup": 4.0,
+                      "trees_bit_identical": True},
 }
 
 
@@ -121,5 +124,5 @@ def test_records_at_pinned_gates_pass(tmp_path):
     assert bench_report.main(["--dir", str(tmp_path), "--out", str(out)]) == 0
     summary = json.loads(out.read_text())
     assert summary["failures"] == 0
-    assert summary["checks_run"] == 18
+    assert summary["checks_run"] == 19
     assert summary["skipped"] == []

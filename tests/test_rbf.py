@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.rbf import (
     DEFAULT_LAMBDA_GRID, DESIGN_BLOCK_ROWS, RBFNetwork, _design_matrix,
+    _gcv_ridge,
 )
 from repro.errors import ModelError, NotFittedError
 
@@ -58,6 +59,70 @@ class TestDesignMatrix:
         assert phi.tobytes() == one_shot.tobytes()
 
 
+def _reference_gcv_ridge(phi, y, lambda_grid):
+    """GCV ridge scored one lambda at a time."""
+    n = phi.shape[0]
+    u, s, vt = np.linalg.svd(phi, full_matrices=False)
+    uty = u.T @ y
+    y_norm2 = float(y @ y)
+    best = None
+    for lam in lambda_grid:
+        shrink = s * s / (s * s + lam)
+        fitted_norm2 = float(np.sum((shrink * uty) ** 2))
+        cross = float(np.sum(shrink * uty * uty))
+        rss = max(y_norm2 - 2.0 * cross + fitted_norm2, 0.0)
+        trace_s = float(np.sum(shrink))
+        denom = max(n - trace_s, 1e-9)
+        gcv = n * rss / denom ** 2
+        if best is None or gcv < best[2]:
+            coef = vt.T @ ((s / (s * s + lam)) * uty)
+            best = (coef, lam, gcv)
+    return best
+
+
+class TestGCVRidge:
+    def test_grid_pass_matches_per_lambda_loop(self):
+        rng = np.random.default_rng(11)
+        for case in range(400):
+            n = int(rng.integers(5, 120))
+            k = int(rng.integers(1, 80))
+            phi = _design_matrix(rng.uniform(size=(n, 4)),
+                                 rng.uniform(size=(k, 4)),
+                                 rng.uniform(0.05, 2.0, size=(k, 4)))
+            if case % 2:
+                phi = np.hstack([phi, np.ones((n, 1))])
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            grid = (DEFAULT_LAMBDA_GRID if case % 3
+                    else tuple(np.sort(rng.uniform(0, 5, size=7))))
+            coef, lam, gcv = _gcv_ridge(phi, y, grid)
+            ref_coef, ref_lam, ref_gcv = _reference_gcv_ridge(phi, y, grid)
+            assert coef.tobytes() == ref_coef.tobytes(), case
+            assert lam == ref_lam and gcv.hex() == ref_gcv.hex(), case
+
+    def test_single_lambda_scores_match_loop(self):
+        # Forward selection scores one lambda per call, so every score is
+        # returned; libm pow and NumPy's square disagree in the last bit
+        # on about one value in a thousand.
+        rng = np.random.default_rng(12)
+        for case in range(60):
+            n = int(rng.integers(8, 40))
+            k = int(rng.integers(1, 12))
+            phi = _design_matrix(rng.uniform(size=(n, 3)),
+                                 rng.uniform(size=(k, 3)),
+                                 rng.uniform(0.05, 2.0, size=(k, 3)))
+            y = rng.normal(size=n)
+            for lam in 10.0 ** rng.uniform(-8, 2, size=50):
+                coef, _, gcv = _gcv_ridge(phi, y, (lam,))
+                ref_coef, _, ref_gcv = _reference_gcv_ridge(phi, y, (lam,))
+                assert coef.tobytes() == ref_coef.tobytes(), (case, lam)
+                assert gcv.hex() == ref_gcv.hex(), (case, lam)
+
+    def test_ties_keep_the_first_lambda(self):
+        phi = np.ones((6, 1))
+        coef, lam, gcv = _gcv_ridge(phi, np.zeros(6), (0.3, 0.1, 0.2))
+        assert lam == 0.3 and gcv == 0.0
+
+
 class TestFitPredict:
     def test_fits_smooth_function_well(self):
         X, y = _smooth_problem()
@@ -100,6 +165,21 @@ class TestFitPredict:
         net = RBFNetwork().fit(X, y)
         assert net.lambda_ in DEFAULT_LAMBDA_GRID
 
+    @pytest.mark.parametrize("solver", ["ridge_gcv", "forward"])
+    def test_fit_columns_matches_separate_fits(self, solver):
+        X, y = _smooth_problem(n=90, seed=10)
+        Y = np.column_stack([y, X[:, 1] * 3.0, np.full(90, -1.5)])
+        params = dict(max_depth=5, min_samples_leaf=3, solver=solver)
+        nets = RBFNetwork(**params).fit_columns(X, Y)
+        for column, net in enumerate(nets):
+            alone = RBFNetwork(**params).fit(X, Y[:, column].copy())
+            for name in ("centers_", "radii_", "weights_"):
+                assert (getattr(net, name).tobytes()
+                        == getattr(alone, name).tobytes()), (column, name)
+            assert (net.bias_, net.lambda_, net.gcv_) == (
+                alone.bias_, alone.lambda_, alone.gcv_)
+            assert net.predict(X).tobytes() == alone.predict(X).tobytes()
+
     def test_unit_count_matches_tree_nodes(self):
         X, y = _smooth_problem(n=80, seed=7)
         net = RBFNetwork(max_depth=3).fit(X, y)
@@ -126,6 +206,15 @@ class TestValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ModelError):
             RBFNetwork().fit(np.ones((5, 2)), np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        X, y = _smooth_problem(n=60, seed=9)
+        y[3] = bad
+        with pytest.raises(ModelError, match="non-finite"):
+            RBFNetwork().fit(X, y)
+        with pytest.raises(ModelError, match="non-finite"):
+            RBFNetwork().fit_columns(X, np.column_stack([X[:, 0], y]))
 
     def test_predict_wrong_width_rejected(self):
         X, y = _smooth_problem(n=60, seed=8)

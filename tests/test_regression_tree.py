@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.regression_tree import RegressionTree, SplitRecord
+from repro.core.predictor import WaveletNeuralPredictor
+from repro.core.regression_tree import RegressionTree, SplitRecord, TreeNode
+from repro.core.wavelets import dwt_batch
+from repro.engine import create_engine
 from repro.errors import ModelError, NotFittedError
+from repro.experiments.context import ExperimentContext, Scale
 
 
 def _step_data(n=64, d=3, split_feature=1, threshold=0.5, seed=0):
@@ -69,6 +73,17 @@ class TestFitting:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ModelError):
             RegressionTree().fit(np.ones((4, 2)), np.ones(5))
+        with pytest.raises(ModelError):
+            RegressionTree().fit_columns(np.ones((4, 2)), np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        X, y = _step_data()
+        y[17] = bad
+        with pytest.raises(ModelError, match="non-finite"):
+            RegressionTree().fit(X, y)
+        with pytest.raises(ModelError, match="non-finite"):
+            RegressionTree().fit_columns(X, np.column_stack([X[:, 0], y]))
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
@@ -228,6 +243,14 @@ def _reference_best_split(X, y, min_leaf):
     return best
 
 
+def _reference_node(y, depth, lower, upper):
+    """A node with ``np.mean`` / ``np.sum`` statistics over its rows."""
+    value = float(y.mean())
+    return TreeNode(depth=depth, value=value, n_samples=int(y.size),
+                    sse=float(np.sum((y - value) ** 2)),
+                    lower=lower, upper=upper)
+
+
 class _ReferenceTree(RegressionTree):
     """Breadth-first builder that re-sorts every feature at every node."""
 
@@ -236,7 +259,7 @@ class _ReferenceTree(RegressionTree):
         y = np.asarray(y, dtype=float)
         self._n_features = X.shape[1]
         self._splits = []
-        root = self._make_node(y, 0, X.min(axis=0), X.max(axis=0))
+        root = _reference_node(y, 0, X.min(axis=0), X.max(axis=0))
         queue = [(root, X, y)]
         while queue:
             node, Xn, yn = queue.pop(0)
@@ -255,8 +278,8 @@ class _ReferenceTree(RegressionTree):
             up_l[feat] = thr
             lo_r, up_r = node.lower.copy(), node.upper.copy()
             lo_r[feat] = thr
-            node.left = self._make_node(yn[mask], node.depth + 1, lo_l, up_l)
-            node.right = self._make_node(yn[~mask], node.depth + 1, lo_r, up_r)
+            node.left = _reference_node(yn[mask], node.depth + 1, lo_l, up_l)
+            node.right = _reference_node(yn[~mask], node.depth + 1, lo_r, up_r)
             queue.append((node.left, Xn[mask], yn[mask]))
             queue.append((node.right, Xn[~mask], yn[~mask]))
         self._root = root
@@ -321,3 +344,55 @@ class TestPresortedSplitSearch:
             assert tree.split_counts()[1] > 0
             assert (_fingerprint(tree)
                     == _fingerprint(_ReferenceTree(**params).fit(X, y)))
+
+
+class TestSharedGrowth:
+    """Trees grown together must equal the reference, column by column."""
+
+    @staticmethod
+    def _assert_matches_reference(X, Y, **params):
+        trees = RegressionTree(**params).fit_columns(X, Y)
+        assert len(trees) == Y.shape[1]
+        for column, tree in enumerate(trees):
+            reference = _ReferenceTree(**params).fit(X, Y[:, column].copy())
+            assert _fingerprint(tree) == _fingerprint(reference), column
+        return trees
+
+    def test_random_cases_with_three_columns(self):
+        for index in range(240):
+            X, y, max_depth, min_leaf = TestPresortedSplitSearch._case(index)
+            rng = np.random.default_rng([index, 17])
+            Y = np.column_stack([y, np.full(y.size, 2.5),
+                                 rng.normal(size=y.size) + X[:, -1]])
+            trees = self._assert_matches_reference(
+                X, Y, max_depth=max_depth, min_samples_leaf=min_leaf)
+            assert trees[1].n_nodes == 1, index
+
+    def test_bootstrap_resample_with_duplicate_rows(self):
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 5, size=(120, 6)).astype(float)
+        Y = np.column_stack([np.sin(X[:, 0]) + X[:, 1],
+                             rng.normal(size=120), X[:, 2] ** 2])
+        idx = rng.integers(0, 120, size=120)
+        assert np.unique(idx).size < idx.size
+        self._assert_matches_reference(X[idx], Y[idx], max_depth=8,
+                                       min_samples_leaf=3)
+
+    def test_paper_scale_predictor_targets(self):
+        ctx = ExperimentContext(scale=Scale.paper(), engine=create_engine())
+        train, _ = ctx.dataset("gcc")
+        X = train.design_matrix()
+        traces = train.domain("cpi")
+        model = WaveletNeuralPredictor(
+            n_coefficients=ctx.scale.n_coefficients).fit(X, traces)
+        s = model.settings
+        coeffs = dwt_batch(traces, wavelet=s.wavelet, convention=s.convention)
+        Y = np.column_stack([
+            (coeffs[:, idx] - model._target_mean[idx])
+            / model._target_scale[idx] for idx in model.models_])
+        assert Y.shape == (200, 16)
+        trees = self._assert_matches_reference(
+            X, Y, max_depth=s.rbf_max_depth,
+            min_samples_leaf=s.rbf_min_samples_leaf)
+        assert ([_fingerprint(t) for t in trees]
+                == [_fingerprint(net.tree_) for net in model.models_.values()])

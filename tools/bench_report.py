@@ -118,10 +118,14 @@ def _check_active_dse(record, checks):
 def _check_predictor_fit(record, checks):
     speedup = record.get("tree_speedup", 0.0)
     _check(checks, "predictor_fit.tree_speedup", speedup >= 2.0,
-           f"{speedup}x presorted vs per-feature split search (floor 2x)")
+           f"{speedup}x one-tree fit vs per-feature split search (floor 2x)")
+    speedup = record.get("forest_speedup", 0.0)
+    _check(checks, "predictor_fit.forest_speedup", speedup >= 4.0,
+           f"{speedup}x 16 trees grown together vs per-feature split "
+           f"search (floor 4x)")
     _check(checks, "predictor_fit.bit_identical",
            record.get("trees_bit_identical") is True,
-           "presorted trees == per-feature reference trees")
+           "grown trees == per-feature reference trees")
 
 
 _CHECKERS = {
