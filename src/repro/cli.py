@@ -23,17 +23,13 @@ Commands
 ``cache``
     Inspect (``stats``), garbage-collect (``gc``) or empty (``clear``)
     the on-disk simulation result cache.
-``worker serve``
-    Serve simulation chunks to remote dispatchers over TCP — the
-    receiving end of ``--hosts`` / ``REPRO_HOSTS`` distributed sweeps.
 ``simpoint``
     Representative-interval selection for a benchmark.
 
-The ``--jobs N`` / ``--cache-dir DIR`` / ``--cache-max-bytes N`` /
-``--hosts LIST`` flags (on ``run-experiment`` and ``sweep``) select the
-execution engine's worker-process count, on-disk result cache and
-remote worker fleet; they mirror the ``REPRO_JOBS`` /
-``REPRO_CACHE_DIR`` / ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_HOSTS``
+The ``--jobs N`` / ``--cache-dir DIR`` / ``--cache-max-bytes N`` flags
+(on ``run-experiment``, ``sweep`` and ``dse``) select the execution
+engine's worker-process count and on-disk result cache; they mirror the
+``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` / ``REPRO_CACHE_MAX_BYTES``
 environment variables honoured by the library.  ``--shm/--no-shm``
 toggles the zero-copy shared-memory result transport (``REPRO_SHM``),
 ``--checkpoint-every N`` enables detailed-backend mid-run snapshots,
@@ -158,33 +154,32 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="cache directory (default: "
                                      "REPRO_CACHE_DIR)")
 
-    worker = sub.add_parser(
-        "worker", help="remote-execution worker management")
-    worker_sub = worker.add_subparsers(dest="worker_command", required=True)
-    serve = worker_sub.add_parser(
-        "serve", help="serve simulation chunks to dispatchers over TCP")
-    serve.add_argument("--host", default="0.0.0.0",
-                       help="bind address (default: all interfaces)")
-    serve.add_argument("--port", type=int, default=None,
-                       help="TCP port (default: 7821; 0 picks a free "
-                            "port, printed on startup)")
-    serve.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="simulation processes / advertised capacity "
-                            "(default: CPU count)")
-
     sp = sub.add_parser("simpoint", help="pick a representative interval")
     sp.add_argument("benchmark")
     sp.add_argument("--intervals", type=int, default=64)
     return parser
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (a usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=_positive_int, default=None,
+                        metavar="N",
                         help="worker processes for sweep execution "
                              "(default: in-process)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="on-disk simulation result cache directory")
-    parser.add_argument("--cache-max-bytes", type=int, default=None,
+    parser.add_argument("--cache-max-bytes", type=_positive_int, default=None,
                         metavar="N",
                         help="byte cap for the disk cache (mtime-LRU "
                              "eviction)")
@@ -200,11 +195,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="detailed backend: snapshot simulation state "
                              "every N intervals so killed sweeps resume "
                              "mid-benchmark (REPRO_CHECKPOINT_EVERY)")
-    parser.add_argument("--hosts", default=None, metavar="LIST",
-                        help="comma-separated host:port remote workers "
-                             "(repro worker serve); dispatches sweep "
-                             "chunks to them instead of local processes "
-                             "(REPRO_HOSTS)")
     parser.add_argument("--jit", action=argparse.BooleanOptionalAction,
                         default=None,
                         help="numba-compile the hot loops: the interval "
@@ -293,16 +283,15 @@ def _make_engine(args, out=None):
     if getattr(args, "progress", False):
         on_result = _progress_printer(out or sys.stdout)
     # Checkpoint settings are threaded through the engine onto the jobs
-    # themselves (pickled to pool workers and remote hosts alike), so a
-    # CLI invocation never leaks REPRO_* variables into the parent
-    # process.  Flags win (--checkpoint-every 0 disables even when the
-    # environment enables); unset flags fall back to the environment,
-    # resolved by engine_from_env against the effective cache dir.
+    # themselves (pickled to pool workers), so a CLI invocation never
+    # leaks REPRO_* variables into the parent process.  Flags win
+    # (--checkpoint-every 0 disables even when the environment
+    # enables); unset flags fall back to the environment, resolved by
+    # engine_from_env against the effective cache dir.
     return engine_from_env(jobs=args.jobs, cache_dir=args.cache_dir,
                            cache_max_bytes=args.cache_max_bytes,
                            on_result=on_result,
                            shm=getattr(args, "shm", None),
-                           hosts=getattr(args, "hosts", None),
                            checkpoint_every=getattr(args, "checkpoint_every",
                                                     None))
 
@@ -332,11 +321,7 @@ def _cmd_sweep(args, out) -> int:
     train, test = runner.run_train_test(args.benchmark, plan)
     elapsed = time.perf_counter() - start
     n_runs = train.n_configs + test.n_configs
-    hosts = getattr(engine.executor, "hosts", None)
-    if hosts:
-        where = f"{len(hosts)} remote host(s)"
-    else:
-        where = f"{getattr(engine.executor, 'max_workers', 1)} worker(s)"
+    where = f"{getattr(engine.executor, 'max_workers', 1)} worker(s)"
     out.write(f"{args.benchmark}: {n_runs} simulations "
               f"({train.n_configs} train + {test.n_configs} test, "
               f"{args.samples} samples) in {elapsed:.2f}s "
@@ -546,38 +531,6 @@ def _cmd_cache(args, out) -> int:
     raise AssertionError(f"unhandled cache command {args.cache_command!r}")
 
 
-def _cmd_worker(args, out) -> int:
-    import os
-
-    from repro.engine.remote import DEFAULT_PORT, WorkerServer
-
-    if args.worker_command != "serve":
-        raise AssertionError(
-            f"unhandled worker command {args.worker_command!r}")
-    port = DEFAULT_PORT if args.port is None else args.port
-    server = WorkerServer(host=args.host, port=port, max_workers=args.jobs)
-    if (not os.environ.get("REPRO_AUTHKEY", "")
-            and not args.host.startswith("127.")
-            and args.host != "localhost"):
-        out.write("repro worker: WARNING: serving beyond loopback with the "
-                  "built-in default authkey; anyone who can reach this port "
-                  "can submit jobs.  Set REPRO_AUTHKEY (identically on the "
-                  "dispatcher) on untrusted networks.\n")
-    # The bound address is printed (and flushed) before serving so
-    # orchestration scripts using --port 0 can scrape the chosen port.
-    out.write(f"repro worker: serving on {server.host}:{server.port} "
-              f"({server.max_workers} worker(s))\n")
-    if hasattr(out, "flush"):
-        out.flush()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-    return 0
-
-
 def _cmd_simpoint(args, out) -> int:
     from repro.workloads.simpoint import pick_simpoint
     from repro.workloads.spec2000 import get_benchmark
@@ -614,8 +567,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return _cmd_dse(args, out)
     if args.command == "cache":
         return _cmd_cache(args, out)
-    if args.command == "worker":
-        return _cmd_worker(args, out)
     if args.command == "simpoint":
         return _cmd_simpoint(args, out)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -29,8 +29,8 @@ independent of the executor**: the refit always consumes exactly the
 first ``ceil(fit_fraction * batch)`` jobs *in job order* (completion
 order only decides *when* the fit starts, never what it sees), every
 random draw comes from one seeded generator consumed in a fixed order,
-and the simulator jobs themselves are deterministic — so a distributed
-16-host run walks bit-for-bit the same path as ``--jobs 1``.
+and the simulator jobs themselves are deterministic — so a
+``--jobs 16`` run walks bit-for-bit the same path as ``--jobs 1``.
 
 Multi-objective mode (several :class:`~repro.dse.explorer.Objective`
 terms) maintains a Pareto front over the *observed* scenario criteria
@@ -261,7 +261,7 @@ class ActiveSearch:
     runner:
         The :class:`~repro.dse.runner.SweepRunner` providing job
         construction, metric domains and the execution engine (and with
-        it parallel / cached / distributed simulation for free).
+        it parallel / cached simulation for free).
     objectives:
         One :class:`~repro.dse.explorer.Objective` or a sequence of
         them; more than one enables multi-objective (Pareto) mode.

@@ -8,11 +8,9 @@ per-interval CPI / power / AVF traces into
 All simulation goes through the execution engine
 (:mod:`repro.engine`): each sweep becomes one job batch, so the same
 code path transparently gains process-pool parallelism
-(``SweepRunner(engine=create_engine(jobs=8))``), on-disk result caching
-(``create_engine(cache_dir=...)``) and multi-host distribution
-(``create_engine(hosts=["hostA:7821", "hostB:7821"])`` against ``repro
-worker serve`` processes).  Because every job is deterministic, the
-distributed, parallel and sequential paths produce bit-identical
+(``SweepRunner(engine=create_engine(jobs=8))``) and on-disk result
+caching (``create_engine(cache_dir=...)``).  Because every job is
+deterministic, the parallel and sequential paths produce bit-identical
 datasets.
 
 Two consumption styles are offered.  The batch methods (``run_configs``,
@@ -88,8 +86,7 @@ class SweepRunner:
         Execution engine for the job batches; defaults to a fresh
         in-process engine.  Pass
         ``repro.engine.create_engine(jobs=..., cache_dir=...)`` for
-        parallel and/or cached sweeps, or ``create_engine(hosts=...)``
-        to farm chunks out to remote worker hosts.
+        parallel and/or cached sweeps.
     """
 
     def __init__(self, simulator: Optional[Simulator] = None,
@@ -179,8 +176,7 @@ class SweepRunner:
         ensemble fitting, acquisition scoring, and top-``batch_size``
         engine batches until the simulation ``budget`` is spent or the
         incumbent converges.  Every batch goes through this runner's
-        engine, so parallel, cached and distributed execution apply
-        unchanged.
+        engine, so parallel and cached execution apply unchanged.
 
         Parameters
         ----------

@@ -7,15 +7,12 @@ goes through:
   (benchmark, configuration, backend, options) with a process-stable
   hash key;
 * :class:`~repro.engine.executor.LocalExecutor` /
-  :class:`~repro.engine.executor.ParallelExecutor` /
-  :class:`~repro.engine.remote.DistributedExecutor` — in-process,
-  process-pool and multi-host batch execution behind one
+  :class:`~repro.engine.executor.ParallelExecutor` — in-process and
+  process-pool batch execution behind one
   :class:`~repro.engine.executor.Executor` protocol, with deterministic
   result ordering; the pool path ships results through a zero-copy
-  shared-memory arena (:mod:`repro.engine.shm`), the remote path
-  streams chunks to ``repro worker serve`` hosts
-  (:mod:`repro.engine.remote`), and both autotune chunk sizes from
-  measured per-job wall time;
+  shared-memory arena (:mod:`repro.engine.shm`) and autotunes chunk
+  sizes from measured per-job wall time;
 * :class:`~repro.engine.cache.ResultCache` — one checksummed record per
   job on disk plus an in-memory LRU front, keyed by job content hash, with a byte-capped
   mtime-LRU lifecycle (``gc`` / ``gc_versions`` / ``clear``);
@@ -50,13 +47,6 @@ from repro.engine.executor import (
     create_engine,
 )
 from repro.engine.jobs import KEY_VERSION, SimJob, make_jobs
-from repro.engine.remote import (
-    DistributedExecutor,
-    HostSpec,
-    WorkerServer,
-    hosts_from_env,
-    parse_hosts,
-)
 from repro.engine.shm import (
     ArenaSpec,
     ShmArena,
@@ -73,11 +63,6 @@ __all__ = [
     "Executor",
     "LocalExecutor",
     "ParallelExecutor",
-    "DistributedExecutor",
-    "WorkerServer",
-    "HostSpec",
-    "parse_hosts",
-    "hosts_from_env",
     "ChunkTuner",
     "ExecutionEngine",
     "BatchHandle",

@@ -16,9 +16,7 @@ trace rows straight into a preallocated per-batch block and only tiny
 descriptors cross the pool pipe.  It also autotunes chunk sizes per
 backend from measured per-job wall time (:class:`ChunkTuner`) — coarse
 chunks for sub-millisecond interval jobs, fine-grained ones for
-seconds-per-job detailed runs.  The third implementation of the
-protocol, :class:`~repro.engine.remote.DistributedExecutor`, dispatches
-the same chunks to ``repro worker serve`` processes on other machines.
+seconds-per-job detailed runs.
 
 :class:`ExecutionEngine` composes an executor with an optional
 :class:`~repro.engine.cache.ResultCache`: batch lookups first, duplicate
@@ -53,6 +51,7 @@ from typing import (
 from repro.errors import EngineError, SimulationError
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import SimJob
+from repro.engine.kernel import run_jobs, stream_jobs
 from repro.engine.shm import ArenaSpec, ShmArena, shm_from_env, write_results
 from repro.uarch.simulator import SimulationResult
 
@@ -62,24 +61,16 @@ ResultCallback = Callable[[int, SimJob, SimulationResult, bool], None]
 
 
 class Executor(Protocol):
-    """Anything that can run a batch of simulation jobs in order."""
+    """Anything that can run a batch of simulation jobs."""
 
     def run_batch(self, jobs: Sequence[SimJob]) -> List[SimulationResult]:
         """Run every job; results align index-for-index with ``jobs``."""
         ...
 
-
-def _run_chunk(jobs: Sequence[SimJob]) -> List[SimulationResult]:
-    """Worker entry point (module-level so it pickles).
-
-    Routed through the grouped kernel dispatcher
-    (:func:`repro.engine.kernel.run_jobs`): interval jobs sharing a
-    workload advance as one batched kernel call, everything else runs
-    per job.
-    """
-    from repro.engine.kernel import run_jobs
-
-    return run_jobs(jobs)
+    def submit_batch(self, jobs: Sequence[SimJob],
+                     ) -> Iterator[Tuple[int, SimulationResult]]:
+        """Stream ``(job_index, result)`` pairs in completion order."""
+        ...
 
 
 def _run_chunk_transport(jobs: Sequence[SimJob],
@@ -95,8 +86,6 @@ def _run_chunk_transport(jobs: Sequence[SimJob],
     Interval jobs in the chunk run through the batched kernel (see
     :mod:`repro.engine.kernel`).
     """
-    from repro.engine.kernel import run_jobs
-
     start = time.perf_counter()
     results = run_jobs(jobs)
     elapsed = time.perf_counter() - start
@@ -105,20 +94,15 @@ def _run_chunk_transport(jobs: Sequence[SimJob],
     return write_results(spec, rows, results), elapsed
 
 
-def _sequential_stream(jobs: Sequence[SimJob],
-                       ) -> Iterator[Tuple[int, SimulationResult]]:
-    """Lazy in-process stream, group-at-a-time: each kernel group runs
-    when the consumer pulls its first member."""
-    from repro.engine.kernel import stream_jobs
-
-    return stream_jobs(jobs)
-
-
 class LocalExecutor:
-    """Runs jobs sequentially in the current process."""
+    """Runs jobs sequentially in the current process.
+
+    Interval jobs sharing a workload advance as one batched kernel call
+    (:func:`repro.engine.kernel.run_jobs`); everything else runs per job.
+    """
 
     def run_batch(self, jobs: Sequence[SimJob]) -> List[SimulationResult]:
-        return _run_chunk(jobs)
+        return run_jobs(jobs)
 
     def submit_batch(self, jobs: Sequence[SimJob],
                      ) -> Iterator[Tuple[int, SimulationResult]]:
@@ -129,8 +113,6 @@ class LocalExecutor:
         execution observe the streaming path too — when the consumer
         pulls its first member.
         """
-        from repro.engine.kernel import stream_jobs
-
         return stream_jobs(jobs, run=self.run_batch)
 
 
@@ -144,14 +126,12 @@ DEFAULT_TARGET_CHUNK_SECONDS = 0.25
 
 
 class ChunkTuner:
-    """Per-key EMA of measured per-job wall time, turned into chunk sizes.
+    """Per-backend EMA of measured per-job wall time, turned into chunk
+    sizes.
 
-    The key is whatever granularity the owning executor tunes at:
-    :class:`ParallelExecutor` uses the backend name, the distributed
-    executor (:mod:`repro.engine.remote`) a ``(host, backend)`` pair so
-    a slow machine gets smaller chunks than a fast one.  An untimed key
-    starts with a small probe chunk so its first measurement lands
-    quickly; once timed, chunks target ``target_seconds`` of work each.
+    An untimed backend starts with a small probe chunk so its first
+    measurement lands quickly; once timed, chunks target
+    ``target_seconds`` of work each.
     """
 
     def __init__(self,
@@ -233,8 +213,7 @@ def carve_chunk(jobs: Sequence[SimJob], start: int, size: int) -> int:
     signature advances as a single stacked kernel call, so shearing it
     across chunks would defeat the batching.  The boundary rounds down
     to the run's first job when the chunk holds anything else, and
-    extends to the run's end when the run *is* the chunk.  Shared by
-    every chunking executor so their carving rules cannot diverge.
+    extends to the run's end when the run *is* the chunk.
     """
     stop = min(len(jobs), start + size)
     backend = jobs[start].backend
@@ -299,8 +278,8 @@ class ParallelExecutor:
     per backend: every completed chunk updates a per-job wall-time
     estimate (exponential moving average, persisted across batches),
     and once a backend is timed its chunks target
-    ``target_chunk_seconds`` of work each — interval jobs stay
-    coarse-chunked while seconds-per-job detailed jobs go fine-grained,
+    :data:`DEFAULT_TARGET_CHUNK_SECONDS` of work each — interval jobs
+    stay coarse-chunked while seconds-per-job detailed jobs go fine-grained,
     keeping the completion stream responsive.  A backend's very first
     batch starts with a small probe wave plus worker-count-heuristic
     chunks (everything still dispatched eagerly at submit time).
@@ -316,18 +295,11 @@ class ParallelExecutor:
         Shared-memory result transport; ``None`` consults ``REPRO_SHM``
         (default on).  Falls back to pickling when the platform lacks
         shared memory.
-    autotune:
-        Force the chunk autotuner on/off; default: on exactly when
-        ``chunk_size`` is not given.
-    target_chunk_seconds:
-        Autotuner's per-chunk wall-time target.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
-                 shm: Optional[bool] = None,
-                 autotune: Optional[bool] = None,
-                 target_chunk_seconds: float = DEFAULT_TARGET_CHUNK_SECONDS):
+                 shm: Optional[bool] = None):
         if max_workers is not None and max_workers < 1:
             raise EngineError(
                 f"max_workers must be >= 1, got {max_workers}"
@@ -339,8 +311,8 @@ class ParallelExecutor:
         self.max_workers = max_workers or os.cpu_count() or 1
         self.chunk_size = chunk_size
         self.shm = shm_from_env() if shm is None else bool(shm)
-        self.autotune = (chunk_size is None) if autotune is None else autotune
-        self.tuner = ChunkTuner(target_seconds=target_chunk_seconds)
+        self.autotune = chunk_size is None
+        self.tuner = ChunkTuner()
         #: Last batch's arena (``None`` for pickle transport); exposed
         #: for lifecycle tests and benchmarks.  Intentionally retained
         #: until the next batch (or :meth:`close`): the reference keeps
@@ -348,10 +320,6 @@ class ParallelExecutor:
         self.last_arena: Optional[ShmArena] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_finalizer: Optional[weakref.finalize] = None
-
-    @property
-    def target_chunk_seconds(self) -> float:
-        return self.tuner.target_seconds
 
     @property
     def _tuned(self) -> Dict[Hashable, float]:
@@ -402,16 +370,15 @@ class ParallelExecutor:
         """Jobs per chunk for ``backend`` in a batch of ``n_jobs``.
 
         Fixed ``chunk_size`` wins; otherwise a tuned backend targets
-        ``target_chunk_seconds`` of measured work per chunk (capped so
-        every worker still gets a chunk) and an untuned backend gets a
-        small probe chunk so its first timing lands quickly.
+        the tuner's ``target_seconds`` of measured work per chunk
+        (capped so every worker still gets a chunk) and an untuned
+        backend gets a small probe chunk so its first timing lands
+        quickly.
         ``group_size`` (see :func:`batch_group_run`) makes the plan a
         whole-group multiple under batched detailed dispatch.
         """
         if self.chunk_size is not None:
             return self.chunk_size
-        if not self.autotune:
-            return max(1, -(-n_jobs // (self.max_workers * 4)))
         return self.tuner.plan(backend, n_jobs, self.max_workers,
                                group_size=group_size)
 
@@ -435,7 +402,7 @@ class ParallelExecutor:
             return iter(())
         if self.max_workers == 1 or len(jobs) == 1:
             self.last_arena = None  # no transport: drop any stale arena
-            return _sequential_stream(jobs)
+            return stream_jobs(jobs)
         pool = self._get_pool()
         arena = ShmArena.create(jobs) if self.shm else None
         self.last_arena = arena
@@ -447,8 +414,8 @@ class ParallelExecutor:
         while cursor < n:
             start = cursor
             backend = jobs[start].backend
-            if self.chunk_size is not None or not self.autotune:
-                size = self.chunk_size or default_size
+            if self.chunk_size is not None:
+                size = self.chunk_size
             elif self.tuner.known(backend):
                 size = self.planned_chunk_size(
                     backend, n, group_size=batch_group_run(jobs, start))
@@ -708,10 +675,10 @@ class ExecutionEngine:
         Detailed-backend checkpoint settings stamped onto submitted jobs
         that do not carry their own (see
         :class:`~repro.engine.jobs.SimJob`).  The settings travel
-        *inside* the pickled jobs — to pool workers and remote hosts
-        alike — so enabling checkpointing never mutates the process
-        environment.  They do not participate in job keys: a
-        checkpointed job and a plain one share one cache entry.
+        *inside* the pickled jobs to pool workers, so enabling
+        checkpointing never mutates the process environment.  They do
+        not participate in job keys: a checkpointed job and a plain one
+        share one cache entry.
 
     Examples
     --------
@@ -814,15 +781,10 @@ class ExecutionEngine:
 
     def _dispatch(self, unique_jobs: List[SimJob],
                   ) -> Iterator[Tuple[int, SimulationResult]]:
-        """Start the unique misses on the executor, streaming if it can."""
+        """Start the unique misses on the executor's stream."""
         if not unique_jobs:
             return iter(())
-        submit_batch = getattr(self.executor, "submit_batch", None)
-        if submit_batch is not None:
-            return submit_batch(unique_jobs)
-        # Third-party executor with only the protocol's run_batch: run
-        # eagerly and replay in job order (no overlap, still correct).
-        return iter(enumerate(self.executor.run_batch(unique_jobs)))
+        return self.executor.submit_batch(unique_jobs)
 
     def run(self, jobs: Sequence[SimJob]) -> List[SimulationResult]:
         """Run a batch to completion; results in job order.
@@ -855,7 +817,6 @@ def create_engine(jobs: Optional[int] = None,
                   cache_max_bytes: Optional[int] = None,
                   on_result: Optional[ResultCallback] = None,
                   shm: Optional[bool] = None,
-                  hosts=None,
                   checkpoint_every: Optional[int] = None,
                   checkpoint_dir=None,
                   ) -> ExecutionEngine:
@@ -866,9 +827,7 @@ def create_engine(jobs: Optional[int] = None,
     jobs:
         Worker processes; ``None`` or 1 selects the in-process
         :class:`LocalExecutor`, anything larger a
-        :class:`ParallelExecutor`.  With ``hosts`` configured this is
-        only the local fallback width — remote capacity is advertised
-        by each worker host.
+        :class:`ParallelExecutor`.
     cache_dir:
         On-disk cache directory (``None`` disables the disk tier but
         keeps an in-memory LRU when ``memory_items > 0``).
@@ -884,12 +843,6 @@ def create_engine(jobs: Optional[int] = None,
     shm:
         Shared-memory result transport for the parallel executor;
         ``None`` consults ``REPRO_SHM`` (default on).
-    hosts:
-        Remote worker hosts (``"host:port"`` strings or
-        :class:`~repro.engine.remote.HostSpec`); a non-empty list
-        selects the :class:`~repro.engine.remote.DistributedExecutor`,
-        which dispatches job chunks to ``repro worker serve``
-        processes.  Empty/``None`` keeps execution on this machine.
     checkpoint_every, checkpoint_dir:
         Detailed-backend checkpoint settings threaded through the
         engine onto submitted jobs (see :class:`ExecutionEngine`); the
@@ -921,11 +874,7 @@ def create_engine(jobs: Optional[int] = None,
     if jobs is not None and jobs < 1:
         raise EngineError(f"jobs must be >= 1, got {jobs}")
     executor: Executor
-    if hosts:
-        from repro.engine.remote import DistributedExecutor
-
-        executor = DistributedExecutor(hosts, fallback_jobs=jobs, shm=shm)
-    elif jobs is not None and jobs > 1:
+    if jobs is not None and jobs > 1:
         executor = ParallelExecutor(max_workers=jobs, shm=shm)
     else:
         executor = LocalExecutor()

@@ -92,9 +92,9 @@ class SimJob:
         Detailed backend only: snapshot the core every N intervals into
         ``checkpoint_dir`` (keyed by this job's content hash) so a
         killed sweep resumes mid-benchmark.  Threaded through the job
-        itself — pickled to pool workers and remote hosts alike — so
-        enabling checkpointing never mutates ``os.environ``.  ``None``
-        means *unset*: the job falls back to the
+        itself — pickled to pool workers — so enabling checkpointing
+        never mutates ``os.environ``.  ``None`` means *unset*: the job
+        falls back to the
         ``REPRO_CHECKPOINT_EVERY`` / ``REPRO_CHECKPOINT_DIR``
         environment of whatever process runs it; an explicit ``0``
         disables checkpointing even when that environment enables it.

@@ -86,7 +86,6 @@ def engine_from_env(jobs: Optional[int] = None,
                     cache_max_bytes: Optional[int] = None,
                     on_result=None,
                     shm: Optional[bool] = None,
-                    hosts=None,
                     checkpoint_every: Optional[int] = None,
                     checkpoint_dir=None) -> ExecutionEngine:
     """Build an engine from environment knobs, with optional overrides.
@@ -94,20 +93,15 @@ def engine_from_env(jobs: Optional[int] = None,
     ``REPRO_JOBS`` selects the worker-process count (parallel sweep
     execution when > 1), ``REPRO_CACHE_DIR`` enables the on-disk result
     cache, ``REPRO_CACHE_MAX_BYTES`` caps its size (mtime-LRU
-    eviction, ties broken by filename), ``REPRO_SHM`` toggles the
-    zero-copy shared-memory result transport (default on), and
-    ``REPRO_HOSTS`` (comma-separated ``host:port`` of ``repro worker
-    serve`` processes) dispatches sweeps to remote machines.  Explicit
+    eviction, ties broken by filename), and ``REPRO_SHM`` toggles the
+    zero-copy shared-memory result transport (default on).  Explicit
     arguments (the CLI's ``--jobs`` / ``--cache-dir`` /
-    ``--cache-max-bytes`` / ``--shm`` / ``--hosts`` flags) take
-    precedence over the environment.  This function only *reads* the
-    environment — checkpoint and host settings are resolved here into
-    explicit engine configuration that travels inside the pickled jobs
-    (so ``REPRO_CHECKPOINT_EVERY`` works on remote hosts whose own
-    environment lacks it), never through ``os.environ`` mutation.
+    ``--cache-max-bytes`` / ``--shm`` flags) take precedence over the
+    environment.  This function only *reads* the environment —
+    checkpoint settings are resolved here into explicit engine
+    configuration that travels inside the pickled jobs, never through
+    ``os.environ`` mutation.
     """
-    from repro.engine.remote import hosts_from_env, parse_hosts
-
     if jobs is None:
         jobs_env = os.environ.get("REPRO_JOBS", "").strip()
         try:
@@ -126,10 +120,6 @@ def engine_from_env(jobs: Optional[int] = None,
             raise ExperimentError(
                 f"REPRO_CACHE_MAX_BYTES must be an integer, got {cap_env!r}"
             )
-    if hosts is None:
-        hosts = hosts_from_env()
-    elif isinstance(hosts, str):
-        hosts = parse_hosts(hosts)
     if checkpoint_every is None:
         every_env = os.environ.get("REPRO_CHECKPOINT_EVERY", "").strip()
         if every_env:
@@ -141,14 +131,14 @@ def engine_from_env(jobs: Optional[int] = None,
                     f"got {every_env!r}"
                 )
     if checkpoint_every and checkpoint_dir is None:
-        # Pin the directory too: a remote worker must not fall back to
-        # its own (different) environment for where snapshots live.
+        # Pin the directory too, so every worker writes snapshots to
+        # the one directory resolved here.
         checkpoint_dir = (os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
                           or (str(Path(cache_dir) / "checkpoints")
                               if cache_dir else ".repro-checkpoints"))
     return create_engine(jobs=jobs, cache_dir=cache_dir,
                          cache_max_bytes=cache_max_bytes,
-                         on_result=on_result, shm=shm, hosts=hosts,
+                         on_result=on_result, shm=shm,
                          checkpoint_every=checkpoint_every,
                          checkpoint_dir=checkpoint_dir)
 

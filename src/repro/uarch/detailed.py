@@ -74,9 +74,8 @@ def resolve_checkpoint_settings(every: Optional[int] = None,
     Explicit arguments — the values a :class:`~repro.engine.jobs.SimJob`
     carries — win; the ``REPRO_CHECKPOINT_EVERY`` /
     ``REPRO_CHECKPOINT_DIR`` environment only fills the gaps, so
-    checkpoint settings normally travel *inside* jobs (to pool workers
-    and remote hosts alike) and the environment is never mutated to
-    transport them.
+    checkpoint settings normally travel *inside* jobs (to pool workers)
+    and the environment is never mutated to transport them.
     """
     if every is None:
         raw = os.environ.get("REPRO_CHECKPOINT_EVERY", "").strip()

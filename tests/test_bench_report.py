@@ -24,7 +24,7 @@ def test_passing_records_produce_zero_failures(tmp_path):
     assert summary["failures"] == 0
     assert summary["checks_run"] == 4
     missing = {s["file"] for s in summary["skipped"]}
-    assert "BENCH_remote_executor.json" in missing
+    assert "BENCH_predictor_fit.json" in missing
 
 
 def test_regressed_speedup_fails(tmp_path):
@@ -103,7 +103,6 @@ _RECORDS_AT_PINNED_GATES = {
                          "chunk_detailed": 1},
     "shm_transport": {"transport_speedup": 2.0, "bit_identical": True},
     "streaming_sweep": {"bit_identical": True},
-    "remote_executor": {"dispatch_overhead": 0.15, "max_overhead": 0.15},
     "active_dse": {"active_budget_fraction": 0.5},
     "predictor_fit": {"tree_speedup": 2.0, "forest_speedup": 4.0,
                       "trees_bit_identical": True},
@@ -124,5 +123,5 @@ def test_records_at_pinned_gates_pass(tmp_path):
     assert bench_report.main(["--dir", str(tmp_path), "--out", str(out)]) == 0
     summary = json.loads(out.read_text())
     assert summary["failures"] == 0
-    assert summary["checks_run"] == 19
+    assert summary["checks_run"] == 18
     assert summary["skipped"] == []

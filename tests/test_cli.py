@@ -126,6 +126,23 @@ class TestOtherCommands:
 
 
 class TestEngineFlags:
+    @pytest.mark.parametrize("argv", [
+        ["--jobs", "0"],
+        ["--jobs", "-2"],
+        ["--jobs", "two"],
+        ["--cache-max-bytes", "-5"],
+        ["--cache-max-bytes", "0"],
+    ])
+    def test_out_of_range_engine_flags_are_usage_errors(self, argv, capsys):
+        # Rejected by argparse (exit 2 with a usage line), before any
+        # engine or cache is built.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "gcc"] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro sweep")
+        assert f"argument {argv[0]}" in err
+
     def test_no_shm_sweep(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         code, text = _run(["sweep", "gcc", "--n-train", "2", "--n-test", "1",
@@ -156,11 +173,11 @@ class TestEngineFlags:
         args = argparse.Namespace(
             jobs=None, cache_dir=str(tmp_path / "cache"),
             cache_max_bytes=None, progress=False, shm=None,
-            checkpoint_every=5, hosts=None,
+            checkpoint_every=5,
         )
         engine = _make_engine(args)
         # The settings live on the engine and are stamped onto detailed
-        # jobs (pickled to any worker, local or remote) — never exported.
+        # jobs (pickled to any pool worker) — never exported.
         assert os.environ == before
         assert engine.checkpoint_every == 5
         assert engine.checkpoint_dir == str(
@@ -206,15 +223,14 @@ class TestEngineFlags:
         args = argparse.Namespace(
             jobs=None, cache_dir=str(tmp_path / "cache"),
             cache_max_bytes=None, progress=False, shm=None,
-            checkpoint_every=None, hosts=None,
+            checkpoint_every=None,
         )
         engine = _make_engine(args)
         assert os.environ == before
         assert engine.checkpoint_dir == str(
             tmp_path / "cache" / "checkpoints")
         # Env-driven settings are resolved into explicit engine config
-        # so they ride inside the jobs to remote hosts whose own
-        # environment lacks them.
+        # so they ride inside the jobs to every worker.
         assert engine.checkpoint_every == 8
 
     def test_checkpoint_every_zero_flag_overrides_env(self, monkeypatch,
@@ -231,7 +247,7 @@ class TestEngineFlags:
         args = argparse.Namespace(
             jobs=None, cache_dir=str(tmp_path / "cache"),
             cache_max_bytes=None, progress=False, shm=None,
-            checkpoint_every=0, hosts=None,  # flag: explicitly disable
+            checkpoint_every=0,  # flag: explicitly disable
         )
         engine = _make_engine(args)
         assert engine.checkpoint_every == 0

@@ -1,7 +1,7 @@
 """Engine lifecycle regression tests (PR-4 bugfix sweep).
 
-Pins the process-global-state and teardown guarantees multi-process /
-multi-host execution depends on:
+Pins the process-global-state and teardown guarantees multi-process
+execution depends on:
 
 * abandoning a streaming batch leaks no ``/dev/shm`` segment and
   raises no ``ResourceWarning`` at interpreter exit (pool shutdown and

@@ -30,7 +30,7 @@ from pathlib import Path
 #: field.  Records without an entry are collated but not checked.
 KNOWN_BENCHES = (
     "kernel", "detailed_kernel", "detailed_backend", "shm_transport",
-    "streaming_sweep", "remote_executor", "active_dse", "predictor_fit",
+    "streaming_sweep", "active_dse", "predictor_fit",
 )
 
 
@@ -100,14 +100,6 @@ def _check_streaming_sweep(record, checks):
            "streaming == serial sweep results")
 
 
-def _check_remote_executor(record, checks):
-    overhead = record.get("dispatch_overhead", 1.0)
-    ceiling = record.get("max_overhead", 0.15)
-    _check(checks, "remote_executor.dispatch_overhead", overhead <= ceiling,
-           f"{overhead * 100:.1f}% loopback overhead "
-           f"(ceiling {ceiling * 100:.0f}%)")
-
-
 def _check_active_dse(record, checks):
     fraction = record.get("active_budget_fraction", 1.0)
     _check(checks, "active_dse.budget_fraction", fraction <= 0.5,
@@ -134,7 +126,6 @@ _CHECKERS = {
     "detailed_backend": _check_detailed_backend,
     "shm_transport": _check_shm_transport,
     "streaming_sweep": _check_streaming_sweep,
-    "remote_executor": _check_remote_executor,
     "active_dse": _check_active_dse,
     "predictor_fit": _check_predictor_fit,
 }
