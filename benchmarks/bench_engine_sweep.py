@@ -13,7 +13,8 @@ the engine's two wins on a quick-scale sweep:
 * a **disk-only re-run** (a fresh process on a populated cache
   directory) must complete at least 2x faster than that cold
   sequential sweep; its ratio against cold batched is printed for
-  information;
+  information (``disk vs batched``, beside the memory-warm ratio that
+  bounds it);
 * the **parallel executor** must produce bit-identical datasets (its
   wall-clock win is reported informationally — it depends on the
   machine's core count).
@@ -81,8 +82,11 @@ def test_cached_rerun_5x_faster_than_cold_sequential(tmp_path, monkeypatch):
     print(f"  cached (memory) : {warm * 1e3:8.1f} ms "
           f"({cold / warm:6.1f}x)")
     print(f"  cached (disk)   : {disk * 1e3:8.1f} ms "
-          f"({cold / disk:6.1f}x; {cold_batched / disk:4.1f}x "
-          f"cold batched)")
+          f"({cold / disk:6.1f}x)")
+    # Informational, not gated: the memory-warm ratio bounds it, since
+    # both re-runs pay the same dataset assembly.
+    print(f"  disk vs batched : {cold_batched / disk:8.1f}x "
+          f"(memory-warm {cold_batched / warm:.1f}x)")
     print(f"  cache stats     : {engine.cache.stats.describe()}")
 
     # Identical contents, much faster.

@@ -136,12 +136,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "cache", help="inspect / garbage-collect the result cache")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     cache_stats = cache_sub.add_parser(
-        "stats", help="entry / byte counts for the cache directory")
+        "stats", help="entry / segment / byte counts for the cache "
+                      "directory")
     cache_gc = cache_sub.add_parser(
-        "gc", help="drop stale-version entries and shrink to a byte target")
+        "gc", help="delete stale files and shrink to a byte target")
     cache_gc.add_argument("--max-bytes", type=int, default=None, metavar="N",
-                          help="evict oldest entries (by mtime) until the "
-                               "cache holds at most N bytes")
+                          help="evict oldest segments (by mtime) until "
+                               "the cache holds at most N bytes")
     cache_gc.add_argument("--checkpoint-ttl-hours", type=float, default=168.0,
                           metavar="H",
                           help="also sweep checkpoint snapshots older than H "
@@ -182,7 +183,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-max-bytes", type=_positive_int, default=None,
                         metavar="N",
                         help="byte cap for the disk cache (mtime-LRU "
-                             "eviction)")
+                             "eviction of whole segments)")
     parser.add_argument("--progress", action="store_true",
                         help="print jobs-done / cache-hit progress during "
                              "sweeps")
@@ -494,19 +495,22 @@ def _cmd_cache(args, out) -> int:
         out.write(f"cache dir:   {info['cache_dir']}\n")
         out.write(f"key version: {info['key_version']}\n")
         out.write(f"entries:     {info['disk_entries']}\n")
+        out.write(f"segments:    {info['disk_segments']}\n")
         out.write(f"bytes:       {info['disk_bytes']} "
                   f"({_human_bytes(info['disk_bytes'])})\n")
         return 0
     if args.cache_command == "gc":
         from repro.uarch.detailed import sweep_checkpoints
 
-        stale_entries, stale_bytes = cache.gc_versions()
-        out.write(f"stale versions: removed {stale_entries} entries "
+        stale_files, stale_bytes = cache.gc_versions()
+        out.write(f"stale files: removed {stale_files} files "
                   f"({_human_bytes(stale_bytes)})\n")
         if args.max_bytes is not None:
-            entries, freed = cache.gc(max_bytes=args.max_bytes)
-            out.write(f"size gc: removed {entries} entries "
-                      f"({_human_bytes(freed)}), "
+            entries = len(cache)
+            segments, freed = cache.gc(max_bytes=args.max_bytes)
+            out.write(f"size gc: removed {segments} segments "
+                      f"({entries - len(cache)} entries, "
+                      f"{_human_bytes(freed)}), "
                       f"{_human_bytes(cache.disk_bytes())} retained\n")
         # Orphaned detailed-run snapshots: the cache's checkpoint
         # subdirectory, plus an explicit REPRO_CHECKPOINT_DIR if it

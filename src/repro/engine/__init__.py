@@ -13,9 +13,10 @@ goes through:
   result ordering; the pool path ships results through a zero-copy
   shared-memory arena (:mod:`repro.engine.shm`) and autotunes chunk
   sizes from measured per-job wall time;
-* :class:`~repro.engine.cache.ResultCache` — one checksummed record per
-  job on disk plus an in-memory LRU front, keyed by job content hash, with a byte-capped
-  mtime-LRU lifecycle (``gc`` / ``gc_versions`` / ``clear``);
+* :class:`~repro.engine.cache.ResultCache` — checksummed records on
+  disk, one segment file per batch, plus an in-memory LRU front, keyed
+  by job content hash, with a byte-capped mtime-LRU lifecycle over
+  whole segments (``gc`` / ``gc_versions`` / ``clear``);
 * :class:`~repro.engine.executor.ExecutionEngine` — composes the two:
   batch cache lookups, in-batch deduplication, miss execution — with a
   blocking ``run`` and a streaming ``submit`` returning a

@@ -49,7 +49,7 @@ from typing import (
 )
 
 from repro.errors import EngineError, SimulationError
-from repro.engine.cache import ResultCache
+from repro.engine.cache import PendingSegment, ResultCache
 from repro.engine.jobs import SimJob
 from repro.engine.kernel import run_jobs, stream_jobs
 from repro.engine.shm import ArenaSpec, ShmArena, shm_from_env, write_results
@@ -522,6 +522,7 @@ class BatchHandle:
                  ready: "deque[Tuple[int, SimulationResult]]",
                  stream: Iterator[Tuple[int, SimulationResult]],
                  unique_jobs: List[SimJob],
+                 unique_keys: List[str],
                  fanout: Dict[int, List[int]],
                  cache: Optional[ResultCache],
                  callbacks: List[ResultCallback]):
@@ -532,9 +533,15 @@ class BatchHandle:
         self._ready = ready
         self._stream = stream
         self._unique = unique_jobs
+        self._keys = unique_keys
         self._fanout = fanout
         self._cache = cache
         self._callbacks = callbacks
+        # Results stored but not yet on disk; committed as one segment
+        # when the batch drains or fails (an abandoned handle loses
+        # only these, and they re-simulate next time).
+        self._pending = PendingSegment()
+        self._outstanding = len(unique_jobs)
         self._yielded = 0
         self._failure: Optional[BaseException] = None
 
@@ -554,28 +561,37 @@ class BatchHandle:
         terminal for the batch's unresolved jobs: the first failure is
         remembered and re-raised by every later accessor, while jobs
         that already resolved — cache hits and results drained before
-        the failure — stay available.
+        the failure — stay available, and are committed to the cache.
         """
         if self._failure is not None:
             raise self._failure
         try:
             unique_index, result = next(self._stream)
         except StopIteration:
+            self._commit()
             raise EngineError(
                 "executor stream exhausted with unresolved jobs in the batch"
             )
         except Exception as exc:
             self._failure = exc
+            self._commit()
             raise
         job = self._unique[unique_index]
         if self._cache is not None:
-            self._cache.put(job, result)
+            self._cache.put(self._keys[unique_index], result, self._pending)
+            self._outstanding -= 1
+            if not self._outstanding:
+                self._commit()
         for i in self._fanout[unique_index]:
             self._results[i] = result
             self._resolved[i] = True
             self._ready.append((i, result))
             for callback in self._callbacks:
                 callback(i, job, result, False)
+
+    def _commit(self) -> None:
+        if self._cache is not None:
+            self._cache.commit(self._pending)
 
     def as_completed(self) -> Iterator[Tuple[int, SimulationResult]]:
         """Yield ``(job_index, result)`` pairs in completion order.
@@ -726,6 +742,9 @@ class ExecutionEngine:
         method returns); duplicate jobs collapse to one execution; the
         unique misses are dispatched to the executor eagerly, so a
         process pool starts simulating before the handle is consumed.
+        Each job is hashed once: its key serves the dedup, the cache
+        lookup and the store.  The handle commits its stored results
+        to the disk tier as one segment when the batch drains.
 
         Parameters
         ----------
@@ -763,7 +782,7 @@ class ExecutionEngine:
             if key in pending:
                 fanout[pending[key]].append(i)
                 continue
-            cached = self.cache.get(job) if self.cache is not None else None
+            cached = self.cache.get(key) if self.cache is not None else None
             if cached is not None:
                 results[i] = cached
                 resolved[i] = True
@@ -777,7 +796,8 @@ class ExecutionEngine:
 
         stream = self._dispatch(unique_jobs)
         return BatchHandle(jobs, results, resolved, ready, stream,
-                           unique_jobs, fanout, self.cache, callbacks)
+                           unique_jobs, list(pending), fanout, self.cache,
+                           callbacks)
 
     def _dispatch(self, unique_jobs: List[SimJob],
                   ) -> Iterator[Tuple[int, SimulationResult]]:

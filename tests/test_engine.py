@@ -135,10 +135,10 @@ class TestExecutors:
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path, jobs):
         cache = ResultCache(tmp_path)
-        assert cache.get(jobs[0]) is None
+        assert cache.get(jobs[0].key()) is None
         result = jobs[0].run()
-        cache.put(jobs[0], result)
-        hit = cache.get(jobs[0])
+        cache.put(jobs[0].key(), result)
+        hit = cache.get(jobs[0].key())
         assert hit is not None
         for domain in ("cpi", "power", "avf", "iq_avf"):
             assert np.array_equal(hit.trace(domain), result.trace(domain))
@@ -148,35 +148,35 @@ class TestResultCache:
 
     def test_disk_tier_survives_new_instance(self, tmp_path, jobs):
         result = jobs[0].run()
-        ResultCache(tmp_path).put(jobs[0], result)
+        ResultCache(tmp_path).put(jobs[0].key(), result)
         fresh = ResultCache(tmp_path)  # cold in-memory tier
-        hit = fresh.get(jobs[0])
+        hit = fresh.get(jobs[0].key())
         assert hit is not None
         assert fresh.stats.disk_hits == 1
         assert np.array_equal(hit.trace("cpi"), result.trace("cpi"))
 
     def test_memory_lru_eviction_falls_back_to_disk(self, tmp_path, jobs):
         cache = ResultCache(tmp_path, memory_items=1)
-        cache.put(jobs[0], jobs[0].run())
-        cache.put(jobs[1], jobs[1].run())  # evicts jobs[0] from memory
-        assert cache.get(jobs[1]) is not None
+        cache.put(jobs[0].key(), jobs[0].run())
+        cache.put(jobs[1].key(), jobs[1].run())  # evicts jobs[0] from memory
+        assert cache.get(jobs[1].key()) is not None
         assert cache.stats.memory_hits == 1
-        assert cache.get(jobs[0]) is not None
+        assert cache.get(jobs[0].key()) is not None
         assert cache.stats.disk_hits == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, jobs):
         cache = ResultCache(tmp_path)
-        cache.put(jobs[0], jobs[0].run())
+        cache.put(jobs[0].key(), jobs[0].run())
         [path] = list(Path(tmp_path).glob(f"*{SUFFIX}"))
         path.write_bytes(b"not an npz")
         cache.clear_memory()
-        assert cache.get(jobs[0]) is None
+        assert cache.get(jobs[0].key()) is None
 
     def test_memory_only_cache(self, jobs):
         cache = ResultCache(cache_dir=None, memory_items=4)
-        assert cache.get(jobs[0]) is None
-        cache.put(jobs[0], jobs[0].run())
-        assert cache.get(jobs[0]) is not None
+        assert cache.get(jobs[0].key()) is None
+        cache.put(jobs[0].key(), jobs[0].run())
+        assert cache.get(jobs[0].key()) is not None
         assert len(cache) == 1
 
 

@@ -10,8 +10,9 @@ execution depends on:
 * a worker death mid-chunk surfaces as one structured
   :class:`SimulationError` on the affected jobs while cache-resolved
   siblings in the same batch stay intact;
-* byte-cap eviction is reproducible when entries share an mtime
-  (coarse filesystem timestamps): ties break on entry filename;
+* byte-cap eviction drops whole segments and is reproducible when
+  segments share an mtime (coarse filesystem timestamps): ties break on
+  segment filename;
 * detailed-backend checkpoint settings travel inside jobs/engine
   config, never via ``os.environ`` mutation.
 """
@@ -122,7 +123,7 @@ class TestFailurePropagation:
         expected = []
         for job in good:
             result = job.run()
-            cache.put(job, result)
+            cache.put(job.key(), result)
             expected.append(result)
         # Two killers: the batch has >= 2 executor misses, so it takes
         # the pool path (a single miss would run in-process and
@@ -161,22 +162,34 @@ class TestFailurePropagation:
 
 
 class TestDeterministicEviction:
-    def _fill(self, cache, jobs):
+    def _fill(self, cache, batches):
+        """Commit each batch as one segment; segment name -> size."""
+        engine = ExecutionEngine(cache=cache)
         sizes = {}
-        for job in jobs:
-            cache.put(job, job.run())
+        for batch in batches:
+            engine.run(batch)
             [path] = [p for p in Path(cache.cache_dir).glob(f"*{SUFFIX}")
-                      if job.key() in p.name]
+                      if p.name not in sizes]
             sizes[path.name] = path.stat().st_size
         return sizes
 
-    def test_same_mtime_eviction_is_name_ordered(self, tmp_path, configs):
-        jobs = [SimJob("gcc", c, n_samples=32) for c in configs[:4]]
-        sizes = self._fill(ResultCache(tmp_path, memory_items=0), jobs)
-        # Coarse-timestamp filesystem: every entry shares one mtime.
-        stamp = 1_700_000_000
+    def _batches(self, benchmark, configs, n):
+        return [[SimJob(benchmark, c, n_samples=32) for c in pair]
+                for pair in zip(configs[:2 * n:2], configs[1:2 * n:2])]
+
+    def _tie(self, cache, sizes, seconds):
+        """Give every segment one mtime, on disk and in the index."""
         for name in sizes:
-            os.utime(tmp_path / name, (stamp, stamp))
+            os.utime(Path(cache.cache_dir) / name, (seconds, seconds))
+            cache._segments[name] = cache._segments[name]._replace(
+                mtime_ns=seconds * 10**9)
+
+    def test_same_mtime_eviction_is_name_ordered(self, tmp_path, configs):
+        batches = self._batches("gcc", configs, 3)
+        writer = ResultCache(tmp_path, memory_items=0)
+        sizes = self._fill(writer, batches)
+        # Coarse-timestamp filesystem: every segment shares one mtime.
+        self._tie(writer, sizes, 1_700_000_000)
         ordered = sorted(sizes)  # the deterministic eviction order
         total = sum(sizes.values())
         target = total - sizes[ordered[0]] - sizes[ordered[1]] + 1
@@ -185,44 +198,48 @@ class TestDeterministicEviction:
         assert removed == 2
         assert freed == sizes[ordered[0]] + sizes[ordered[1]]
         survivors = {p.name for p in Path(tmp_path).glob(f"*{SUFFIX}")}
-        assert survivors == set(ordered[2:])
+        assert survivors == {ordered[2]}
+        # Whole segments go: every record of an evicted one misses.
+        hits = [fresh.get(job.key()) is not None
+                for batch in batches for job in batch]
+        assert sum(hits) == 2 and len(fresh) == 2
 
     def test_incremental_index_matches_rescan_order(self, tmp_path,
                                                     configs):
         """Eviction picks the same victim whether the index was grown
-        by puts or rebuilt by a scan, even with tied mtimes."""
-        import heapq
-
-        jobs = [SimJob("swim", c, n_samples=32) for c in configs[:3]]
+        by commits or rebuilt by a scan, even with tied mtimes."""
         cache = ResultCache(tmp_path, memory_items=0)
-        sizes = self._fill(cache, jobs)
-        stamp = 1_700_000_000
-        for name in sizes:
-            os.utime(tmp_path / name, (stamp, stamp))
-            cache._index()[name] = (stamp * 10**9, sizes[name])
-            heapq.heappush(cache._heap, (stamp * 10**9, name))
+        sizes = self._fill(cache, self._batches("swim", configs, 3))
+        self._tie(cache, sizes, 1_700_000_000)
         ordered = sorted(sizes)
+        rescanned = ResultCache(tmp_path, memory_items=0)
+        rescanned._index()
+        assert sorted(rescanned._segments, key=rescanned._age) == ordered
         cache._enforce_cap(sum(sizes.values()) - 1)  # evict exactly one
         incremental_victim = set(sizes) - {p.name for p
                                            in Path(tmp_path).glob(f"*{SUFFIX}")}
         assert incremental_victim == {ordered[0]}
 
     def test_overwrite_refreshes_recency(self, tmp_path, configs):
-        import heapq
+        from repro.engine.cache import PendingSegment
 
-        jobs = [SimJob("vpr", c, n_samples=32) for c in configs[:2]]
+        batches = self._batches("vpr", configs, 2)
         cache = ResultCache(tmp_path, memory_items=0)
-        sizes = self._fill(cache, jobs)
-        old = 1_600_000_000
-        for name in sizes:
-            os.utime(tmp_path / name, (old, old))
-            cache._index()[name] = (old * 10**9, sizes[name])
-            heapq.heappush(cache._heap, (old * 10**9, name))
-        cache.put(jobs[0], jobs[0].run())  # rewrite: fresh mtime
+        sizes = self._fill(cache, batches)
+        self._tie(cache, sizes, 1_600_000_000)
+        # Rewrite the first batch: the same key set names the same
+        # segment, which gets a fresh mtime.
+        pending = PendingSegment()
+        for job in batches[0]:
+            cache.put(job.key(), job.run(), pending)
+        cache.commit(pending)
+        assert {p.name for p in Path(tmp_path).glob(f"*{SUFFIX}")} \
+            == set(sizes)
         cache._enforce_cap(sum(sizes.values()) - 1)
-        survivors = {p.name for p in Path(tmp_path).glob(f"*{SUFFIX}")}
-        [kept] = [name for name in sizes if jobs[0].key() in name]
-        assert kept in survivors and len(survivors) == 1
+        [kept] = [p.name for p in Path(tmp_path).glob(f"*{SUFFIX}")]
+        assert all(cache.get(job.key()) is not None for job in batches[0])
+        assert all(cache.get(job.key()) is None for job in batches[1])
+        assert len(sizes) == 2 and kept in sizes
 
 
 class TestCheckpointThreading:

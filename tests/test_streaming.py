@@ -7,6 +7,7 @@ and a byte-capped cache never ends a sweep over budget.
 """
 
 import io
+import os
 
 import numpy as np
 import pytest
@@ -225,7 +226,7 @@ class TestContextStreaming:
 class TestCacheLifecycle:
     def _entry_size(self, tmp_path, jobs) -> int:
         probe = ResultCache(tmp_path / "probe")
-        probe.put(jobs[0], jobs[0].run())
+        probe.put(jobs[0].key(), jobs[0].run())
         return probe.disk_bytes()
 
     def test_byte_cap_enforced_after_every_put(self, tmp_path, jobs):
@@ -233,12 +234,12 @@ class TestCacheLifecycle:
         cap = 2 * size + size // 2  # room for two entries, not three
         cache = ResultCache(tmp_path / "capped", max_bytes=cap)
         for job in jobs:
-            cache.put(job, job.run())
+            cache.put(job.key(), job.run())
             assert cache.disk_bytes() <= cap
         assert len(cache) == 2
         assert cache.stats.evictions == len(jobs) - 2
         # The newest entries survive (mtime-LRU evicts oldest first).
-        assert cache.get(jobs[-1]) is not None
+        assert cache.get(jobs[-1].key()) is not None
 
     def test_sweep_with_cap_stays_under_budget(self, tmp_path, configs, jobs):
         size = self._entry_size(tmp_path, jobs)
@@ -252,7 +253,7 @@ class TestCacheLifecycle:
     def test_gc_to_byte_target(self, tmp_path, jobs):
         cache = ResultCache(tmp_path)
         for job in jobs:
-            cache.put(job, job.run())
+            cache.put(job.key(), job.run())
         size = cache.disk_bytes() // len(jobs)
         entries, freed = cache.gc(max_bytes=size)
         assert entries == len(jobs) - 1
@@ -262,10 +263,10 @@ class TestCacheLifecycle:
     def test_gc_versions_drops_foreign_and_legacy_entries(self, tmp_path,
                                                           jobs):
         cache = ResultCache(tmp_path)
-        cache.put(jobs[0], jobs[0].run())
+        cache.put(jobs[0].key(), jobs[0].run())
         (tmp_path / "simjob-v0-feedface.npz").write_bytes(b"old version")
         (tmp_path / "deadbeef.npz").write_bytes(b"seed naming scheme")
-        assert len(cache) == 3
+        assert len(cache) == 1  # unreadable files are not entries
         entries, freed = cache.gc_versions()
         assert entries == 2 and freed > 0
         assert len(cache) == 1
@@ -275,10 +276,10 @@ class TestCacheLifecycle:
     def test_clear_empties_both_tiers(self, tmp_path, jobs):
         cache = ResultCache(tmp_path)
         for job in jobs[:3]:
-            cache.put(job, job.run())
+            cache.put(job.key(), job.run())
         assert cache.clear() == 3
         assert len(cache) == 0
-        assert cache.get(jobs[0]) is None
+        assert cache.get(jobs[0].key()) is None
 
     def test_invalid_max_bytes_rejected(self, tmp_path):
         with pytest.raises(EngineError):
@@ -289,7 +290,7 @@ class TestCacheCli:
     def _populate(self, cache_dir, jobs, n=3):
         cache = ResultCache(cache_dir)
         for job in jobs[:n]:
-            cache.put(job, job.run())
+            cache.put(job.key(), job.run())
         return cache
 
     def test_stats(self, tmp_path, jobs):
@@ -302,13 +303,25 @@ class TestCacheCli:
         assert "simjob/v1" in text
 
     def test_gc_with_byte_target(self, tmp_path, jobs):
-        cache = self._populate(tmp_path, jobs)
-        size = cache.disk_bytes() // 3
+        # Three engine batches of two jobs: three two-record segments,
+        # dated oldest first.
+        engine = create_engine(cache_dir=tmp_path)
+        segments = []
+        for stamp, batch in enumerate((jobs[0:2], jobs[2:4], jobs[4:6])):
+            engine.run(batch)
+            [path] = [p for p in tmp_path.glob(f"*{SUFFIX}")
+                      if p not in segments]
+            os.utime(path, (1_700_000_000 + stamp,) * 2)
+            segments.append(path)
         out = io.StringIO()
         assert main(["cache", "gc", "--cache-dir", str(tmp_path),
-                     "--max-bytes", str(size)], out=out) == 0
-        assert len(list(tmp_path.glob(f"*{SUFFIX}"))) == 1
-        assert "size gc: removed 2 entries" in out.getvalue()
+                     "--max-bytes", str(segments[-1].stat().st_size)],
+                    out=out) == 0
+        assert list(tmp_path.glob(f"*{SUFFIX}")) == [segments[-1]]
+        assert "size gc: removed 2 segments (4 entries" in out.getvalue()
+        fresh = ResultCache(tmp_path)
+        assert [fresh.get(job.key()) is not None for job in jobs] \
+            == [False] * 4 + [True] * 2
 
     def test_clear_honours_env_cache_dir(self, tmp_path, jobs, monkeypatch):
         self._populate(tmp_path, jobs)
