@@ -1,4 +1,4 @@
-"""Bench: the level-wise tree grower vs a per-feature, per-node scan.
+"""Bench: the level-wise tree grower and the feature-major design matrix.
 
 Every wavelet predictor fits one regression tree per retained
 coefficient.  The grower sorts ``X`` once, and at each level scores
@@ -19,6 +19,14 @@ re-sorts and re-scans each feature at each node, one tree at a time:
   ``np.sum`` node statistics, so the grower's leaner sums are checked
   against code they do not share.
 
+It then times a 4,096-candidate ``predict`` of that predictor, the size
+of one ``PredictiveExplorer.search``, against the same predict built on
+the broadcast ``(rows, m, d)`` design-matrix formula:
+
+* ``predict_bit_identical``: the predicted traces must be
+  **byte-identical**;
+* ``predict_speedup`` is recorded, not gated.
+
 Each speedup is the median ratio of ``PAIRS`` back-to-back
 reference/new pairs, the order alternating from pair to pair, so host
 drift, which moves both halves of a pair together, cannot decide a gate.
@@ -33,8 +41,9 @@ import time
 import numpy as np
 
 from repro.core.predictor import WaveletNeuralPredictor
+from repro.core.rbf import DESIGN_BLOCK_ROWS
 from repro.core.regression_tree import RegressionTree, SplitRecord, TreeNode
-from repro.core.wavelets import dwt_batch
+from repro.core.wavelets import dwt_batch, idwt_batch
 from repro.engine import create_engine
 from repro.experiments.context import ExperimentContext, Scale
 
@@ -43,6 +52,7 @@ DOMAIN = "cpi"
 PAIRS = 7
 MIN_SPEEDUP = 2.0
 MIN_FOREST_SPEEDUP = 4.0
+N_CANDIDATES = 4096
 
 
 def _reference_best_split(X, y, min_leaf):
@@ -128,21 +138,51 @@ def _fingerprint(tree):
     return splits, nodes
 
 
-def _paper_scale_targets():
-    """``X`` and the 16 standardized coefficient targets of one predictor."""
+def _reference_design_matrix(X, centers, radii):
+    """The broadcast formula: a ``(rows, m, d)`` tensor summed over ``d``."""
+    out = np.empty((X.shape[0], centers.shape[0]))
+    for start in range(0, X.shape[0], DESIGN_BLOCK_ROWS):
+        stop = start + DESIGN_BLOCK_ROWS
+        z = (X[start:stop, None, :] - centers[None, :, :]) / radii[None, :, :]
+        np.exp(-np.sum(z * z, axis=2), out=out[start:stop])
+    return out
+
+
+def _reference_predict(model, X):
+    """``model.predict(X)`` with every network on the broadcast formula."""
+    coeffs = np.zeros((X.shape[0], model.n_samples_))
+    for idx, net in model.models_.items():
+        phi = np.hstack([_reference_design_matrix(X, net.centers_,
+                                                  net.radii_),
+                         np.ones((X.shape[0], 1))])
+        coeffs[:, idx] = ((phi @ net.weights_ + net.bias_)
+                          * model._target_scale[idx]
+                          + model._target_mean[idx])
+    s = model.settings
+    return idwt_batch(coeffs, wavelet=s.wavelet, convention=s.convention)
+
+
+def _paper_scale_predictor():
+    """The experiment context, and ``X``, traces and fitted predictor of
+    one paper-scale (benchmark, domain)."""
     ctx = ExperimentContext(scale=Scale.paper(), engine=create_engine())
     train, _ = ctx.dataset(BENCHMARK)
     X = train.design_matrix()
     traces = train.domain(DOMAIN)
     model = WaveletNeuralPredictor(
         n_coefficients=ctx.scale.n_coefficients).fit(X, traces)
+    return ctx, X, traces, model
+
+
+def _paper_scale_targets(X, traces, model):
+    """The 16 standardized coefficient targets of ``model``."""
     s = model.settings
     coeffs = dwt_batch(traces, wavelet=s.wavelet, convention=s.convention)
     targets = [(coeffs[:, idx] - model._target_mean[idx])
                / model._target_scale[idx] for idx in model.models_]
     fitted = [net.tree_ for net in model.models_.values()]
-    return X, targets, fitted, dict(max_depth=s.rbf_max_depth,
-                                    min_samples_leaf=s.rbf_min_samples_leaf)
+    return targets, fitted, dict(max_depth=s.rbf_max_depth,
+                                 min_samples_leaf=s.rbf_min_samples_leaf)
 
 
 def _seconds(fn):
@@ -173,8 +213,22 @@ def _median_ratio(times):
             statistics.median(new for _, new in times))
 
 
+def _predict_timing(ctx, model):
+    """Paired timings and bit identity of a 4,096-candidate predict."""
+    candidates = ctx.space.sample_random(N_CANDIDATES, split="train", seed=0)
+    Xq = ctx.space.encode_many(candidates)
+    model.predict(Xq)
+    _reference_predict(model, Xq)  # warm both paths
+    times = _paired_times(PAIRS, lambda: _reference_predict(model, Xq),
+                          lambda: model.predict(Xq))
+    identical = (model.predict(Xq).tobytes()
+                 == _reference_predict(model, Xq).tobytes())
+    return times, identical
+
+
 def test_grown_trees_fast_and_bit_identical():
-    X, targets, fitted, params = _paper_scale_targets()
+    ctx, X, traces, model = _paper_scale_predictor()
+    targets, fitted, params = _paper_scale_targets(X, traces, model)
     Y = np.column_stack(targets)
 
     def fit_all(cls):
@@ -201,6 +255,9 @@ def test_grown_trees_fast_and_bit_identical():
     in_model = [_fingerprint(t) for t in fitted]
     identical = single == grown == ref == in_model
     n_nodes = sum(len(nodes) for _, nodes in ref)
+    predict_times, predict_identical = _predict_timing(ctx, model)
+    predict_speedup, predict_reference_s, predict_s = _median_ratio(
+        predict_times)
 
     record = {
         "bench": "predictor_fit",
@@ -223,6 +280,13 @@ def test_grown_trees_fast_and_bit_identical():
         "forest_speedup": round(forest_speedup, 2),
         "min_forest_speedup": MIN_FOREST_SPEEDUP,
         "trees_bit_identical": identical,
+        "predict_rows": N_CANDIDATES,
+        "predict_reference_seconds": round(predict_reference_s, 4),
+        "predict_seconds": round(predict_s, 4),
+        "predict_pair_speedups": [round(ref / new, 2)
+                                  for ref, new in predict_times],
+        "predict_speedup": round(predict_speedup, 2),
+        "predict_bit_identical": predict_identical,
     }
     with open("BENCH_predictor_fit.json", "w") as handle:
         json.dump(record, handle, indent=2)
@@ -236,8 +300,15 @@ def test_grown_trees_fast_and_bit_identical():
     print(f"  grown together   : {forest_s * 1e3:8.1f} ms "
           f"({forest_speedup:.2f}x vs {forest_reference_s * 1e3:.1f} ms)")
     print(f"  bit-identical    : {identical}")
+    print(f"predict: {N_CANDIDATES} candidates, {len(model.models_)} networks")
+    print(f"  broadcast formula: {predict_reference_s * 1e3:8.1f} ms")
+    print(f"  feature-major    : {predict_s * 1e3:8.1f} ms "
+          f"({predict_speedup:.2f}x)")
+    print(f"  bit-identical    : {predict_identical}")
 
     assert identical, "grown trees drifted from the per-feature reference"
+    assert predict_identical, (
+        "feature-major predict drifted from the broadcast formula")
     assert speedup >= MIN_SPEEDUP, (
         f"one-tree fit speedup {speedup:.2f}x fell below the pinned "
         f"{MIN_SPEEDUP:.1f}x floor (median pair ratio; {reference_s:.3f}s "

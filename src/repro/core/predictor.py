@@ -27,7 +27,7 @@ from repro._validation import (
 )
 from repro.errors import ModelError, NotFittedError
 from repro.core import metrics as _metrics
-from repro.core.rbf import RBFNetwork
+from repro.core.rbf import RBFNetwork, _factorize
 from repro.core.selection import SCHEMES, consensus_ranking
 from repro.core.wavelets import (
     CONVENTIONS,
@@ -199,8 +199,11 @@ class WaveletNeuralPredictor:
                 f"X has {X.shape[1]} features, model was fitted with {self.n_features_}"
             )
         out = np.zeros((X.shape[0], self.n_samples_), dtype=float)
+        # Every network evaluates the same X: factorize its columns once.
+        columns = _factorize(X)
         for idx, net in self.models_.items():
-            out[:, idx] = net.predict(X) * self._target_scale[idx] + self._target_mean[idx]
+            out[:, idx] = (net._predict(X, columns) * self._target_scale[idx]
+                           + self._target_mean[idx])
         return out
 
     def predict(self, X) -> np.ndarray:

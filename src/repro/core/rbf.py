@@ -32,27 +32,123 @@ SOLVERS = ("ridge_gcv", "forward")
 DEFAULT_LAMBDA_GRID = tuple(float(x) for x in np.logspace(-8, 2, 21))
 
 
-#: Rows of ``X`` per block in :func:`_design_matrix`.  Bounds each
-#: ``(rows, m, d)`` temporary to a cache-sized slab instead of one
-#: ``(n, m, d)`` array per call (tens of MB for a 4,096-candidate search).
+#: Rows of ``X`` per block in :func:`_design_matrix`.  Bounds the
+#: ``(d, rows, m)`` term buffer to a cache-sized slab instead of ``d``
+#: ``(n, m)`` arrays per call (tens of MB for a 4,096-candidate search),
+#: and caps the distinct values a column may have to be tabulated.
 DESIGN_BLOCK_ROWS = 128
 
+#: Terms summed by one unrolled pass of NumPy's pairwise sum; longer
+#: sums split in two (see :func:`_pairwise_sum`).
+PAIRWISE_BLOCK = 128
 
-def _design_matrix(X: np.ndarray, centers: np.ndarray,
-                   radii: np.ndarray) -> np.ndarray:
+
+def _factorize(X: np.ndarray) -> list:
+    """Per column of ``X``: ``(levels, codes)`` or ``None``.
+
+    ``levels`` are the column's distinct values and ``codes`` index them
+    row by row (``np.unique(..., return_inverse=True)``).  A column with
+    more than :data:`DESIGN_BLOCK_ROWS` distinct values gets ``None``:
+    :func:`_design_matrix` computes it block by block instead of
+    tabulating it.  Call sites that evaluate many networks on one ``X``
+    factorize it once and pass the result along.
+    """
+    columns = []
+    for column in X.T:
+        levels, codes = np.unique(column, return_inverse=True)
+        columns.append((levels, codes) if levels.size <= DESIGN_BLOCK_ROWS
+                       else None)
+    return columns
+
+
+def _squared_terms(values: np.ndarray, centers: np.ndarray,
+                   radii: np.ndarray, out: Optional[np.ndarray] = None):
+    """``((values[:, None] - centers) / radii) ** 2`` as ``z * z``, ``(len, m)``."""
+    z = np.subtract.outer(values, centers, out=out)
+    z /= radii
+    z *= z
+    return z
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum ``terms`` over its first axis, in place, in NumPy's pairwise order.
+
+    ``np.add.reduce`` over a contiguous axis of length ``d`` adds
+    sequentially when ``d < 8``; up to :data:`PAIRWISE_BLOCK` it keeps
+    eight stride-8 accumulators, combines them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the tail one by
+    one; beyond that it sums two halves split at a multiple of 8.  This
+    replays that order element-wise over ``(d, ...)`` stacked terms, so
+    every element gets the bits a reduce over its own length-``d`` row
+    would.  The reduce's leading ``0 +`` is left out: it changes only a
+    sum of ``-0.0``, and squares are never ``-0.0``.  ``terms`` is
+    overwritten; the returned view holds the sum.
+    """
+    d = terms.shape[0]
+    if d > PAIRWISE_BLOCK:
+        half = d // 2
+        half -= half % 8
+        head = _pairwise_sum(terms[:half])
+        head += _pairwise_sum(terms[half:])
+        return head
+    acc = terms[0]
+    if d < 8:
+        for term in terms[1:]:
+            acc += term
+        return acc
+    tail = d - d % 8
+    for start in range(8, tail, 8):
+        terms[:8] += terms[start:start + 8]
+    terms[0:8:2] += terms[1:8:2]        # r0+r1, r2+r3, r4+r5, r6+r7
+    terms[0:8:4] += terms[2:8:4]        # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
+    acc += terms[4]
+    for term in terms[tail:]:
+        acc += term
+    return acc
+
+
+def _design_matrix(X: np.ndarray, centers: np.ndarray, radii: np.ndarray,
+                   columns: Optional[list] = None,
+                   bias: bool = False) -> np.ndarray:
     """Gaussian activations: Phi[i, j] = exp(-sum_d ((x_id - mu_jd)/theta_jd)^2).
 
-    Computed in blocks of :data:`DESIGN_BLOCK_ROWS` rows into one
-    preallocated output.  Blocking is bit-exact: every element's sum
-    runs over the last (``d``) axis of that element's own contiguous
-    row, so which other rows share its block cannot change its bits.
+    Feature-major: each block of :data:`DESIGN_BLOCK_ROWS` rows fills one
+    contiguous ``(rows, m)`` squared term per feature, sums the ``d``
+    terms with :func:`_pairwise_sum`, then negates and exponentiates in
+    place.  Every term uses the scalar operations of the broadcast
+    formula ``exp(-np.sum(z * z, axis=2))`` and the sum follows
+    ``np.add.reduce``'s order, so the result is bit-identical to it, and
+    blocking cannot change an element's bits.  A factorized column
+    (``columns``, see :func:`_factorize`; computed here when omitted)
+    computes its ``(levels, m)`` terms once and each block gathers them
+    with ``np.take``.  ``bias=True`` returns ``(n, m + 1)`` with a last
+    column of ones.
     """
-    out = np.empty((X.shape[0], centers.shape[0]))
-    for start in range(0, X.shape[0], DESIGN_BLOCK_ROWS):
-        stop = start + DESIGN_BLOCK_ROWS
-        # (b, 1, d) - (1, m, d) -> (b, m, d)
-        z = (X[start:stop, None, :] - centers[None, :, :]) / radii[None, :, :]
-        np.exp(-np.sum(z * z, axis=2), out=out[start:stop])
+    n, d = X.shape
+    m = centers.shape[0]
+    if columns is None:
+        columns = _factorize(X)
+    mu = np.ascontiguousarray(centers.T)
+    theta = np.ascontiguousarray(radii.T)
+    tables = [None if column is None
+              else _squared_terms(column[0], mu[k], theta[k])
+              for k, column in enumerate(columns)]
+    out = np.empty((n, m + 1) if bias else (n, m))
+    if bias:
+        out[:, m] = 1.0
+    terms = np.empty((d, min(n, DESIGN_BLOCK_ROWS), m))
+    for start in range(0, n, DESIGN_BLOCK_ROWS):
+        stop = min(start + DESIGN_BLOCK_ROWS, n)
+        block = terms[:, :stop - start]
+        for k, table in enumerate(tables):
+            if table is None:
+                _squared_terms(X[start:stop, k], mu[k], theta[k], out=block[k])
+            else:
+                np.take(table, columns[k][1][start:stop], axis=0,
+                        out=block[k], mode="clip")
+        acc = _pairwise_sum(block)
+        np.negative(acc, out=acc)
+        np.exp(acc, out=out[start:stop, :m])
     return out
 
 
@@ -154,7 +250,7 @@ class RBFNetwork:
         """Fit tree, derive candidate units, solve output weights."""
         X = as_2d_float_array(X, name="X")
         y = as_targets(y, X.shape[0])
-        return self._fit_weights(X, y, self._tree().fit(X, y))
+        return self._fit_weights(X, y, self._tree().fit(X, y), _factorize(X))
 
     def fit_columns(self, X, Y) -> List["RBFNetwork"]:
         """One network per column of ``Y`` (n, T), their trees grown together.
@@ -166,7 +262,8 @@ class RBFNetwork:
         X = as_2d_float_array(X, name="X")
         Y = as_targets(Y, X.shape[0], ndim=2)
         trees = self._tree().fit_columns(X, Y)
-        return [copy.copy(self)._fit_weights(X, y, tree)
+        columns = _factorize(X)
+        return [copy.copy(self)._fit_weights(X, y, tree, columns)
                 for y, tree in zip(np.ascontiguousarray(Y.T), trees)]
 
     def _tree(self) -> RegressionTree:
@@ -174,17 +271,19 @@ class RBFNetwork:
                               min_samples_leaf=self.min_samples_leaf)
 
     def _fit_weights(self, X: np.ndarray, y: np.ndarray,
-                     tree: RegressionTree) -> "RBFNetwork":
-        """Derive candidate units from the fitted ``tree``, solve weights."""
+                     tree: RegressionTree, columns: list) -> "RBFNetwork":
+        """Derive candidate units from the fitted ``tree``, solve weights.
+
+        ``columns`` is :func:`_factorize` of ``X``.
+        """
         self.tree_ = tree
         self.centers_, self.radii_ = self._units_from_tree()
         # Work on centred targets; the intercept absorbs the mean, which
         # keeps the ridge penalty from shrinking the overall level.
         self.bias_ = float(y.mean())
         resid = y - self.bias_
-        phi = _design_matrix(X, self.centers_, self.radii_)
-        if self.include_bias:
-            phi = np.hstack([phi, np.ones((phi.shape[0], 1))])
+        phi = _design_matrix(X, self.centers_, self.radii_, columns,
+                             self.include_bias)
         if self.solver == "ridge_gcv":
             coef, lam, gcv = _gcv_ridge(phi, resid, self.lambda_grid)
             self.weights_, self.lambda_, self.gcv_ = coef, lam, gcv
@@ -250,9 +349,12 @@ class RBFNetwork:
                 f"X has {X.shape[1]} features, network was fitted with "
                 f"{self.centers_.shape[1]}"
             )
-        phi = _design_matrix(X, self.centers_, self.radii_)
-        if self.include_bias:
-            phi = np.hstack([phi, np.ones((phi.shape[0], 1))])
+        return self._predict(X, _factorize(X))
+
+    def _predict(self, X: np.ndarray, columns: list) -> np.ndarray:
+        """:meth:`predict` on validated ``X`` and its :func:`_factorize`."""
+        phi = _design_matrix(X, self.centers_, self.radii_, columns,
+                             self.include_bias)
         return phi @ self.weights_ + self.bias_
 
     def _check_fitted(self) -> None:

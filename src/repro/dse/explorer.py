@@ -292,8 +292,14 @@ class PredictiveExplorer:
         limit:
             Candidate budget when sampling the grid.
         top_k:
-            How many ranked feasible configs to return.
+            How many ranked feasible configs to return (a non-negative
+            integer).
         """
+        if (isinstance(top_k, bool) or not isinstance(top_k, numbers.Integral)
+                or top_k < 0):
+            raise ModelError(
+                f"top_k must be a non-negative integer, got {top_k!r}"
+            )
         if candidates is None:
             candidates = self.candidate_grid(limit=limit, seed=seed)
         candidates = list(candidates)

@@ -47,6 +47,10 @@ class Parameter:
             raise ConfigurationError(
                 f"parameter {self.name}: test levels must be sorted ascending"
             )
+        # encode()'s range, the union of train and test levels.
+        levels = self.train_levels + self.test_levels
+        object.__setattr__(self, "_lo", self._scaled(min(levels)))
+        object.__setattr__(self, "_hi", self._scaled(max(levels)))
 
     def levels(self, split: str) -> Tuple[float, ...]:
         """Level set for ``split`` ("train" or "test")."""
@@ -68,12 +72,9 @@ class Parameter:
         The range is the union of train and test levels so both splits
         encode consistently.
         """
-        all_levels = set(self.train_levels) | set(self.test_levels)
-        lo = self._scaled(min(all_levels))
-        hi = self._scaled(max(all_levels))
-        if hi == lo:
+        if self._hi == self._lo:
             return 0.5
-        return (self._scaled(value) - lo) / (hi - lo)
+        return (self._scaled(value) - self._lo) / (self._hi - self._lo)
 
 
 def _table2_parameters() -> Tuple[Parameter, ...]:
@@ -223,11 +224,23 @@ class DesignSpace:
         return np.array([p.encode(vals[p.name]) for p in self._parameters])
 
     def encode_many(self, configs: Iterable[MachineConfig]) -> np.ndarray:
-        """Design matrix, one row per configuration."""
-        rows = [self.encode(c) for c in configs]
-        if not rows:
+        """Design matrix, one row per configuration.
+
+        Column-wise: each parameter's distinct values are encoded once
+        with :meth:`Parameter.encode` and gathered, so every row equals
+        :meth:`encode` of its configuration bit for bit.
+        """
+        attrs = ["dvm_enabled" if p.name == "dvm" else p.name
+                 for p in self._parameters]
+        values = np.array([[getattr(c, a) for a in attrs] for c in configs],
+                          dtype=float)
+        if not len(values):
             raise ConfigurationError("encode_many received no configurations")
-        return np.vstack(rows)
+        out = np.empty(values.shape)
+        for k, p in enumerate(self._parameters):
+            levels, codes = np.unique(values[:, k], return_inverse=True)
+            out[:, k] = np.array([p.encode(v) for v in levels.tolist()])[codes]
+        return out
 
     # ------------------------------------------------------------------
     # Random (test-split) sampling
@@ -247,24 +260,30 @@ class DesignSpace:
                 f"{self.size(split)}"
             )
         rng = rng_from_seed(seed)
+        highs = [len(p.levels(split)) for p in self._parameters]
+        budget = 1000 * n
         seen = set()
-        out: List[MachineConfig] = []
+        rows: List[tuple] = []
         attempts = 0
-        while len(out) < n:
-            attempts += 1
-            if attempts > 1000 * n:
+        while len(rows) < n:
+            if attempts >= budget:
                 raise SamplingError(
                     f"rejection sampling failed to find {n} unique points"
                 )
-            idx = tuple(
-                int(rng.integers(len(p.levels(split)))) for p in self._parameters
-            )
-            if unique:
-                if idx in seen:
-                    continue
-                seen.add(idx)
-            out.append(self.config_from_level_indices(idx, split))
-        return out
+            # One row per attempt, in the row-major order of the scalar
+            # draws ``rng.integers(high)`` parameter by parameter.  A round
+            # draws only the rows still missing, so it never draws past
+            # the n-th accepted row and ``rng`` ends where they would.
+            need = min(n - len(rows), budget - attempts)
+            attempts += need
+            for idx in map(tuple, rng.integers(highs, size=(need, len(highs)))
+                           .tolist()):
+                if unique:
+                    if idx in seen:
+                        continue
+                    seen.add(idx)
+                rows.append(idx)
+        return [self.config_from_level_indices(idx, split) for idx in rows]
 
 
 def paper_design_space() -> DesignSpace:

@@ -55,19 +55,22 @@ def test_batched_floor_gated_on_enforcement_flag(tmp_path):
 
 def test_predictor_fit_gates_speedup_and_bit_identity(tmp_path):
     record = {"bench": "predictor_fit", "tree_speedup": 2.6,
-              "forest_speedup": 5.9, "trees_bit_identical": True}
+              "forest_speedup": 5.9, "trees_bit_identical": True,
+              "predict_speedup": 0.5, "predict_bit_identical": True}
     _write(tmp_path, "BENCH_predictor_fit.json", record)
     summary = bench_report.build_summary(tmp_path)
-    assert summary["failures"] == 0 and summary["checks_run"] == 3
+    # predict_speedup is recorded, not gated: 0.5x still passes.
+    assert summary["failures"] == 0 and summary["checks_run"] == 4
 
     record.update(tree_speedup=1.8, forest_speedup=3.9,
-                  trees_bit_identical=False)
+                  trees_bit_identical=False, predict_bit_identical=False)
     _write(tmp_path, "BENCH_predictor_fit.json", record)
     failed = {c["check"] for c in
               bench_report.build_summary(tmp_path)["failed_checks"]}
     assert failed == {"predictor_fit.tree_speedup",
                       "predictor_fit.forest_speedup",
-                      "predictor_fit.bit_identical"}
+                      "predictor_fit.bit_identical",
+                      "predictor_fit.predict_bit_identical"}
 
 
 def test_corrupt_file_is_a_failure(tmp_path):
@@ -105,7 +108,8 @@ _RECORDS_AT_PINNED_GATES = {
     "streaming_sweep": {"bit_identical": True},
     "active_dse": {"active_budget_fraction": 0.5},
     "predictor_fit": {"tree_speedup": 2.0, "forest_speedup": 4.0,
-                      "trees_bit_identical": True},
+                      "trees_bit_identical": True,
+                      "predict_bit_identical": True},
 }
 
 
@@ -123,5 +127,5 @@ def test_records_at_pinned_gates_pass(tmp_path):
     assert bench_report.main(["--dir", str(tmp_path), "--out", str(out)]) == 0
     summary = json.loads(out.read_text())
     assert summary["failures"] == 0
-    assert summary["checks_run"] == 18
+    assert summary["checks_run"] == 19
     assert summary["skipped"] == []

@@ -126,6 +126,20 @@ class TestExplorer:
         assert scores == sorted(scores)
         assert len(result.ranked) <= 5
 
+    @pytest.mark.parametrize("top_k", [-1, -5, 2.0, 2.5, True, "3", None])
+    def test_bad_top_k_rejected(self, explorer, top_k):
+        # A negative top_k used to slice order[:top_k] and silently drop
+        # the last |top_k| ranked configs.
+        with pytest.raises(ModelError, match="top_k"):
+            explorer.search(Objective("cpi"), limit=50, top_k=top_k, seed=5)
+
+    def test_top_k_zero_and_numpy_integer(self, explorer):
+        none = explorer.search(Objective("cpi"), limit=50, top_k=0, seed=5)
+        assert none.ranked == [] and none.best_config is not None
+        three = explorer.search(Objective("cpi"), limit=50,
+                                top_k=np.int64(3), seed=5)
+        assert len(three.ranked) == 3
+
 
 class TestSensitivity:
     def test_l2_sweep_monotone(self, explorer):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.rbf import (
     DEFAULT_LAMBDA_GRID, DESIGN_BLOCK_ROWS, RBFNetwork, _design_matrix,
-    _gcv_ridge,
+    _factorize, _gcv_ridge, _pairwise_sum,
 )
 from repro.errors import ModelError, NotFittedError
 
@@ -57,6 +57,109 @@ class TestDesignMatrix:
         phi = _design_matrix(X, centers, radii)
         assert phi.shape == one_shot.shape
         assert phi.tobytes() == one_shot.tobytes()
+
+
+def _reference_design_matrix(X, centers, radii):
+    """The broadcast formula: a ``(rows, m, d)`` tensor summed over ``d``."""
+    out = np.empty((X.shape[0], centers.shape[0]))
+    for start in range(0, X.shape[0], DESIGN_BLOCK_ROWS):
+        stop = start + DESIGN_BLOCK_ROWS
+        z = (X[start:stop, None, :] - centers[None, :, :]) / radii[None, :, :]
+        np.exp(-np.sum(z * z, axis=2), out=out[start:stop])
+    return out
+
+
+#: Feature counts around every branch of NumPy's pairwise sum: the
+#: sequential sum below 8, the eight accumulators up to 128 (with and
+#: without a tail), and the split beyond 128.
+FEATURE_COUNTS = list(range(1, 18)) + [127, 128, 129, 300]
+ROW_COUNTS = [1, 37, DESIGN_BLOCK_ROWS, 2 * DESIGN_BLOCK_ROWS + 5]
+
+
+def _mixed_inputs(rng, n, d):
+    """Discrete columns (2-5 levels, a constant) beside continuous ones,
+    one of which has more distinct values than a block."""
+    X = rng.uniform(-1.0, 2.0, size=(n, d))
+    for k in range(d):
+        kind = k % 4
+        if kind == 0:
+            levels = rng.uniform(size=int(rng.integers(2, 6)))
+            X[:, k] = levels[rng.integers(0, levels.size, size=n)]
+        elif kind == 1:
+            X[:, k] = rng.integers(0, 4, size=n) / 3.0
+        elif kind == 2 and k % 8 == 2:
+            X[:, k] = 0.5
+    return X
+
+
+class TestFeatureMajorDesignMatrix:
+    @pytest.mark.parametrize("d", FEATURE_COUNTS)
+    def test_bytes_match_broadcast_reference(self, d):
+        rng = np.random.default_rng(1000 + d)
+        for n in ROW_COUNTS:
+            m = int(rng.integers(1, 40))
+            X = _mixed_inputs(rng, n, d)
+            centers = rng.uniform(size=(m, d))
+            radii = rng.uniform(0.05, 2.0, size=(m, d))
+            ref = _reference_design_matrix(X, centers, radii)
+            phi = _design_matrix(X, centers, radii)
+            assert phi.tobytes() == ref.tobytes(), (d, n, m)
+            with_bias = _design_matrix(X, centers, radii, bias=True)
+            assert with_bias.shape == (n, m + 1)
+            assert with_bias[:, m].tobytes() == np.ones(n).tobytes()
+            assert (np.ascontiguousarray(with_bias[:, :m]).tobytes()
+                    == ref.tobytes()), (d, n, m)
+
+    def test_tables_and_direct_columns_agree(self):
+        # A column with more distinct values than a block is computed
+        # directly; with fewer it is gathered from a table.  Both paths,
+        # and a factorization shared across calls, give the same bits.
+        rng = np.random.default_rng(7)
+        n = 3 * DESIGN_BLOCK_ROWS + 11
+        X = _mixed_inputs(rng, n, 9)
+        columns = _factorize(X)
+        assert [c is None for c in columns] == [
+            False, False, False, True, False, False, True, True, False]
+        centers = rng.uniform(size=(50, 9))
+        radii = rng.uniform(0.05, 2.0, size=(50, 9))
+        ref = _reference_design_matrix(X, centers, radii)
+        direct = _design_matrix(X, centers, radii, [None] * 9)
+        shared = _design_matrix(X, centers, radii, columns)
+        assert direct.tobytes() == shared.tobytes() == ref.tobytes()
+
+    def test_factorize_caps_levels_at_block_rows(self):
+        X = np.column_stack([np.arange(DESIGN_BLOCK_ROWS + 1.0),
+                             np.arange(DESIGN_BLOCK_ROWS + 1.0) % 5,
+                             np.r_[np.arange(DESIGN_BLOCK_ROWS), 0.0]])
+        wide, narrow, at_cap = _factorize(X)
+        assert wide is None
+        levels, codes = narrow
+        assert levels.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert levels[codes].tobytes() == X[:, 1].tobytes()
+        assert at_cap[0].size == DESIGN_BLOCK_ROWS
+
+    def test_network_predict_matches_reference(self):
+        X, y = _smooth_problem(n=150, seed=13)
+        net = RBFNetwork().fit(X, y)
+        Xq = np.random.default_rng(14).uniform(size=(300, 3))
+        phi = np.hstack([_reference_design_matrix(Xq, net.centers_,
+                                                  net.radii_),
+                         np.ones((300, 1))])
+        expected = phi @ net.weights_ + net.bias_
+        assert net.predict(Xq).tobytes() == expected.tobytes()
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("d", FEATURE_COUNTS + [8, 16, 24, 256, 257,
+                                                    1000, 1031])
+    def test_matches_add_reduce(self, d):
+        rng = np.random.default_rng(d)
+        rows = (rng.normal(size=(64, d))
+                * 10.0 ** rng.uniform(-6, 6, size=(64, d)))
+        expected = np.add.reduce(rows, axis=1)
+        terms = np.ascontiguousarray(rows.T).reshape(d, 8, 8)
+        assert (_pairwise_sum(terms).ravel().tobytes()
+                == expected.tobytes()), d
 
 
 def _reference_gcv_ridge(phi, y, lambda_grid):

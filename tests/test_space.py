@@ -1,8 +1,11 @@
 """Unit tests for repro.dse.space (Table 2)."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro._validation import rng_from_seed
 from repro.dse.space import (
     DVM_PARAMETER,
     DesignSpace,
@@ -81,6 +84,51 @@ class TestEncoding:
         cfgs = space.sample_random(5, seed=1)
         assert space.encode_many(cfgs).shape == (5, 9)
 
+    @pytest.mark.parametrize("dvm", [False, True])
+    def test_encode_many_equals_row_wise_encode(self, dvm):
+        space = paper_design_space()
+        if dvm:
+            space = space.with_dvm_parameter()
+        cfgs = (space.sample_random(300, split="train", seed=4)
+                + space.sample_random(40, split="test", seed=5))
+        if dvm:
+            # Flip DVM on every other config so both levels occur.
+            cfgs = [space.config_from_values(dict(
+                space.values_of(c), dvm=i % 2)) for i, c in enumerate(cfgs)]
+        X = space.encode_many(cfgs)
+        rows = np.vstack([space.encode(c) for c in cfgs])
+        assert X.shape == (len(cfgs), space.n_parameters)
+        assert X.tobytes() == rows.tobytes()
+        assert space.encode_many(cfgs[:1]).tobytes() == rows[:1].tobytes()
+
+    def test_encode_many_one_parameter_space(self):
+        space = DesignSpace((Parameter("rob_size", (96, 128), (96,)),))
+        cfgs = space.sample_random(2, split="train", seed=0)
+        X = space.encode_many(cfgs)
+        assert X.shape == (2, 1)
+        assert sorted(X[:, 0].tolist()) == [0.0, 1.0]
+
+    def test_encode_many_zero_parameter_space(self):
+        space = DesignSpace(())
+        assert space.encode_many(space.sample_random(1)).shape == (1, 0)
+
+    def test_encode_many_rejects_empty(self):
+        with pytest.raises(ConfigurationError):
+            paper_design_space().encode_many([])
+
+    def test_encode_matches_per_call_range(self):
+        # The encoding range is computed once per parameter; it must be
+        # the per-call union-of-levels range it replaced, bit for bit.
+        for p in paper_design_space().with_dvm_parameter().parameters:
+            scale = math.log2 if p.log_scale else float
+            levels = set(p.train_levels) | set(p.test_levels)
+            lo, hi = scale(min(levels)), scale(max(levels))
+            for value in sorted(levels) + [p.train_levels[0] * 1.5]:
+                expected = (scale(value) - lo) / (hi - lo)
+                assert p.encode(value).hex() == expected.hex()
+        flat = Parameter("x", (4,), (4,))
+        assert flat.encode(4) == 0.5
+
 
 class TestConfigConstruction:
     def test_level_indices_roundtrip(self):
@@ -158,3 +206,97 @@ class TestSampling:
     def test_unsorted_levels_rejected(self):
         with pytest.raises(ConfigurationError):
             Parameter("x", (4, 2), (2,))
+
+
+def _reference_sample_random(space, n, split="test", seed=0, unique=True):
+    """The scalar-draw loop: one ``rng.integers(high)`` per parameter per
+    attempt, at most ``1000 * n`` attempts."""
+    rng = rng_from_seed(seed)
+    seen = set()
+    out = []
+    attempts = 0
+    while len(out) < n:
+        attempts += 1
+        if attempts > 1000 * n:
+            raise SamplingError("rejection sampling failed")
+        idx = tuple(int(rng.integers(len(p.levels(split))))
+                    for p in space.parameters)
+        if unique:
+            if idx in seen:
+                continue
+            seen.add(idx)
+        out.append(space.config_from_level_indices(idx, split))
+    return out
+
+
+class _StuckGenerator(np.random.Generator):
+    """Draws level 0 for everything and counts the values drawn."""
+
+    drawn = 0
+
+    def integers(self, high, size=None):
+        shape = () if size is None else size
+        self.drawn += int(np.prod(shape))
+        zeros = np.zeros(shape, dtype=np.int64)
+        return zeros if size is not None else int(zeros)
+
+
+def _keys(configs):
+    return [c.key() for c in configs]
+
+
+class TestArrayWiseSampling:
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("unique", [True, False])
+    def test_matches_scalar_draws(self, split, unique):
+        space = paper_design_space()
+        for seed in (0, 1, 17):
+            for n in (1, 7, 50, 600):
+                got = space.sample_random(n, split=split, seed=seed,
+                                          unique=unique)
+                ref = _reference_sample_random(space, n, split, seed, unique)
+                assert _keys(got) == _keys(ref), (seed, n)
+
+    @pytest.mark.parametrize("unique", [True, False])
+    def test_tiny_space_with_duplicates(self, unique):
+        space = DesignSpace((
+            Parameter("fetch_width", (2, 4), (2, 4)),
+            Parameter("rob_size", (96, 128, 160), (128,)),
+            Parameter("iq_size", (32,), (32,)),
+        ))
+        for seed in range(5):
+            for split in ("train", "test"):
+                n = space.size(split) if unique else 25
+                got = space.sample_random(n, split=split, seed=seed,
+                                          unique=unique)
+                ref = _reference_sample_random(space, n, split, seed, unique)
+                assert _keys(got) == _keys(ref), (seed, split)
+                if unique:
+                    assert len(set(_keys(got))) == n
+
+    @pytest.mark.parametrize("unique", [True, False])
+    def test_passed_generator_ends_in_the_same_state(self, unique):
+        space = DesignSpace((
+            Parameter("fetch_width", (2, 4, 8), (2, 4, 8)),
+            Parameter("rob_size", (96, 128), (96, 128)),
+        ))
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        got = space.sample_random(6, split="train", seed=ours, unique=unique)
+        ref = _reference_sample_random(space, 6, "train", theirs, unique)
+        assert _keys(got) == _keys(ref)
+        assert ours.integers(1 << 40) == theirs.integers(1 << 40)
+        assert ours.random() == theirs.random()
+
+    def test_attempt_guard_still_raises(self):
+        space = paper_design_space()
+        stuck = _StuckGenerator(np.random.PCG64(0))
+        with pytest.raises(SamplingError, match="rejection sampling"):
+            space.sample_random(3, split="train", seed=stuck)
+        # The scalar loop drew 1000 * n attempts of 9 values, no more.
+        assert stuck.drawn == 3 * 1000 * 9
+        with pytest.raises(SamplingError):
+            _reference_sample_random(space, 3, "train",
+                                     _StuckGenerator(np.random.PCG64(0)))
+        repeats = space.sample_random(3, split="train", unique=False,
+                                      seed=_StuckGenerator(np.random.PCG64(0)))
+        assert len(set(_keys(repeats))) == 1

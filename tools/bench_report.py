@@ -118,6 +118,10 @@ def _check_predictor_fit(record, checks):
     _check(checks, "predictor_fit.bit_identical",
            record.get("trees_bit_identical") is True,
            "grown trees == per-feature reference trees")
+    _check(checks, "predictor_fit.predict_bit_identical",
+           record.get("predict_bit_identical") is True,
+           "feature-major predict == broadcast-formula predict "
+           f"({record.get('predict_speedup')}x, not gated)")
 
 
 _CHECKERS = {
