@@ -13,14 +13,14 @@ matter most.  This bench pins the two PR-3 behaviours:
   its per-interval checkpoint and produces bit-identical traces while
   re-simulating only the intervals after the snapshot.
 
-Since the compiled detailed-pipeline kernel landed, the bench also
-re-baselines the backend **per execution engine**: the same job is
-timed under the object-model interpreter and under the array kernel
-(njit-compiled when numba is present, uncompiled otherwise), with
+The bench also re-baselines the backend **per stepper**: the same job
+is timed with JIT off (the object-model interpreter) and on (the
+compiled array kernel where numba is present, the interpreter again
+where it is not — ``numba_available`` in the record says which), with
 bit-identical traces asserted before either wall is recorded.  The
-engine-vs-engine speedup floor itself is pinned by
+kernel-vs-interpreter speedup floor itself is pinned by
 ``bench_detailed_kernel.py``; here the two walls are simply reported
-side by side so backend regressions are attributable to an engine.
+side by side so backend regressions are attributable to a stepper.
 
 Results land in ``BENCH_detailed_backend.json`` (CI artifact).
 """
@@ -50,39 +50,34 @@ _ENGINE_RECORD = {}    # filled by the engine side-by-side test
 
 
 def test_engines_side_by_side():
-    from repro.uarch.jit import jit_available
-    from repro.uarch.pipeline import OutOfOrderCore
+    from repro.uarch import jit
 
-    kernel_engine = "kernel" if jit_available() else "kernel-interp"
     job = SimJob("gcc", baseline_config(), backend="detailed",
                  n_samples=N_SAMPLES, instructions_per_sample=IPS)
     walls = {}
     traces = {}
-    original = OutOfOrderCore.run_interval
-    for engine in ("python", kernel_engine):
-        OutOfOrderCore.run_interval = (
-            lambda self, trace, _e=engine: original(self, trace, engine=_e))
+    for compiled in (False, True):
+        jit.set_jit(compiled)
         try:
             job.run()  # warm the trace memo / compile before timing
             start = time.perf_counter()
             result = job.run()
-            walls[engine] = time.perf_counter() - start
+            walls[compiled] = time.perf_counter() - start
         finally:
-            OutOfOrderCore.run_interval = original
-        traces[engine] = {**result.traces, **result.components}
+            jit.set_jit(None)
+        traces[compiled] = {**result.traces, **result.components}
 
-    for name, arr in traces["python"].items():
-        assert np.array_equal(arr, traces[kernel_engine][name]), (
-            f"engines diverged on the {name} trace")
+    for name, arr in traces[False].items():
+        assert np.array_equal(arr, traces[True][name]), (
+            f"steppers diverged on the {name} trace")
 
-    interp, kernel = walls["python"], walls[kernel_engine]
-    print(f"\nengine walls for a {N_SAMPLES}x{IPS} detailed job: "
+    interp, kernel = walls[False], walls[True]
+    print(f"\nstepper walls for a {N_SAMPLES}x{IPS} detailed job: "
           f"interpreter {interp * 1e3:.0f} ms, "
-          f"{kernel_engine} {kernel * 1e3:.0f} ms "
+          f"JIT on {kernel * 1e3:.0f} ms "
           f"({interp / kernel:.1f}x), traces bit-identical")
     _ENGINE_RECORD.update({
-        "numba_available": jit_available(),
-        "kernel_engine": kernel_engine,
+        "numba_available": jit.jit_available(),
         "engine_wall_seconds_interpreter": round(interp, 4),
         "engine_wall_seconds_kernel": round(kernel, 4),
         "engine_speedup": round(interp / kernel, 2),
@@ -115,17 +110,18 @@ def test_autotuner_chunks_detailed_fine_interval_coarse():
     print(f"walls: interval batch {interval_wall:.2f}s, "
           f"detailed batch {detailed_wall:.2f}s")
 
-    assert per_detailed > per_interval
-    assert coarse >= 8 * fine, (
-        f"interval chunks ({coarse}) should be >=8x coarser than detailed "
-        f"chunks ({fine})"
-    )
+    # Recorded before the gates, so a failing run still reports them.
     _AUTOTUNE_RECORD.update({
         "per_job_seconds_interval": round(per_interval, 6),
         "per_job_seconds_detailed": round(per_detailed, 6),
         "chunk_interval": coarse,
         "chunk_detailed": fine,
     })
+    assert per_detailed > per_interval
+    assert coarse >= 8 * fine, (
+        f"interval chunks ({coarse}) should be >=8x coarser than detailed "
+        f"chunks ({fine})"
+    )
 
 
 def test_sigkill_resume_saves_work(tmp_path):
@@ -145,27 +141,29 @@ from repro.uarch.params import baseline_config
 job = SimJob("swim", baseline_config(), backend="detailed",
              n_samples={N_SAMPLES}, instructions_per_sample={IPS})
 """
+    # The hooks count the intervals the detailed loop synthesizes,
+    # warmup included, so they fire on either stepper.
     killed = common + f"""
 import os, signal
-import repro.uarch.pipeline as pipeline
-original = pipeline.OutOfOrderCore.run_interval
+import repro.uarch.detailed as detailed
+original = detailed.synthesize_interval
 calls = [0]
-def dying(self, trace):
+def dying(*args, **kwargs):
     calls[0] += 1
     if calls[0] > {KILL_AFTER}:
         os.kill(os.getpid(), signal.SIGKILL)
-    return original(self, trace)
-pipeline.OutOfOrderCore.run_interval = dying
+    return original(*args, **kwargs)
+detailed.synthesize_interval = dying
 job.run()
 """
     resume = common + f"""
-import repro.uarch.pipeline as pipeline
-original = pipeline.OutOfOrderCore.run_interval
+import repro.uarch.detailed as detailed
+original = detailed.synthesize_interval
 calls = [0]
-def counting(self, trace):
+def counting(*args, **kwargs):
     calls[0] += 1
-    return original(self, trace)
-pipeline.OutOfOrderCore.run_interval = counting
+    return original(*args, **kwargs)
+detailed.synthesize_interval = counting
 result = job.run()
 np.savez({str(out_npz)!r}, intervals=np.array(calls[0]),
          **result.traces, **result.components)

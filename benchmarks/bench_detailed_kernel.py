@@ -1,29 +1,27 @@
 """Bench: the compiled detailed-pipeline kernel vs the interpreter.
 
-Times a 64-interval detailed run through both execution engines of
-:class:`~repro.uarch.pipeline.OutOfOrderCore` — the object-model
-interpreter and the struct-of-arrays kernel — and proves bit-identity
-across {interpreter, kernel} x {fresh, checkpoint-resumed} before any
-timing is trusted.  With numba installed (CI's with-numba leg) the
-kernel is njit-compiled and must clear a **>=5x** speedup over the
-interpreter; without numba the kernel runs uncompiled and only the
-bit-identity claims are asserted (an uncompiled array kernel is scalar
-Python over numpy cells — slower than the interpreter, and never the
-auto-selected engine).
+Times a 64-interval detailed run on both steppers of the detailed
+interval loop — the object-model interpreter (``jit.set_jit(False)``)
+and the compiled struct-of-arrays kernel (``jit.set_jit(True)``, a
+batch of one) — and proves bit-identity across {interpreter, kernel} x
+{fresh, checkpoint-resumed} before any timing is trusted.  With numba
+installed (CI's with-numba leg) the kernel must clear a **>=5x**
+speedup over the interpreter; without numba both settings run the
+interpreter and only the bit-identity claims are asserted.
 
-A second leg times the **batched** stepper: a 64-config detailed group
-advanced through one :func:`~repro.uarch.pipeline_kernel
-.step_interval_batch` call per interval
-(:func:`~repro.uarch.detailed.run_detailed_group`, two prange threads)
-against the same 64 configs run job-by-job through the scalar kernel.
-Bit-identity is asserted member-for-member, fresh and resumed from
-identical mid-run snapshots; with numba the batched path must clear
-**>=3x** over the scalar kernel in both cases.
+A second leg times a **group**: 64 configs advanced through one
+compiled ``prange`` call per interval
+(:func:`~repro.uarch.detailed.run_detailed_group`, two threads) against
+the same 64 configs run job by job (``job.run()``, each a compiled
+batch of one).  Bit-identity is asserted member-for-member, fresh and
+resumed from identical mid-run snapshots; with numba the group must
+clear **>=3x** over per-job runs in both cases.
 
-All engines are measured warm — the trace memo is shared state, njit
+All runs are measured warm — the trace memo is shared state, njit
 compilation (persistent-cache or in-memory) happens on an untimed
 warm-up pass — best of two runs.  Results land in
-``BENCH_detailed_kernel.json`` (CI artifact).
+``BENCH_detailed_kernel.json`` (CI artifact); ``numba_available``
+records whether the compiled kernel ran.
 """
 
 import dataclasses
@@ -41,20 +39,19 @@ from repro.uarch import jit
 from repro.uarch.detailed import DetailedSimulator, run_detailed_group
 from repro.uarch.jit import jit_available
 from repro.uarch.params import baseline_config
-from repro.uarch.pipeline import OutOfOrderCore
 
 N_SAMPLES = 64
 IPS = 1000
 CHECKPOINT_EVERY = 8
-CRASH_AFTER = 25      # warmup + 24 measured intervals; snapshot at 24
+CRASH_AT = 25         # crash before interval 25; snapshot at 24
 MIN_SPEEDUP = 5.0
 
 # Batched leg: shorter intervals over a wide config axis — the shape a
 # detailed DSE group actually has (many near-identical configs, one
 # workload), where per-core call overhead is the bottleneck batching
-# removes.  Without numba both paths run the same scalar interpreter
-# per row (parity is the only claim, no floor), so the leg shrinks to
-# keep the numba-less CI legs fast.
+# removes.  Without numba both paths run the interpreter (parity is the
+# only claim, no floor), so the leg shrinks to keep the numba-less CI
+# legs fast.
 BATCH_SIZE = 64 if jit_available() else 16
 BATCH_SAMPLES = 32 if jit_available() else 16
 BATCH_IPS = 250
@@ -84,63 +81,69 @@ def _digest(result) -> str:
 
 
 @contextmanager
-def _forced_engine(engine):
-    original = OutOfOrderCore.run_interval
-    OutOfOrderCore.run_interval = (
-        lambda self, trace, _original=original, _engine=engine:
-            _original(self, trace, engine=_engine))
+def _stepper(compiled):
+    """Run on the compiled kernel (where numba is installed) or the
+    interpreter."""
+    jit.set_jit(compiled)
     try:
         yield
     finally:
-        OutOfOrderCore.run_interval = original
-
-
-def _run(engine, **kwargs):
-    with _forced_engine(engine):
-        return DetailedSimulator(baseline_config()).run(
-            "gcc", n_samples=N_SAMPLES, instructions_per_sample=IPS,
-            **kwargs)
-
-
-def _timed_run(engine):
-    best = float("inf")
-    digest = None
-    for _ in range(2):
-        start = time.perf_counter()
-        result = _run(engine)
-        wall = time.perf_counter() - start
-        best = min(best, wall)
-        digest = _digest(result)
-    return digest, best
+        jit.set_jit(None)
 
 
 class _Crash(Exception):
     pass
 
 
-def _resumed_digest(engine, path):
-    """Crash a checkpointing run mid-benchmark, resume it, digest it."""
-    original = OutOfOrderCore.run_interval
-    calls = [0]
+@contextmanager
+def _crash_before(interval):
+    """Make the detailed interval loop raise when it reaches measured
+    ``interval``, on either stepper."""
+    original = detailed_module.synthesize_interval
 
-    def crashing(self, trace, _original=original):
-        calls[0] += 1
-        if calls[0] > CRASH_AFTER:
+    def crashing(workload, i, n, ips, seed=None):
+        if i == interval and seed is None:
             raise _Crash()
-        return _original(self, trace, engine=engine)
+        if seed is None:
+            return original(workload, i, n, ips)
+        return original(workload, i, n, ips, seed=seed)
 
-    OutOfOrderCore.run_interval = crashing
+    detailed_module.synthesize_interval = crashing
     try:
-        DetailedSimulator(baseline_config()).run(
-            "gcc", n_samples=N_SAMPLES, instructions_per_sample=IPS,
-            checkpoint_every=CHECKPOINT_EVERY, checkpoint_path=path)
+        yield
         raise AssertionError("crash injection never fired")
     except _Crash:
         pass
     finally:
-        OutOfOrderCore.run_interval = original
+        detailed_module.synthesize_interval = original
+
+
+def _run(compiled, **kwargs):
+    with _stepper(compiled):
+        return DetailedSimulator(baseline_config()).run(
+            "gcc", n_samples=N_SAMPLES, instructions_per_sample=IPS,
+            **kwargs)
+
+
+def _timed_run(compiled):
+    best = float("inf")
+    digest = None
+    for _ in range(2):
+        start = time.perf_counter()
+        result = _run(compiled)
+        wall = time.perf_counter() - start
+        best = min(best, wall)
+        digest = _digest(result)
+    return digest, best
+
+
+def _resumed_digest(compiled, path):
+    """Crash a checkpointing run mid-benchmark, resume it, digest it."""
+    with _crash_before(CRASH_AT):
+        _run(compiled, checkpoint_every=CHECKPOINT_EVERY,
+             checkpoint_path=path)
     assert path.exists(), "no checkpoint written before the crash"
-    return _digest(_run(engine, checkpoint_every=CHECKPOINT_EVERY,
+    return _digest(_run(compiled, checkpoint_every=CHECKPOINT_EVERY,
                         checkpoint_path=path))
 
 
@@ -151,21 +154,18 @@ def test_goldens_unchanged():
 
 
 def test_kernel_bit_identity_and_speedup(tmp_path):
-    kernel_engine = "kernel" if jit_available() else "kernel-interp"
-
     # Warm the trace memo (and trigger njit compilation when numba is
     # present) before anything is timed.
-    _run("python")
-    _run(kernel_engine)
+    _run(False)
+    _run(True)
 
-    interp_digest, interp_wall = _timed_run("python")
-    kernel_digest, kernel_wall = _timed_run(kernel_engine)
+    interp_digest, interp_wall = _timed_run(False)
+    kernel_digest, kernel_wall = _timed_run(True)
     assert kernel_digest == interp_digest, (
         "kernel and interpreter streams diverged")
 
-    resumed_interp = _resumed_digest("python", tmp_path / "interp.ckpt.npz")
-    resumed_kernel = _resumed_digest(kernel_engine,
-                                     tmp_path / "kernel.ckpt.npz")
+    resumed_interp = _resumed_digest(False, tmp_path / "interp.ckpt.npz")
+    resumed_kernel = _resumed_digest(True, tmp_path / "kernel.ckpt.npz")
     assert resumed_interp == interp_digest, (
         "checkpoint-resumed interpreter run diverged from a fresh one")
     assert resumed_kernel == interp_digest, (
@@ -174,9 +174,9 @@ def test_kernel_bit_identity_and_speedup(tmp_path):
     speedup = interp_wall / kernel_wall
     compiled = jit_available()
     print(f"\n{N_SAMPLES}x{IPS} gcc/baseline: interpreter "
-          f"{interp_wall:.3f}s, kernel[{kernel_engine}] {kernel_wall:.3f}s "
-          f"({speedup:.1f}x); fresh/resumed digests identical across "
-          f"engines")
+          f"{interp_wall:.3f}s, JIT setting {kernel_wall:.3f}s "
+          f"({speedup:.1f}x, numba {'present' if compiled else 'absent'}); "
+          f"fresh/resumed digests identical across steppers")
     if compiled:
         assert speedup >= MIN_SPEEDUP, (
             f"compiled kernel speedup {speedup:.2f}x below the "
@@ -188,7 +188,6 @@ def test_kernel_bit_identity_and_speedup(tmp_path):
         "n_samples": N_SAMPLES,
         "instructions_per_sample": IPS,
         "numba_available": compiled,
-        "kernel_engine": kernel_engine,
         "interpreter_wall_seconds": round(interp_wall, 4),
         "kernel_wall_seconds": round(kernel_wall, 4),
         "speedup": round(speedup, 2),
@@ -241,76 +240,57 @@ def _timed(fn, reps=2):
 
 
 def test_batched_kernel_bit_identity_and_speedup(tmp_path):
-    kernel_engine = "kernel" if jit_available() else "kernel-interp"
     jit.set_jit_threads(BATCH_THREADS)
     try:
-        jobs = _batch_jobs()
+        with _stepper(True):
+            jobs = _batch_jobs()
 
-        # Warm-up, off the measured path: trace memo, the scalar-kernel
-        # njit compile, and the prange batch-loop compile all land here.
-        def scalar_leg():
-            with _forced_engine(kernel_engine):
+            # Warm-up, off the measured path: trace memo and the prange
+            # batch-loop compile land here.
+            def scalar_leg():
                 return [job.run() for job in jobs]
 
-        scalar_digests = [_digest(r) for r in scalar_leg()]
-        warm = run_detailed_group(jobs, engine="batch")
-        assert [_digest(r) for r in warm] == scalar_digests, (
-            "batched streams diverged from per-job scalar kernel runs")
+            scalar_digests = [_digest(r) for r in scalar_leg()]
+            warm = run_detailed_group(jobs)
+            assert [_digest(r) for r in warm] == scalar_digests, (
+                "group streams diverged from per-job runs")
 
-        scalar_results, scalar_wall = _timed(scalar_leg)
-        batch_results, batch_wall = _timed(
-            lambda: run_detailed_group(jobs, engine="batch"))
-        assert [_digest(r) for r in scalar_results] == scalar_digests
-        assert [_digest(r) for r in batch_results] == scalar_digests
+            scalar_results, scalar_wall = _timed(scalar_leg)
+            batch_results, batch_wall = _timed(
+                lambda: run_detailed_group(jobs))
+            assert [_digest(r) for r in scalar_results] == scalar_digests
+            assert [_digest(r) for r in batch_results] == scalar_digests
 
-        # Resumed leg: crash one checkpointing batched run mid-stream,
-        # clone the snapshot directory, and resume the identical
-        # snapshots through both paths.
-        dir_scalar = tmp_path / "ckpt-scalar"
-        dir_batch = tmp_path / "ckpt-batch"
-        jobs_scalar = _batch_jobs(dir_scalar)
-        jobs_batch = _batch_jobs(dir_batch)
-        original = detailed_module.synthesize_interval
+            # Resumed leg: crash one checkpointing group run mid-stream,
+            # clone the snapshot directory, and resume the identical
+            # snapshots both ways.
+            dir_scalar = tmp_path / "ckpt-scalar"
+            dir_batch = tmp_path / "ckpt-batch"
+            jobs_scalar = _batch_jobs(dir_scalar)
+            jobs_batch = _batch_jobs(dir_batch)
+            with _crash_before(BATCH_CRASH_AT):
+                run_detailed_group(jobs_scalar)
+            snapshots = list(dir_scalar.glob("*.ckpt.npz"))
+            assert len(snapshots) == BATCH_SIZE, (
+                "expected one mid-stream snapshot per group member")
+            shutil.copytree(dir_scalar, dir_batch)
 
-        def crashing(workload, i, n, ips, seed=None):
-            if i == BATCH_CRASH_AT and seed is None:
-                raise _Crash()
-            if seed is None:
-                return original(workload, i, n, ips)
-            return original(workload, i, n, ips, seed=seed)
-
-        detailed_module.synthesize_interval = crashing
-        try:
-            run_detailed_group(jobs_scalar, engine="batch")
-            raise AssertionError("crash injection never fired")
-        except _Crash:
-            pass
-        finally:
-            detailed_module.synthesize_interval = original
-        snapshots = list(dir_scalar.glob("*.ckpt.npz"))
-        assert len(snapshots) == BATCH_SIZE, (
-            "expected one mid-stream snapshot per group member")
-        shutil.copytree(dir_scalar, dir_batch)
-
-        def scalar_resume():
-            with _forced_engine(kernel_engine):
-                return [job.run() for job in jobs_scalar]
-
-        resumed_scalar, scalar_resumed_wall = _timed(scalar_resume, reps=1)
-        resumed_batch, batch_resumed_wall = _timed(
-            lambda: run_detailed_group(jobs_batch, engine="batch"), reps=1)
-        assert [_digest(r) for r in resumed_scalar] == scalar_digests, (
-            "scalar-resumed streams diverged from fresh runs")
-        assert [_digest(r) for r in resumed_batch] == scalar_digests, (
-            "batch-resumed streams diverged from fresh runs")
+            resumed_scalar, scalar_resumed_wall = _timed(
+                lambda: [job.run() for job in jobs_scalar], reps=1)
+            resumed_batch, batch_resumed_wall = _timed(
+                lambda: run_detailed_group(jobs_batch), reps=1)
+            assert [_digest(r) for r in resumed_scalar] == scalar_digests, (
+                "per-job resumed streams diverged from fresh runs")
+            assert [_digest(r) for r in resumed_batch] == scalar_digests, (
+                "group-resumed streams diverged from fresh runs")
     finally:
         jit.set_jit_threads(None)
 
     compiled = jit_available()
     speedup = scalar_wall / batch_wall
     resumed_speedup = scalar_resumed_wall / batch_resumed_wall
-    print(f"\nB={BATCH_SIZE} x {BATCH_SAMPLES}x{BATCH_IPS} gcc: scalar "
-          f"kernel {scalar_wall:.3f}s, batched {batch_wall:.3f}s "
+    print(f"\nB={BATCH_SIZE} x {BATCH_SAMPLES}x{BATCH_IPS} gcc: per-job "
+          f"{scalar_wall:.3f}s, batched {batch_wall:.3f}s "
           f"({speedup:.1f}x fresh); resumed {scalar_resumed_wall:.3f}s vs "
           f"{batch_resumed_wall:.3f}s ({resumed_speedup:.1f}x); "
           f"{BATCH_THREADS} threads, digests identical")

@@ -24,17 +24,15 @@ Everything around the kernel is unchanged by design:
 * **ordering** — results align index-for-index with the submitted
   chunk, whatever the grouping.
 
-Detailed-backend jobs group too — same benchmark/workload/resolution.
-With JIT enabled the whole group advances through one stacked
-:func:`~repro.uarch.pipeline_kernel.step_interval_batch` call per
-interval (:func:`~repro.uarch.detailed.run_detailed_group`: per-core
-state gains a leading config axis, optionally ``prange``-threaded —
-see :func:`detailed_batch_enabled`); otherwise members run one by one
-through ``job.run()``, where the win is trace-memo sharing (the
-group's members synthesize identical interval traces, so one synthesis
-feeds the whole group — see :mod:`repro.workloads.generator`).
-Interval jobs with no groupmate in their chunk run through
-``job.run()`` as always.
+Detailed-backend jobs group too — same benchmark/workload/resolution —
+and every multi-member detailed group runs through
+:func:`~repro.uarch.detailed.run_detailed_group`: one synthesized trace
+per interval feeds the whole group, stepped by one of two
+bit-identical steppers.  With ``REPRO_JIT`` on and numba importable
+(:func:`detailed_batch_enabled`) that is one compiled ``prange`` batch
+kernel call per interval over config-stacked state; otherwise it is
+the interpreter, member by member.  Jobs with no groupmate in their
+chunk run through ``job.run()`` as always.
 ``REPRO_BATCH_KERNEL=0`` disables grouping entirely (the escape hatch;
 the scalar path is the same code as a batch of one, so this only
 changes speed, not bits).
@@ -56,14 +54,13 @@ def batch_kernel_enabled() -> bool:
 
 
 def detailed_batch_enabled() -> bool:
-    """Whether detailed groups run through the stacked batch stepper.
+    """Whether detailed runs step with the compiled batch kernel.
 
     Requires grouped dispatch (``REPRO_BATCH_KERNEL``) *and* an enabled
-    JIT: without numba the batched loop calls the same scalar
-    interpreter per row, so per-job execution is just as fast and keeps
-    the historical dispatch.  Routing only changes speed, never bits —
-    :func:`repro.uarch.detailed.run_detailed_group` is pinned
-    bit-identical to ``job.run()`` by the golden digests.
+    JIT (``REPRO_JIT`` plus numba importable); otherwise the detailed
+    interval loop steps with the interpreter.  The choice only changes
+    speed, never bits — both steppers are pinned to the same golden
+    digests.
     """
     from repro.uarch.jit import jit_enabled
 
@@ -80,12 +77,9 @@ def group_signature(job: SimJob) -> Optional[Tuple]:
 
     Detailed jobs group on ``("detailed", benchmark, workload,
     n_samples, instructions_per_sample)`` — a distinct shape from the
-    interval 4-tuple, so the backends never intermix.  A detailed group
-    runs its members sequentially (the cycle-level core is inherently
-    serial per config), but groupmates synthesize identical traces, so
-    running them consecutively turns the trace memo
-    (:mod:`repro.workloads.generator`) into per-group sharing: one
-    synthesis pays for the whole group.
+    interval 4-tuple, so the backends never intermix.  Groupmates
+    simulate identical interval traces, so one synthesis per interval
+    pays for the whole group.
     """
     workload = (job.benchmark if job.workload is None
                 else _canonical(job.workload))
@@ -141,19 +135,12 @@ def run_group(jobs: Sequence[SimJob], indices: Sequence[int],
     """Run one planned group; results align with ``indices``."""
     if len(indices) == 1:
         return [jobs[indices[0]].run()]
-    if jobs[indices[0]].backend == "detailed":
-        if detailed_batch_enabled():
-            # One stacked kernel call per interval for the whole group
-            # (checkpointing, warmup and result assembly stay per-member
-            # inside run_detailed_group, bit-identical to job.run()).
-            from repro.uarch.detailed import run_detailed_group
+    group = [jobs[i] for i in indices]
+    if group[0].backend == "detailed":
+        from repro.uarch.detailed import run_detailed_group
 
-            return run_detailed_group([jobs[i] for i in indices])
-        # Sequential fallback: trace-memo sharing is the batching
-        # (checkpointing, JIT-vs-interpreter selection and result
-        # assembly all live inside job.run(), bit-identical).
-        return [jobs[i].run() for i in indices]
-    return _run_interval_group([jobs[i] for i in indices])
+        return run_detailed_group(group)
+    return _run_interval_group(group)
 
 
 def run_jobs(jobs: Sequence[SimJob]) -> List[SimulationResult]:

@@ -1,4 +1,4 @@
-"""numba-compiled twin of :func:`repro.uarch.pipeline_kernel.step_interval_batch`.
+"""The numba-compiled ``prange`` batch loop of the detailed kernel.
 
 Importing this module requires numba: it compiles the scalar
 :func:`~repro.uarch.pipeline_kernel.step_interval` into a module-level
@@ -11,14 +11,12 @@ reliable way to call one jitted function from another parallel one
 ``step_batch`` is reached only through
 :func:`repro.uarch.pipeline_kernel.compiled_batch_step`, which treats
 any import failure here (numba absent, compilation error) as "no
-compiled batch stepper" and falls back to the plain-``range``
-interpreter twin.  The loop body below must stay line-for-line
-equivalent to that fallback: same row slicing, same ``active`` test
-(no ``continue`` — parfors dislike it), same argument order.  Rows are
-fully independent (each iteration touches only row ``b`` plus the
-shared read-only trace, and ``step_interval`` allocates its scratch
-per call, i.e. thread-locally), so the prange schedule cannot affect
-results: output is bit-identical to the serial loop at any thread
+compiled batch stepper"; the detailed interval loop then runs the
+interpreter.  The ``active`` test below has no ``continue`` (parfors
+dislike it).  Rows are fully independent (each iteration touches only
+row ``b`` plus the shared read-only trace, and ``step_interval``
+allocates its scratch per call, i.e. thread-locally), so the prange
+schedule cannot affect results: output is bit-identical at any thread
 count.
 """
 
@@ -29,8 +27,7 @@ from numba import prange  # noqa: F401  (resolved inside the jitted loop)
 from repro.uarch import pipeline_kernel as _pk
 from repro.uarch.jit import compile_njit
 
-#: Compiled scalar stepper, shared with the scalar kernel path (same
-#: ``(fn, flags)`` memo key in :func:`compile_njit`, so no recompile).
+#: Compiled per-core stepper the batch loop calls for each active row.
 _step = compile_njit(_pk.step_interval)
 if not _step:
     raise ImportError("numba unavailable: no compiled batch stepper")

@@ -6,17 +6,28 @@ CPI / power / AVF / IQ-AVF traces as the interval backend — the ground
 truth used for mechanism studies (the DVM case study) and for validating
 the interval model's first-order equations.
 
+One private interval loop drives every detailed run: a single
+:meth:`DetailedSimulator.run` is a one-member call into it, and
+:func:`run_detailed_group` drives a group of jobs sharing a workload
+through it, one synthesized trace per interval for the whole group.
+Each interval the loop steps its cores with the compiled ``prange``
+batch kernel (:mod:`repro.uarch.pipeline_kernel`) when
+:func:`repro.engine.kernel.detailed_batch_enabled` holds (``REPRO_JIT``
+on and numba importable), and otherwise with the interpreter,
+:meth:`~repro.uarch.pipeline.OutOfOrderCore.run_interval`, per member.
+Both steppers are bit-identical.
+
 Detailed jobs cost seconds each (the engine's dominant expense), so
-:meth:`DetailedSimulator.run` supports **per-interval checkpointing**:
-every ``checkpoint_every`` intervals it atomically snapshots the core's
-full microarchitectural state (caches, predictor, DVM controller, the
+the loop supports **per-interval checkpointing**: every
+``checkpoint_every`` intervals it atomically snapshots each core's full
+microarchitectural state (caches, predictor, DVM controller, the
 cross-interval dependence window) plus the traces measured so far into
 an ``.npz`` file.  A re-run with the same arguments resumes from the
 snapshot and produces a **bit-identical**
 :class:`~repro.uarch.simulator.SimulationResult` — a killed sweep
 restarts mid-benchmark instead of from scratch.  The engine keys
 checkpoint files by job content hash under the cache directory (see
-:func:`checkpoint_settings_from_env` and
+:func:`resolve_checkpoint_settings` and
 :meth:`repro.engine.jobs.SimJob.run`).
 """
 
@@ -27,7 +38,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,7 +56,7 @@ from repro.workloads.spec2000 import get_benchmark
 #: pickled core blob with the engine-independent array snapshot
 #: (:meth:`repro.uarch.pipeline.OutOfOrderCore.snapshot_state`) stored
 #: as plain ``state_*`` arrays — no pickling on either side, and either
-#: execution engine can resume it.  v1 files fail the meta digest (the
+#: stepper can resume it.  v1 files fail the meta digest (the
 #: version participates) and are deleted, never mis-resumed.
 CHECKPOINT_VERSION = "ckpt/v2"
 
@@ -92,19 +103,8 @@ def resolve_checkpoint_settings(every: Optional[int] = None,
     return every, (directory or _default_checkpoint_dir())
 
 
-def checkpoint_settings_from_env() -> Tuple[int, Optional[str]]:
-    """The ``(checkpoint_every, checkpoint_dir)`` environment knobs.
-
-    Kept for library users who configure checkpointing through the
-    environment; equivalent to :func:`resolve_checkpoint_settings` with
-    no explicit overrides.
-    """
-    return resolve_checkpoint_settings(None, None)
-
-
 def _checkpoint_meta(workload: WorkloadModel, config: MachineConfig,
                      n_samples: int, instructions_per_sample: int,
-                     warmup: bool,
                      dvm_controller: Optional[DVMController]) -> str:
     """Digest identifying which run a snapshot belongs to.
 
@@ -113,13 +113,15 @@ def _checkpoint_meta(workload: WorkloadModel, config: MachineConfig,
     (stale files are ignored and deleted).  The workload and any DVM
     policy participate by *content*, not name, so editing a custom
     :class:`WorkloadModel` — or overriding ``dvm_policy`` — between
-    runs invalidates old snapshots too.
+    runs invalidates old snapshots too.  Every run warms up; the
+    literal ``True`` where a warmup flag once stood keeps existing
+    ``ckpt/v2`` snapshots resumable.
     """
     from repro.engine.jobs import _canonical
 
     policy = _canonical(dvm_controller.policy) if dvm_controller else None
     parts = (CHECKPOINT_VERSION, _canonical(workload), n_samples,
-             instructions_per_sample, bool(warmup), config.key(), policy)
+             instructions_per_sample, True, config.key(), policy)
     return hashlib.sha256(repr(parts).encode("utf8")).hexdigest()
 
 
@@ -266,14 +268,14 @@ class DetailedSimulator:
             self.dvm_controller = None
 
     def run(self, workload: Union[str, WorkloadModel], n_samples: int = 64,
-            instructions_per_sample: int = 1000, warmup: bool = True,
+            instructions_per_sample: int = 1000,
             checkpoint_every: Optional[int] = None,
             checkpoint_path=None):
         """Simulate ``n_samples`` intervals and assemble the result.
 
-        With ``warmup=True`` an extra unmeasured copy of the first
-        interval is simulated first, standing in for the paper's
-        fast-forward to the SimPoint region (caches and predictor warm).
+        An extra unmeasured copy of the first interval is simulated
+        first, standing in for the paper's fast-forward to the SimPoint
+        region (caches and predictor warm).
 
         With ``checkpoint_every`` and ``checkpoint_path`` set, the full
         simulation state is snapshotted every ``checkpoint_every``
@@ -285,213 +287,139 @@ class DetailedSimulator:
         Returns a :class:`~repro.uarch.simulator.SimulationResult`
         (imported lazily to avoid a module cycle).
         """
-        from repro.uarch.pipeline import OutOfOrderCore
-        from repro.uarch.simulator import SimulationResult
-
         if isinstance(workload, str):
             workload = get_benchmark(workload)
-        if n_samples < 1 or instructions_per_sample < 1:
-            raise SimulationError(
-                "n_samples and instructions_per_sample must be >= 1"
-            )
-        checkpointing = (checkpoint_path is not None
-                         and checkpoint_every is not None
-                         and checkpoint_every > 0)
-        if checkpointing:
-            checkpoint_path = Path(checkpoint_path)
-            meta = _checkpoint_meta(workload, self.config, n_samples,
-                                    instructions_per_sample, warmup,
-                                    self.dvm_controller)
-
-        start_interval = 0
-        core = None
-        if checkpointing:
-            resumed = _load_checkpoint(checkpoint_path, meta, n_samples,
-                                       self.config, self.dvm_controller)
-            if resumed is not None:
-                core, traces, start_interval = resumed
-                (cpi, power, avf, iq_avf, mispredicts, throttled) = traces
-        if core is None:
-            core = OutOfOrderCore(self.config, dvm=self.dvm_controller)
-            if warmup:
-                core.run_interval(
-                    synthesize_interval(workload, 0, n_samples,
-                                        instructions_per_sample, seed=1)
-                )
-            cpi = np.empty(n_samples)
-            power = np.empty(n_samples)
-            avf = np.empty(n_samples)
-            iq_avf = np.empty(n_samples)
-            mispredicts = np.empty(n_samples)
-            throttled = np.empty(n_samples)
-
-        power_model = WattchModel(self.config)
-        avf_model = AVFModel(self.config)
-
-        for i in range(start_interval, n_samples):
-            trace = synthesize_interval(workload, i, n_samples,
-                                        instructions_per_sample)
-            stats = core.run_interval(trace)
-            cpi[i] = stats.cpi
-            power[i] = power_model.power_from_counters(stats.counters,
-                                                       stats.cycles)
-            structure_avf = avf_model.avf_from_counters(stats.ace_bit_cycles,
-                                                        stats.cycles)
-            avf[i] = structure_avf["processor"]
-            iq_avf[i] = structure_avf["iq"]
-            mispredicts[i] = stats.branch_mispredicts / stats.instructions
-            throttled[i] = stats.dvm_throttled_cycles / stats.cycles
-            if (checkpointing and (i + 1) % checkpoint_every == 0
-                    and i + 1 < n_samples):
-                _save_checkpoint(checkpoint_path, meta, i + 1, core,
-                                 (cpi, power, avf, iq_avf, mispredicts,
-                                  throttled))
-
-        if checkpointing:
-            try:
-                checkpoint_path.unlink()  # the run completed; snapshot stale
-            except OSError:
-                pass
-
-        return SimulationResult(
-            benchmark=workload.name,
-            config=self.config,
-            n_samples=n_samples,
-            backend="detailed",
-            traces={"cpi": cpi, "power": power, "avf": avf,
-                    "iq_avf": iq_avf},
-            components={"mispredict_rate": mispredicts,
-                        "dvm_throttled_frac": throttled},
-        )
+        every, path = 0, None
+        if (checkpoint_path is not None and checkpoint_every is not None
+                and checkpoint_every > 0):
+            every, path = checkpoint_every, Path(checkpoint_path)
+        return _simulate(workload, n_samples, instructions_per_sample,
+                         [(self.config, self.dvm_controller, every, path)])[0]
 
 
-def run_detailed_group(jobs, engine: Optional[str] = None):
+def run_detailed_group(jobs):
     """Run a group of detailed jobs sharing one workload signature as
-    one batched interval stream.
+    one interval stream: the group twin of ``[job.run() for job in
+    jobs]``, bit-identical to it.
 
-    The batched twin of ``[job.run() for job in jobs]``: every member's
-    core state is stacked into one
-    :class:`~repro.uarch.pipeline_kernel.BatchKernelState` and each
-    interval advances the whole group through a single
-    :func:`~repro.uarch.pipeline_kernel.step_interval_batch` call
-    against the group's one synthesized trace.  Everything *around* the
-    kernel stays per-member and exactly mirrors
-    :meth:`DetailedSimulator.run`: checkpoint resolution/resume/save
-    uses each job's own settings and content-hash path in the unchanged
-    ``ckpt/v2`` format (a member's :class:`KernelState` arrays are
-    views into the stacked batch, so its per-core snapshot slices out
-    unchanged), warmup runs only for members starting fresh (resumed
-    members sit out via the ``active`` mask — ragged groups are the
-    normal case after a partial crash), and power / AVF / mispredict
-    post-processing calls the exact scalar model code per member.
-
-    ``engine`` selects the stepper: ``None``/``"auto"`` and ``"batch"``
-    use the compiled ``prange`` kernel when numba is importable (plain
-    loop otherwise); ``"batch-interp"`` forces the plain loop (the
-    parity-test configuration); ``"per-job"`` bypasses batching
-    entirely.  All engines are bit-identical.  Results align with
-    ``jobs``.
+    Each interval is synthesized once for the whole group and stepped
+    for every member (through the compiled batch kernel when
+    :func:`repro.engine.kernel.detailed_batch_enabled` holds).
+    Checkpoint resolution, resume and save use each job's own settings
+    and content-hash path in the unchanged ``ckpt/v2`` format, so
+    ragged groups (some members resuming, some fresh) are the normal
+    case after a partial crash.  Results align with ``jobs``.
     """
-    from repro.uarch.pipeline import COUNTER_KEYS, OutOfOrderCore
-    from repro.uarch.pipeline_kernel import (
-        ACE_IQ, ACE_LSQ, ACE_REGFILE, ACE_ROB, OI_MISPREDICTS, OI_THROTTLED,
-        BatchKernelState, run_interval_on_batch)
-    from repro.uarch.simulator import SimulationResult
-
     jobs = list(jobs)
-    if engine in (None, "auto"):
-        engine = "batch"
-    if engine == "per-job":
-        return [job.run() for job in jobs]
-    if engine not in ("batch", "batch-interp"):
-        raise SimulationError(
-            f"unknown detailed group engine {engine!r}; choose from "
-            f"(None, 'auto', 'batch', 'batch-interp', 'per-job')"
-        )
-    compiled = engine == "batch"
     if not jobs:
         return []
-
     lead = jobs[0]
-    n_samples = lead.n_samples
-    ips = lead.instructions_per_sample
     for job in jobs:
         if (job.backend != "detailed" or job.benchmark != lead.benchmark
-                or job.n_samples != n_samples
-                or job.instructions_per_sample != ips):
+                or job.n_samples != lead.n_samples
+                or job.instructions_per_sample
+                != lead.instructions_per_sample):
             raise SimulationError(
                 "detailed group members must share benchmark, n_samples "
                 "and instructions_per_sample"
             )
     workload = (lead.workload if lead.workload is not None
                 else get_benchmark(lead.benchmark))
-
-    members = []
+    runs = []
     for job in jobs:
-        dvm = DetailedSimulator(job.config).dvm_controller
         every, directory = resolve_checkpoint_settings(
             job.checkpoint_every, job.checkpoint_dir)
-        path = meta = None
-        if every:
-            path = Path(directory) / f"{job.key()}.ckpt.npz"
-            meta = _checkpoint_meta(workload, job.config, n_samples, ips,
-                                    True, dvm)
-        core = None
+        path = Path(directory) / f"{job.key()}.ckpt.npz" if every else None
+        runs.append((job.config, DetailedSimulator(job.config).dvm_controller,
+                     every, path))
+    return _simulate(workload, lead.n_samples, lead.instructions_per_sample,
+                     runs)
+
+
+def _simulate(workload: WorkloadModel, n_samples: int, ips: int,
+              runs) -> List:
+    """The detailed interval loop; one result per member of ``runs``.
+
+    ``runs`` holds one ``(config, dvm_controller, checkpoint_every,
+    checkpoint_path)`` per member (``checkpoint_every`` 0 and path
+    ``None`` when not checkpointing).  A member with a matching
+    snapshot resumes from it; every other member starts fresh after an
+    unmeasured warmup interval (resumed cores warmed before their
+    snapshot was taken).  Members sit out the intervals before their
+    start through the ``active`` mask.  Power, AVF, mispredict and
+    throttle post-processing calls the scalar model code per member.
+    """
+    from repro.engine.kernel import detailed_batch_enabled
+    from repro.uarch.pipeline import OutOfOrderCore
+    from repro.uarch.simulator import SimulationResult
+
+    if n_samples < 1 or ips < 1:
+        raise SimulationError(
+            "n_samples and instructions_per_sample must be >= 1"
+        )
+    members = []
+    for config, dvm, every, path in runs:
+        core = meta = None
         start = 0
-        if path is not None:
-            resumed = _load_checkpoint(path, meta, n_samples, job.config, dvm)
+        if every:
+            meta = _checkpoint_meta(workload, config, n_samples, ips, dvm)
+            resumed = _load_checkpoint(path, meta, n_samples, config, dvm)
             if resumed is not None:
                 core, traces, start = resumed
         if core is None:
-            core = OutOfOrderCore(job.config, dvm=dvm)
+            core = OutOfOrderCore(config, dvm=dvm)
             traces = [np.empty(n_samples) for _ in _TRACE_FIELDS]
         members.append({
-            "job": job, "core": core, "traces": traces, "start": start,
-            "every": every, "path": path, "meta": meta,
-            "power": WattchModel(job.config), "avf": AVFModel(job.config),
+            "config": config, "core": core, "traces": traces,
+            "start": start, "every": every, "path": path, "meta": meta,
+            "power": WattchModel(config), "avf": AVFModel(config),
         })
 
     cores = [member["core"] for member in members]
-    batch = BatchKernelState([core._enter_kernel_mode() for core in cores])
+    batch = None
+    if detailed_batch_enabled():
+        # Imported here so interpreter-only processes never load it.
+        from repro.uarch import pipeline_kernel
 
-    # Unmeasured warmup interval — fresh members only (resumed cores
-    # already warmed before their snapshot was taken).
-    fresh = np.array([1 if member["start"] == 0 else 0
-                      for member in members], dtype=np.uint8)
+        if pipeline_kernel.compiled_batch_step():
+            batch = pipeline_kernel.BatchKernelState(
+                [core._enter_kernel_mode() for core in cores])
+
+    def step(trace, active):
+        """One interval for the active members: stats per member, or
+        ``None`` where inactive."""
+        if batch is not None:
+            return pipeline_kernel.run_interval_on_batch(cores, batch, trace,
+                                                         active)
+        return [core.run_interval(trace) if on else None
+                for core, on in zip(cores, active)]
+
+    fresh = np.array([member["start"] == 0 for member in members],
+                     dtype=np.uint8)
     if fresh.any():
-        warm = synthesize_interval(workload, 0, n_samples, ips, seed=1)
-        run_interval_on_batch(cores, batch, warm, fresh, compiled=compiled)
+        step(synthesize_interval(workload, 0, n_samples, ips, seed=1), fresh)
 
-    first = min(member["start"] for member in members)
-    for i in range(first, n_samples):
+    for i in range(min(member["start"] for member in members), n_samples):
         trace = synthesize_interval(workload, i, n_samples, ips)
-        active = np.array([1 if member["start"] <= i else 0
-                           for member in members], dtype=np.uint8)
-        out_counters, out_ace, out_ints, cycles = run_interval_on_batch(
-            cores, batch, trace, active, compiled=compiled)
-        n_instr = len(trace)
-        for b, member in enumerate(members):
-            if not active[b]:
+        active = np.array([member["start"] <= i for member in members],
+                          dtype=np.uint8)
+        for member, stats in zip(members, step(trace, active)):
+            if stats is None:
                 continue
-            counters = {key: float(out_counters[b, index])
-                        for index, key in enumerate(COUNTER_KEYS)}
-            ace = {"iq": float(out_ace[b, ACE_IQ]),
-                   "rob": float(out_ace[b, ACE_ROB]),
-                   "lsq": float(out_ace[b, ACE_LSQ]),
-                   "regfile": float(out_ace[b, ACE_REGFILE])}
-            n_cycles = int(cycles[b])
             cpi, power, avf, iq_avf, mispredicts, throttled = member["traces"]
-            cpi[i] = n_cycles / n_instr
-            power[i] = member["power"].power_from_counters(counters, n_cycles)
-            structure_avf = member["avf"].avf_from_counters(ace, n_cycles)
+            cpi[i] = stats.cpi
+            power[i] = member["power"].power_from_counters(stats.counters,
+                                                           stats.cycles)
+            structure_avf = member["avf"].avf_from_counters(
+                stats.ace_bit_cycles, stats.cycles)
             avf[i] = structure_avf["processor"]
             iq_avf[i] = structure_avf["iq"]
-            mispredicts[i] = int(out_ints[b, OI_MISPREDICTS]) / n_instr
-            throttled[i] = int(out_ints[b, OI_THROTTLED]) / n_cycles
+            mispredicts[i] = stats.branch_mispredicts / stats.instructions
+            throttled[i] = stats.dvm_throttled_cycles / stats.cycles
             if (member["every"] and (i + 1) % member["every"] == 0
                     and i + 1 < n_samples):
                 _save_checkpoint(member["path"], member["meta"], i + 1,
-                                 member["core"], tuple(member["traces"]))
+                                 member["core"], member["traces"])
 
     results = []
     for member in members:
@@ -503,7 +431,7 @@ def run_detailed_group(jobs, engine: Optional[str] = None):
         cpi, power, avf, iq_avf, mispredicts, throttled = member["traces"]
         results.append(SimulationResult(
             benchmark=workload.name,
-            config=member["job"].config,
+            config=member["config"],
             n_samples=n_samples,
             backend="detailed",
             traces={"cpi": cpi, "power": power, "avf": avf,

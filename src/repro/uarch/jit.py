@@ -157,7 +157,7 @@ def jit_cache_dir() -> Optional[str]:
 
 #: Compiled-dispatcher cache for :func:`compile_njit`, keyed by
 #: ``(function, jit flags)`` — one compilation per distinct signature,
-#: however often engines alternate or :func:`set_jit` toggles.
+#: however often :func:`set_jit` toggles.
 _NJIT_CACHE: dict = {}
 
 
@@ -165,15 +165,14 @@ def compile_njit(fn, parallel: bool = False):
     """``numba.njit(fn)``, compiled lazily once per ``(fn, flags)``.
 
     Returns the dispatcher-wrapped function, or ``False`` when numba is
-    not importable (or compilation fails) — callers then run ``fn``
-    itself, which is by construction the same arithmetic.  Compiled
+    not importable (or compilation fails) — callers then fall back to
+    their pure-Python path, which is the same arithmetic.  Compiled
     without ``fastmath`` so IEEE ordering (and therefore bit-identical
     output) is preserved; shared by the EWMA scan and the detailed
     pipeline kernel (:mod:`repro.uarch.pipeline_kernel`).
 
-    The dispatcher is memoized under ``(fn, parallel)``: engine
-    alternation and :func:`set_jit` toggling only change *dispatch*,
-    never re-trigger compilation.  When :func:`jit_cache_dir` resolves
+    The dispatcher is memoized under ``(fn, parallel)``: :func:`set_jit`
+    toggling only changes *dispatch*, never re-triggers compilation.  When :func:`jit_cache_dir` resolves
     a directory, compilation also lands in numba's on-disk cache there
     (``cache=True``), so fresh processes skip the compile entirely.
     """

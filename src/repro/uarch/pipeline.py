@@ -17,23 +17,23 @@ methodology exactly; per-structure event counters feed the Wattch power
 model.  The optional :class:`~repro.reliability.dvm.DVMController`
 gates dispatch per the paper's Figure 16 pseudocode.
 
-Two bit-identical execution engines advance an interval:
+Two bit-identical steppers advance an interval, chosen per run by
+``REPRO_JIT`` (or ``--jit`` / :func:`repro.uarch.jit.set_jit`) plus
+numba being importable:
 
-``"python"``
-    The interpreter below — object caches
-    (:class:`~repro.uarch.caches.CacheHierarchy`,
-    :class:`~repro.uarch.branch.FrontEnd`) plus a :class:`deque` ROB
-    and a min-heap of outstanding L2 misses.  Always available.
-``"kernel"``
-    The struct-of-arrays kernel (:mod:`repro.uarch.pipeline_kernel`),
-    compiled with ``numba.njit`` when JIT is enabled and numba is
-    importable (``REPRO_JIT`` / ``--jit`` / :func:`repro.uarch.jit.\
-set_jit`), and runnable uncompiled for parity testing.
+* the interpreter below, :meth:`OutOfOrderCore.run_interval` — object
+  caches (:class:`~repro.uarch.caches.CacheHierarchy`,
+  :class:`~repro.uarch.branch.FrontEnd`) plus a :class:`deque` ROB and
+  a min-heap of outstanding L2 misses.  Always available;
+* the struct-of-arrays kernel (:mod:`repro.uarch.pipeline_kernel`),
+  numba-compiled and stepped as a ``prange`` batch over a group's
+  cores by the detailed interval loop (:mod:`repro.uarch.detailed`).
 
-Both engines produce identical cycle / counter / ACE / mispredict /
-throttle streams (``tests/test_detailed_kernel.py`` pins golden sha256
-digests); the core converts its microarchitectural state between the
-two representations through one canonical snapshot format
+Both produce identical cycle / counter / ACE / mispredict / throttle
+streams (``tests/test_detailed_kernel.py`` pins golden sha256 digests
+for each stepper; the kernel cells run where numba is installed).  The
+core converts its microarchitectural state between the two
+representations through one canonical snapshot format
 (:meth:`OutOfOrderCore.snapshot_state`), which is also what detailed
 checkpointing persists.
 
@@ -58,8 +58,9 @@ same integer each cycle and stay far below 2**53, so one ``k * x``
 multiply-add equals ``k`` adds.  The register-file term is not an
 integer, and float addition does not associate, so it repeats the
 per-cycle add ``k`` times.  ``tests/test_detailed_kernel.py``
-(``TestDeadCycleSkip``) checks the two engines against each other to
-the bit.
+(``TestDeadCycleSkip``) checks the two steppers against each other to
+the bit: live where numba is installed, and against digests recorded
+from the kernel everywhere else.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ from repro.reliability.avf import STRUCTURE_BITS
 from repro.reliability.dvm import DVMController
 from repro.uarch.branch import FrontEnd
 from repro.uarch.caches import CacheHierarchy
-from repro.uarch.jit import jit_enabled
 from repro.uarch.params import MachineConfig
 from repro.uarch.trace import EXEC_LATENCY, InstructionTrace, OpClass
 
@@ -172,36 +172,9 @@ class OutOfOrderCore:
         self._last_ready = 0
         # Array-kernel mirror of the microarchitectural state; ``None``
         # while the object representation (hierarchy/front_end) is
-        # authoritative.  See _enter_kernel_mode/_leave_kernel_mode.
+        # authoritative.  Set by _enter_kernel_mode for the compiled
+        # batch stepper; restore_state clears it.
         self._kernel_state = None
-
-    # ------------------------------------------------------------------
-    # Engine dispatch
-    # ------------------------------------------------------------------
-    def run_interval(self, trace: InstructionTrace,
-                     engine: Optional[str] = None) -> IntervalStats:
-        """Simulate one interval; returns its raw statistics.
-
-        ``engine`` selects the execution engine: ``None`` (default)
-        auto-selects the compiled array kernel when JIT is enabled and
-        numba is available, else the interpreter; ``"python"`` forces
-        the interpreter; ``"kernel"`` forces the array kernel (compiled
-        when possible); ``"kernel-interp"`` forces the array kernel
-        executed as plain Python (the parity-test configuration).  All
-        engines are bit-identical.
-        """
-        if engine is None:
-            engine = "kernel" if jit_enabled() else "python"
-        if engine == "python":
-            self._leave_kernel_mode()
-            return self._run_interval_python(trace)
-        if engine in ("kernel", "kernel-interp"):
-            return self._run_interval_kernel(
-                trace, compiled=(engine == "kernel"))
-        raise SimulationError(
-            f"unknown pipeline engine {engine!r}; choose from "
-            f"(None, 'python', 'kernel', 'kernel-interp')"
-        )
 
     # ------------------------------------------------------------------
     # State representation conversion
@@ -215,26 +188,19 @@ class OutOfOrderCore:
                 self.config, self.snapshot_state())
         return self._kernel_state
 
-    def _leave_kernel_mode(self) -> None:
-        """Fold the array mirror back into the object state (idempotent)."""
-        if self._kernel_state is not None:
-            snapshot = self.snapshot_state()
-            self._kernel_state = None
-            self.restore_state(snapshot)
-
     # ------------------------------------------------------------------
     # Canonical state snapshot (checkpoint format v2)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Dict[str, np.ndarray]:
         """The core's microarchitectural state as plain numpy arrays.
 
-        The canonical, engine-independent representation: every cache /
+        The canonical, stepper-independent representation: every cache /
         BTB set as its way tags in LRU order (oldest first, ``-1``
         padding), TLBs as resident pages in LRU order, the gshare
         counter table, and two scalar vectors (``ints`` ordered per
         :data:`SNAPSHOT_INT_FIELDS`, ``floats`` per
         :data:`SNAPSHOT_FLOAT_FIELDS`).  Checkpoint format v2 stores
-        exactly these arrays (no pickling); both engines can export and
+        exactly these arrays (no pickling); both steppers can export and
         import it, which is what proves snapshot round-trips are
         bit-identical (``tests/test_detailed_kernel.py``).
         """
@@ -322,20 +288,21 @@ class OutOfOrderCore:
             self.dvm.sample_count = ints["dvm_sample_count"]
 
     # ------------------------------------------------------------------
-    # Array-kernel engine
+    # Interpreter
     # ------------------------------------------------------------------
-    def _run_interval_kernel(self, trace: InstructionTrace,
-                             compiled: bool) -> IntervalStats:
-        from repro.uarch import pipeline_kernel
+    def run_interval(self, trace: InstructionTrace) -> IntervalStats:
+        """Simulate one interval with the interpreter; returns its raw
+        statistics.
 
-        state = self._enter_kernel_mode()
-        return pipeline_kernel.run_interval_on_state(self, state, trace,
-                                                     compiled=compiled)
-
-    # ------------------------------------------------------------------
-    # Interpreter engine
-    # ------------------------------------------------------------------
-    def _run_interval_python(self, trace: InstructionTrace) -> IntervalStats:
+        A core whose state lives in the array kernel (see
+        :meth:`_enter_kernel_mode`) is stepped by
+        :func:`~repro.uarch.pipeline_kernel.run_interval_on_batch`
+        instead; ``restore_state(snapshot_state())`` hands it back.
+        """
+        if self._kernel_state is not None:
+            raise SimulationError(
+                "core state lives in the array kernel; restore a "
+                "snapshot before running the interpreter")
         cfg = self.config
         stats = IntervalStats(instructions=len(trace))
         # Counters and ACE accumulators as locals (dicts are assembled

@@ -18,12 +18,13 @@ preallocated numpy arrays —
 
 — so :func:`step_interval` advances one whole interval in a single
 call.  The function body is deliberately plain scalar code over these
-arrays: it runs unmodified under CPython (the parity-test
-configuration) and compiles with ``numba.njit`` via
+arrays, compiled with ``numba.njit`` via
 :func:`repro.uarch.jit.compile_njit` (no ``fastmath``, strict IEEE
-ordering), producing bit-identical cycle / counter / ACE / mispredict /
-throttle streams in all three modes.  Golden digests are pinned in
-``tests/test_detailed_kernel.py``.
+ordering) and called per core by the ``prange`` batch loop in
+:mod:`repro.uarch._pipeline_batch_numba`; its cycle / counter / ACE /
+mispredict / throttle streams are bit-identical to the interpreter's.
+Golden digests are pinned in ``tests/test_detailed_kernel.py``, whose
+kernel cells run where numba is installed.
 
 :class:`KernelState` owns the persistent arrays and converts to/from
 the canonical snapshot format of
@@ -39,7 +40,6 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.reliability.avf import STRUCTURE_BITS
-from repro.uarch.jit import compile_njit
 from repro.uarch.params import MachineConfig
 
 # ----------------------------------------------------------------------
@@ -167,7 +167,7 @@ def step_interval(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
                   sc, fc, out_counters, out_ace, out_ints):
     """Advance one interval over the array state; the njit-able body.
 
-    Mirrors ``OutOfOrderCore._run_interval_python`` statement for
+    Mirrors ``OutOfOrderCore.run_interval`` statement for
     statement (same per-cycle phase order, same arithmetic expression
     order), so the emitted statistic streams are bit-identical.  The
     five inlined tags/stamps blocks implement true-LRU set lookup:
@@ -838,11 +838,6 @@ def step_interval(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
     return
 
 
-def compiled_step():
-    """The njit-compiled :func:`step_interval` (``False`` if no numba)."""
-    return compile_njit(step_interval)
-
-
 def _cache_geometry(size_kb: int, assoc: int, line_bytes: int):
     """``(n_sets, set_mask, line_shift)`` — must mirror
     :class:`repro.uarch.caches.SetAssociativeCache` exactly."""
@@ -892,7 +887,7 @@ class KernelState:
     Cache-structure contents, hit/miss totals and the gshare scalars
     live *here* while the core is in kernel mode; DVM / cycle /
     interval scalars are copied in and out around every interval by
-    :func:`run_interval_on_state` so the core object stays their
+    :func:`run_interval_on_batch` so the core object stays their
     authority.
     """
 
@@ -1078,12 +1073,7 @@ class KernelState:
 
 def load_interval_scalars(core, state: KernelState) -> None:
     """Copy the core's interval scalars (cycle, DVM controller state)
-    into the packed ``sc``/``fc``/``cfg`` vectors before a step.
-
-    Shared by the scalar (:func:`run_interval_on_state`) and batched
-    (:func:`run_interval_on_batch`) drivers so the two paths cannot
-    drift: the exact same assignments, in the same order.
-    """
+    into the packed ``sc``/``fc``/``cfg`` vectors before a step."""
     from repro.uarch.pipeline import _MAX_CPI
 
     cfg_i, cfg_f, sc, fc = state.cfg_i, state.cfg_f, state.sc, state.fc
@@ -1135,77 +1125,16 @@ def pack_trace(trace):
             np.ascontiguousarray(trace.ace, dtype=np.uint8))
 
 
-def run_interval_on_state(core, state: KernelState, trace,
-                          compiled: bool = True):
-    """Advance ``core`` one interval through the array kernel.
-
-    Copies the interval scalars (cycle, DVM controller state) from the
-    core object into the packed state vectors, runs
-    :func:`step_interval` (compiled when ``compiled`` and numba is
-    importable, silently uncompiled otherwise), and copies them back.
-    Returns the same :class:`~repro.uarch.pipeline.IntervalStats` the
-    interpreter would.
-    """
-    from repro.uarch.pipeline import _MAX_CPI, COUNTER_KEYS, IntervalStats
-
-    cfg_i, cfg_f, sc, fc = state.cfg_i, state.cfg_f, state.sc, state.fc
-    start_cycle = core._cycle
-    load_interval_scalars(core, state)
-
-    t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace = pack_trace(trace)
-
-    out_counters = np.zeros(N_CTR, dtype=np.float64)
-    out_ace = np.zeros(N_ACE, dtype=np.float64)
-    out_ints = np.zeros(N_OI, dtype=np.int64)
-
-    step = compiled_step() if compiled else None
-    if not step:
-        step = step_interval
-    step(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
-         cfg_i, cfg_f,
-         state.il1_tags, state.il1_stamps, state.dl1_tags, state.dl1_stamps,
-         state.l2_tags, state.l2_stamps, state.btb_tags, state.btb_stamps,
-         state.itlb_pages, state.itlb_stamps,
-         state.dtlb_pages, state.dtlb_stamps,
-         state.gshare_counters,
-         state.rob_local, state.rob_op, state.rob_ace, state.rob_ismem,
-         state.rob_issued, state.rob_ready, state.rob_misp, state.iq_slots,
-         state.miss_until, sc, fc, out_counters, out_ace, out_ints)
-
-    if out_ints[OI_STATUS] != 0:
-        raise SimulationError(
-            f"interval exceeded {_MAX_CPI} CPI — model deadlock"
-        )
-
-    store_interval_scalars(core, state, len(trace))
-
-    stats = IntervalStats(instructions=len(trace))
-    stats.cycles = core._cycle - start_cycle
-    stats.branch_mispredicts = int(out_ints[OI_MISPREDICTS])
-    stats.dvm_throttled_cycles = int(out_ints[OI_THROTTLED])
-    stats.counters = {
-        key: float(out_counters[index])
-        for index, key in enumerate(COUNTER_KEYS)
-    }
-    stats.ace_bit_cycles = {
-        "iq": float(out_ace[ACE_IQ]),
-        "rob": float(out_ace[ACE_ROB]),
-        "lsq": float(out_ace[ACE_LSQ]),
-        "regfile": float(out_ace[ACE_REGFILE]),
-    }
-    return stats
-
-
 # ----------------------------------------------------------------------
 # Batched stepping: a leading config axis B over every state array
 # ----------------------------------------------------------------------
 
-# Column layout of the per-core length matrix ``lens`` passed to
-# :func:`step_interval_batch` — per-core structure sizes differ across
-# configs, so stacked arrays are padded to the group maximum and every
-# kernel call slices each row back to its true extent (the scalar
-# kernel derives geometry from slice lengths, e.g. TLB entry counts
-# from ``itlb_pages.shape[0]``).
+# Column layout of the per-core length matrix ``lens`` passed to the
+# batch loop — per-core structure sizes differ across configs, so
+# stacked arrays are padded to the group maximum and every kernel call
+# slices each row back to its true extent (:func:`step_interval`
+# derives geometry from slice lengths, e.g. TLB entry counts from
+# ``itlb_pages.shape[0]``).
 LEN_IL1 = 0
 LEN_DL1 = 1
 LEN_L2 = 2
@@ -1217,62 +1146,6 @@ LEN_ROB = 7
 LEN_IQ = 8
 LEN_MISS = 9
 N_LEN = 10
-
-
-def step_interval_batch(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
-                        active, lens, cfg_i, cfg_f,
-                        il1_tags, il1_stamps, dl1_tags, dl1_stamps,
-                        l2_tags, l2_stamps, btb_tags, btb_stamps,
-                        itlb_pages, itlb_stamps, dtlb_pages, dtlb_stamps,
-                        gshare_counters,
-                        rob_local, rob_op, rob_ace, rob_ismem, rob_issued,
-                        rob_ready, rob_misp, iq_slots, miss_until,
-                        sc, fc, out_counters, out_ace, out_ints):
-    """Advance every active core of a group one interval: the batched
-    twin of :func:`step_interval` with a leading config axis ``B``.
-
-    All state arrays are stacked ``(B, width)`` matrices (padded to the
-    group's widest config; padding is never read because each row is
-    sliced to its ``lens`` extent before the scalar body sees it), the
-    seven trace arrays are shared read-only across the group, and
-    ``active`` masks rows out of a step (ragged checkpoint resumes,
-    fresh-core-only warmup).  This plain-``range`` loop is the
-    interpreter fallback; the compiled twin in
-    :mod:`repro.uarch._pipeline_batch_numba` runs the identical body
-    under ``numba.prange``.  Rows are fully independent — each loop
-    iteration reads/writes only row ``b`` slices plus the shared
-    read-only trace, and :func:`step_interval` allocates its per-call
-    scratch internally — so parallel execution is bit-identical to this
-    serial loop at any thread count.
-    """
-    for b in range(active.shape[0]):
-        if active[b] == 1:
-            step_interval(
-                t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
-                cfg_i[b], cfg_f[b],
-                il1_tags[b, :lens[b, LEN_IL1]],
-                il1_stamps[b, :lens[b, LEN_IL1]],
-                dl1_tags[b, :lens[b, LEN_DL1]],
-                dl1_stamps[b, :lens[b, LEN_DL1]],
-                l2_tags[b, :lens[b, LEN_L2]],
-                l2_stamps[b, :lens[b, LEN_L2]],
-                btb_tags[b, :lens[b, LEN_BTB]],
-                btb_stamps[b, :lens[b, LEN_BTB]],
-                itlb_pages[b, :lens[b, LEN_ITLB]],
-                itlb_stamps[b, :lens[b, LEN_ITLB]],
-                dtlb_pages[b, :lens[b, LEN_DTLB]],
-                dtlb_stamps[b, :lens[b, LEN_DTLB]],
-                gshare_counters[b, :lens[b, LEN_GSHARE]],
-                rob_local[b, :lens[b, LEN_ROB]],
-                rob_op[b, :lens[b, LEN_ROB]],
-                rob_ace[b, :lens[b, LEN_ROB]],
-                rob_ismem[b, :lens[b, LEN_ROB]],
-                rob_issued[b, :lens[b, LEN_ROB]],
-                rob_ready[b, :lens[b, LEN_ROB]],
-                rob_misp[b, :lens[b, LEN_ROB]],
-                iq_slots[b, :lens[b, LEN_IQ]],
-                miss_until[b, :lens[b, LEN_MISS]],
-                sc[b], fc[b], out_counters[b], out_ace[b], out_ints[b])
 
 
 #: Lazily-resolved compiled batch stepper (``None`` = not attempted,
@@ -1321,14 +1194,13 @@ class BatchKernelState:
     Construction *adopts* the member :class:`KernelState` objects:
     every per-core array is copied into a row prefix of one stacked
     matrix, and the member's attribute is rebound to that row-prefix
-    **view**.  From then on the scalar and batched steppers operate on
-    the same memory — a member core can still run a scalar interval,
-    export :meth:`KernelState.export_structures` for a checkpoint, or
-    round-trip a snapshot, and the batch sees the result (this is how
-    per-core checkpoint slices stay in the unchanged ckpt/v2 format).
-    Padding beyond a row's true extent is never read: ``lens`` records
-    each core's structure sizes and every stepper slices rows back to
-    them.
+    **view**.  From then on a member and the batch share memory — a
+    member core can export :meth:`KernelState.export_structures` for a
+    checkpoint or round-trip a snapshot and sees what the batch stepped
+    (this is how per-core checkpoint slices stay in the unchanged
+    ckpt/v2 format).  Padding beyond a row's true extent is never read:
+    ``lens`` records each core's structure sizes and the batch loop
+    slices rows back to them.
     """
 
     def __init__(self, states):
@@ -1359,23 +1231,23 @@ class BatchKernelState:
             setattr(self, attr, stacked)
 
 
-def run_interval_on_batch(cores, batch: BatchKernelState, trace, active,
-                          compiled: bool = True):
-    """Advance every active core one interval in one batched call.
+def run_interval_on_batch(cores, batch: BatchKernelState, trace, active):
+    """Advance every active core one interval in one compiled call.
 
-    The batch analogue of :func:`run_interval_on_state`: per-core
-    interval scalars are loaded/stored through the same helpers, the
-    whole group steps through one :func:`step_interval_batch` call
-    (compiled with ``prange`` when ``compiled`` and numba is
-    importable, the plain loop otherwise), and the raw per-core outputs
-    come back as ``(out_counters, out_ace, out_ints, cycles)`` stacked
-    arrays for the caller to post-process with the exact scalar power /
-    AVF model calls.  ``active`` is a ``(B,)`` uint8 mask; inactive
-    rows are untouched.
+    Per-core interval scalars are loaded into the packed state, the
+    whole group steps through one ``prange`` call of the compiled batch
+    loop, and the scalars are stored back.  ``active`` is a ``(B,)``
+    uint8 mask; inactive rows are untouched.  Returns one
+    :class:`~repro.uarch.pipeline.IntervalStats` per core (``None``
+    where inactive), the same statistics the interpreter produces.
     """
     from repro.uarch.jit import apply_jit_threads
-    from repro.uarch.pipeline import _MAX_CPI
+    from repro.uarch.pipeline import _MAX_CPI, COUNTER_KEYS, IntervalStats
 
+    step = compiled_batch_step()
+    if not step:
+        raise SimulationError("the compiled batch stepper needs numba")
+    apply_jit_threads()
     states = batch.states
     for b, core in enumerate(cores):
         if active[b]:
@@ -1387,12 +1259,6 @@ def run_interval_on_batch(cores, batch: BatchKernelState, trace, active,
     out_ace = np.zeros((n_cores, N_ACE), dtype=np.float64)
     out_ints = np.zeros((n_cores, N_OI), dtype=np.int64)
     start_cycles = batch.sc[:, SC_CYCLE].copy()
-
-    step = compiled_batch_step() if compiled else None
-    if step:
-        apply_jit_threads()
-    else:
-        step = step_interval_batch
     step(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
          active, batch.lens, batch.cfg_i, batch.cfg_f,
          batch.il1_tags, batch.il1_stamps, batch.dl1_tags, batch.dl1_stamps,
@@ -1406,13 +1272,25 @@ def run_interval_on_batch(cores, batch: BatchKernelState, trace, active,
          out_counters, out_ace, out_ints)
 
     n = len(trace)
+    results = []
     for b, core in enumerate(cores):
-        if active[b]:
-            if out_ints[b, OI_STATUS] != 0:
-                raise SimulationError(
-                    f"interval exceeded {_MAX_CPI} CPI — model deadlock"
-                )
-            store_interval_scalars(core, states[b], n)
-
-    cycles = batch.sc[:, SC_CYCLE] - start_cycles
-    return out_counters, out_ace, out_ints, cycles
+        if not active[b]:
+            results.append(None)
+            continue
+        if out_ints[b, OI_STATUS] != 0:
+            raise SimulationError(
+                f"interval exceeded {_MAX_CPI} CPI — model deadlock"
+            )
+        store_interval_scalars(core, states[b], n)
+        stats = IntervalStats(instructions=n)
+        stats.cycles = int(batch.sc[b, SC_CYCLE] - start_cycles[b])
+        stats.branch_mispredicts = int(out_ints[b, OI_MISPREDICTS])
+        stats.dvm_throttled_cycles = int(out_ints[b, OI_THROTTLED])
+        stats.counters = {key: float(out_counters[b, index])
+                          for index, key in enumerate(COUNTER_KEYS)}
+        stats.ace_bit_cycles = {"iq": float(out_ace[b, ACE_IQ]),
+                                "rob": float(out_ace[b, ACE_ROB]),
+                                "lsq": float(out_ace[b, ACE_LSQ]),
+                                "regfile": float(out_ace[b, ACE_REGFILE])}
+        results.append(stats)
+    return results

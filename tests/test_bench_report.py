@@ -53,6 +53,20 @@ def test_batched_floor_gated_on_enforcement_flag(tmp_path):
                       "detailed_kernel.batched.resumed_speedup"}
 
 
+def test_chunk_ratio_reports_missing_fields(tmp_path):
+    record = {"bench": "detailed_backend", "bit_identical": True}
+    _write(tmp_path, "BENCH_detailed_backend.json", record)
+    summary = bench_report.build_summary(tmp_path)
+    failed, = summary["failed_checks"]
+    assert failed["check"] == "detailed_backend.chunk_ratio"
+    assert failed["detail"].startswith("chunk fields missing")
+
+    record.update(chunk_interval=125, chunk_detailed=18)
+    _write(tmp_path, "BENCH_detailed_backend.json", record)
+    failed, = bench_report.build_summary(tmp_path)["failed_checks"]
+    assert failed["detail"] == "interval chunks 125 vs detailed 18 (>= 8x)"
+
+
 def test_predictor_fit_gates_speedup_and_bit_identity(tmp_path):
     record = {"bench": "predictor_fit", "tree_speedup": 2.6,
               "forest_speedup": 5.9, "trees_bit_identical": True,

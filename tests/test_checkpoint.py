@@ -17,12 +17,14 @@ import pytest
 
 import repro
 from repro.engine import SimJob
-from repro.uarch import pipeline
+from repro.uarch import detailed
 from repro.uarch.detailed import (
     DetailedSimulator,
-    checkpoint_settings_from_env,
+    _checkpoint_meta,
+    resolve_checkpoint_settings,
 )
 from repro.uarch.params import baseline_config
+from repro.workloads.spec2000 import get_benchmark
 
 BENCH = "gcc"
 N_SAMPLES = 8
@@ -47,17 +49,18 @@ def _assert_results_equal(a, b):
 
 
 def _count_intervals(monkeypatch, die_after=None):
-    """Patch the core to count intervals (and optionally fail)."""
+    """Count the intervals the detailed loop simulates, warmup included
+    (and optionally fail before one), on either stepper."""
     calls = {"n": 0}
-    original = pipeline.OutOfOrderCore.run_interval
+    original = detailed.synthesize_interval
 
-    def counting(self, trace):
+    def counting(*args, **kwargs):
         calls["n"] += 1
         if die_after is not None and calls["n"] > die_after:
             raise _Interrupted()
-        return original(self, trace)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline.OutOfOrderCore, "run_interval", counting)
+    monkeypatch.setattr(detailed, "synthesize_interval", counting)
     return calls
 
 
@@ -134,48 +137,51 @@ class TestCheckpointResume:
 class TestEnvironmentPlumbing:
     def test_settings_default_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
-        assert checkpoint_settings_from_env() == (0, None)
+        assert resolve_checkpoint_settings() == (0, None)
 
     def test_settings_directory_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "8")
         monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert checkpoint_settings_from_env() == (8, ".repro-checkpoints")
+        assert resolve_checkpoint_settings() == (8, ".repro-checkpoints")
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/rc")
-        every, directory = checkpoint_settings_from_env()
+        every, directory = resolve_checkpoint_settings()
         assert every == 8 and directory == str(Path("/tmp/rc") / "checkpoints")
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", "/tmp/ck")
-        assert checkpoint_settings_from_env() == (8, "/tmp/ck")
+        assert resolve_checkpoint_settings() == (8, "/tmp/ck")
+        # Explicit arguments (a job's own fields) win over the environment.
+        assert resolve_checkpoint_settings(2, "/tmp/job") == (2, "/tmp/job")
+        assert resolve_checkpoint_settings(0, "/tmp/job") == (0, None)
 
     def test_invalid_every_rejected(self, monkeypatch):
         from repro.errors import SimulationError
 
         monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "soon")
         with pytest.raises(SimulationError):
-            checkpoint_settings_from_env()
+            resolve_checkpoint_settings()
 
     def test_job_run_writes_keyed_checkpoint(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "3")
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
         job = SimJob(BENCH, baseline_config(), backend="detailed",
                      n_samples=N_SAMPLES, instructions_per_sample=IPS)
-        # Patch the core by hand (monkeypatch.undo would also revert the
+        # Patch the loop by hand (monkeypatch.undo would also revert the
         # environment variables set above).
-        original = pipeline.OutOfOrderCore.run_interval
+        original = detailed.synthesize_interval
         calls = {"n": 0}
 
-        def dying(self, trace):
+        def dying(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] > 7:
                 raise _Interrupted()
-            return original(self, trace)
+            return original(*args, **kwargs)
 
-        pipeline.OutOfOrderCore.run_interval = dying
+        detailed.synthesize_interval = dying
         try:
             with pytest.raises(_Interrupted):
                 job.run()
         finally:
-            pipeline.OutOfOrderCore.run_interval = original
+            detailed.synthesize_interval = original
         assert (tmp_path / f"{job.key()}.ckpt.npz").exists()
         resumed = job.run()
         assert not (tmp_path / f"{job.key()}.ckpt.npz").exists()
@@ -202,15 +208,15 @@ job = SimJob({BENCH!r}, baseline_config(), backend="detailed",
 """
         killed = common + """
 import os, signal
-import repro.uarch.pipeline as pipeline
-original = pipeline.OutOfOrderCore.run_interval
+import repro.uarch.detailed as detailed
+original = detailed.synthesize_interval
 calls = [0]
-def dying(self, trace):
+def dying(*args, **kwargs):
     calls[0] += 1
     if calls[0] > 6:  # warmup + 5 measured intervals
         os.kill(os.getpid(), signal.SIGKILL)
-    return original(self, trace)
-pipeline.OutOfOrderCore.run_interval = dying
+    return original(*args, **kwargs)
+detailed.synthesize_interval = dying
 job.run()
 """
         resume = common + f"""
@@ -292,3 +298,16 @@ class TestDvmPolicyMeta:
         clean = DetailedSimulator(config, dvm_policy=loose).run(
             BENCH, n_samples=N_SAMPLES, instructions_per_sample=IPS)
         _assert_results_equal(clean, resumed)
+
+
+class TestMetaDigest:
+    def test_meta_digest_pinned(self):
+        """Every run warms up, and the snapshot meta still digests the
+        literal ``True`` that a warmup flag once contributed, so
+        ``ckpt/v2`` snapshots written before the flag went still
+        resume."""
+        config = baseline_config().with_dvm(True, 0.3)
+        meta = _checkpoint_meta(get_benchmark(BENCH), config, N_SAMPLES,
+                                IPS, DetailedSimulator(config).dvm_controller)
+        assert meta == ("d8b2cadccf3d748f4a86a7b1d132c917"
+                        "a66c46dedf28c67c7c05177b33cb8521")

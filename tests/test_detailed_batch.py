@@ -1,29 +1,35 @@
-"""Batched detailed-pipeline kernel: bit-identity, raggedness, routing.
+"""Detailed groups: one interval stream, raggedness, routing.
 
-The batched stepper (:func:`repro.uarch.pipeline_kernel.step_interval_batch`
-driven by :func:`repro.uarch.detailed.run_detailed_group`) stacks every
-core of a detailed group behind a leading config axis and advances the
-whole group per interval in one call.  This module pins, against the
-PR 7 golden digests of ``test_detailed_kernel``:
+:func:`repro.uarch.detailed.run_detailed_group` drives a group of
+detailed jobs through the one detailed interval loop: each interval is
+synthesized once and stepped for every member, by the compiled
+``prange`` batch kernel (config-stacked state, numba only) or by the
+interpreter.  This module pins, against the golden digests of
+``test_detailed_kernel``:
 
-* batch-of-one and heterogeneous batch-of-B runs, sliced back per core;
+* batch-of-B runs with ragged structure widths, member by member
+  against per-job runs;
 * thread-count invariance (``REPRO_JIT_THREADS`` ∈ {1, 2, max} —
   rows are independent, so the prange schedule must never show);
 * ragged groups: members resuming from different checkpoints (or none)
-  under one ``active`` mask, with mid-stream batched checkpoint saves
-  whose per-core ``ckpt/v2`` slices round-trip through either engine;
+  under one ``active`` mask, with mid-stream checkpoint saves whose
+  per-core ``ckpt/v2`` files resume under a single job's run and vice
+  versa (across steppers where numba is installed);
 * the engine plumbing: group routing in ``repro.engine.kernel``,
   group-aware chunk carving/planning in ``repro.engine.executor``, and
   the compile-memo / thread-knob / cache-dir helpers in
   ``repro.uarch.jit``.
+
+Checkpoint, warmup and ragged logic run on the interpreter, so they
+hold on every CI leg.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from test_detailed_kernel import GOLDEN_DIGESTS, IPS, N_SAMPLES, _digest, \
-    golden_cases
+from test_detailed_kernel import (GOLDEN_DIGESTS, _Crash, _digest, _job,
+                                  crash_at, golden_cases, stepper)
 
 from repro.engine.executor import ChunkTuner, batch_group_run, carve_chunk
 from repro.engine.jobs import SimJob
@@ -35,32 +41,14 @@ from repro.uarch.pipeline import OutOfOrderCore
 BATCH_ON = "repro.engine.kernel.detailed_batch_enabled"
 
 
-def _job(bench, config, **kwargs):
-    return SimJob(bench, config, backend="detailed", n_samples=N_SAMPLES,
-                  instructions_per_sample=IPS, **kwargs)
-
-
 def _golden_jobs(bench):
     """All golden cases for one benchmark, as a runnable group."""
     cases = [c for c in golden_cases() if c[1] == bench]
     return [c[0] for c in cases], [_job(bench, c[2]) for c in cases]
 
 
-# ----------------------------------------------------------------------
-# Golden digests through the batched stepper
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("bench", ["gcc", "mcf", "swim"])
-def test_batched_group_matches_goldens(bench):
-    """Heterogeneous groups (DVM members included) and the swim
-    batch-of-one, through the interpreter twin of the batch loop."""
-    labels, jobs = _golden_jobs(bench)
-    results = detailed.run_detailed_group(jobs, engine="batch-interp")
-    for label, result in zip(labels, results):
-        assert _digest(result) == GOLDEN_DIGESTS[label]
-
-
 def test_batch_of_b_slices_per_core():
-    """A widened batch (ragged widths: iq/rob/lsq all differ) yields the
+    """A widened group (ragged widths: iq/rob/lsq all differ) yields the
     golden stream for the member that has one, and every member matches
     its own per-job run bit-for-bit."""
     base = baseline_config()
@@ -70,10 +58,11 @@ def test_batch_of_b_slices_per_core():
                dataclasses.replace(base, lsq_size=24),
                base.with_dvm(True, 0.3)]
     jobs = [_job("gcc", c) for c in configs]
-    results = detailed.run_detailed_group(jobs, engine="batch-interp")
+    with stepper(False):
+        results = detailed.run_detailed_group(jobs)
+        singles = [job.run() for job in jobs]
     assert _digest(results[0]) == GOLDEN_DIGESTS["gcc-baseline"]
-    for job, result in zip(jobs, results):
-        scalar = job.run()
+    for result, scalar in zip(results, singles):
         for name in scalar.traces:
             assert np.array_equal(result.traces[name],
                                   scalar.traces[name]), name
@@ -82,64 +71,35 @@ def test_batch_of_b_slices_per_core():
                                   scalar.components[name]), name
 
 
-@pytest.mark.skipif(not jit.jit_available(), reason="numba not installed")
-def test_batched_group_compiled_matches_goldens():
-    labels, jobs = _golden_jobs("gcc")
-    results = detailed.run_detailed_group(jobs, engine="batch")
-    for label, result in zip(labels, results):
-        assert _digest(result) == GOLDEN_DIGESTS[label]
-
-
 def test_thread_count_invariance():
     """{1, 2, max} threads produce byte-identical streams (compiled
     prange in the numba leg; the knob is still exercised without it)."""
     labels, jobs = _golden_jobs("gcc")
     counts = [1, 2, jit.apply_jit_threads() or 1, None]
     try:
-        for count in counts:
-            jit.set_jit_threads(count)
-            results = detailed.run_detailed_group(jobs, engine="batch")
-            for label, result in zip(labels, results):
-                assert _digest(result) == GOLDEN_DIGESTS[label], \
-                    (label, count)
+        with stepper(True):
+            for count in counts:
+                jit.set_jit_threads(count)
+                results = detailed.run_detailed_group(jobs)
+                for label, result in zip(labels, results):
+                    assert _digest(result) == GOLDEN_DIGESTS[label], \
+                        (label, count)
     finally:
         jit.set_jit_threads(None)
 
 
-def test_per_job_engine_and_bad_engine():
-    _, jobs = _golden_jobs("swim")
-    results = detailed.run_detailed_group(jobs, engine="per-job")
-    assert _digest(results[0]) == GOLDEN_DIGESTS["swim-strong"]
-    with pytest.raises(SimulationError, match="unknown detailed group"):
-        detailed.run_detailed_group(jobs, engine="cuda")
+def test_group_members_must_share_workload():
+    assert detailed.run_detailed_group([]) == []
     with pytest.raises(SimulationError, match="must share"):
         detailed.run_detailed_group(
             [_job("gcc", baseline_config()), _job("mcf", baseline_config())])
 
 
 # ----------------------------------------------------------------------
-# Ragged checkpoint resume through the batch
+# Ragged checkpoint resume through a group
 # ----------------------------------------------------------------------
-class _Crash(Exception):
-    pass
-
-
-def _crash_at(monkeypatch, interval):
-    """Make the group loop crash when synthesizing ``interval``."""
-    original = detailed.synthesize_interval
-
-    def failing(workload, i, n, ips, seed=None):
-        if i == interval and seed is None:
-            raise _Crash()
-        if seed is None:
-            return original(workload, i, n, ips)
-        return original(workload, i, n, ips, seed=seed)
-
-    monkeypatch.setattr(detailed, "synthesize_interval", failing)
-
-
 def test_ragged_batched_checkpoint_resume(monkeypatch, tmp_path):
-    """Crash a batched run mid-stream, orphan one member's snapshot, and
+    """Crash a group run mid-stream, orphan one member's snapshot, and
     resume: a ragged group (two members resuming, one fresh) must match
     the uncheckpointed per-job reference bit-for-bit and clean up."""
     base = baseline_config()
@@ -148,45 +108,47 @@ def test_ragged_batched_checkpoint_resume(monkeypatch, tmp_path):
                dataclasses.replace(base, rob_size=128)]
     jobs = [_job("gcc", c, checkpoint_every=3, checkpoint_dir=str(tmp_path))
             for c in configs]
-    reference = [dataclasses.replace(job, checkpoint_every=0).run()
-                 for job in jobs]
+    with stepper(False):
+        reference = [dataclasses.replace(job, checkpoint_every=0).run()
+                     for job in jobs]
 
-    _crash_at(monkeypatch, 5)
-    with pytest.raises(_Crash):
-        detailed.run_detailed_group(jobs, engine="batch-interp")
-    monkeypatch.undo()
+        crash_at(monkeypatch, 5)
+        with pytest.raises(_Crash):
+            detailed.run_detailed_group(jobs)
+        monkeypatch.undo()
 
-    snapshots = sorted(tmp_path.glob("*.ckpt.npz"))
-    assert len(snapshots) == len(jobs)  # saved mid-stream at interval 3
-    (tmp_path / f"{jobs[2].key()}.ckpt.npz").unlink()  # force one fresh
+        snapshots = sorted(tmp_path.glob("*.ckpt.npz"))
+        assert len(snapshots) == len(jobs)  # saved mid-stream at interval 3
+        (tmp_path / f"{jobs[2].key()}.ckpt.npz").unlink()  # force one fresh
 
-    resumed = detailed.run_detailed_group(jobs, engine="batch-interp")
+        resumed = detailed.run_detailed_group(jobs)
     for result, scalar in zip(resumed, reference):
         assert _digest(result) == _digest(scalar)
     assert not list(tmp_path.glob("*.ckpt.npz"))  # completed: all removed
 
 
 def test_batched_snapshot_resumes_under_scalar_engine(monkeypatch, tmp_path):
-    """A snapshot written from stacked state is a plain per-core
-    ``ckpt/v2`` file: a scalar ``job.run()`` resumes it bit-identically
-    (cross-engine checkpoint compatibility)."""
+    """A snapshot written by a group run (on the compiled kernel where
+    numba is installed) is a plain per-core ``ckpt/v2`` file: a single
+    job's interpreter run resumes it bit-identically."""
     label, bench, config = golden_cases()[4]  # gcc-dvm
     job = _job(bench, config, checkpoint_every=3,
                checkpoint_dir=str(tmp_path))
-    _crash_at(monkeypatch, 5)
-    with pytest.raises(_Crash):
+    crash_at(monkeypatch, 5)
+    with stepper(True), pytest.raises(_Crash):
         detailed.run_detailed_group([job, _job(bench, baseline_config(),
                                                checkpoint_every=3,
-                                               checkpoint_dir=str(tmp_path))],
-                                    engine="batch-interp")
+                                               checkpoint_dir=str(tmp_path))])
     monkeypatch.undo()
     assert (tmp_path / f"{job.key()}.ckpt.npz").exists()
-    assert _digest(job.run()) == GOLDEN_DIGESTS[label]
+    with stepper(False):
+        assert _digest(job.run()) == GOLDEN_DIGESTS[label]
 
 
 def test_scalar_snapshot_resumes_under_batch(monkeypatch, tmp_path):
-    """And the converse: a scalar-engine snapshot resumes through the
-    batched stepper."""
+    """And the converse: a single job's interpreter snapshot resumes
+    through a group run (on the compiled kernel where numba is
+    installed)."""
     label, bench, config = golden_cases()[0]
     job = _job(bench, config, checkpoint_every=3,
                checkpoint_dir=str(tmp_path))
@@ -197,14 +159,15 @@ def test_scalar_snapshot_resumes_under_batch(monkeypatch, tmp_path):
         calls[0] += 1
         if calls[0] > 5:
             raise _Crash()
-        return _original(self, trace, engine="python")
+        return _original(self, trace)
 
     monkeypatch.setattr(OutOfOrderCore, "run_interval", wrapper)
-    with pytest.raises(_Crash):
+    with stepper(False), pytest.raises(_Crash):
         job.run()
     monkeypatch.undo()
     assert (tmp_path / f"{job.key()}.ckpt.npz").exists()
-    result, = detailed.run_detailed_group([job], engine="batch-interp")
+    with stepper(True):
+        result, = detailed.run_detailed_group([job])
     assert _digest(result) == GOLDEN_DIGESTS[label]
 
 
@@ -217,30 +180,33 @@ def test_run_group_routes_groups_through_batch(monkeypatch):
     seen = []
     real = detailed.run_detailed_group
 
-    def spy(jobs, engine=None):
+    def spy(jobs):
         seen.append(len(jobs))
-        return real(jobs, engine="batch-interp")
+        return real(jobs)
 
     monkeypatch.setattr("repro.uarch.detailed.run_detailed_group", spy)
-    monkeypatch.setattr(BATCH_ON, lambda: True)
     labels, jobs = _golden_jobs("gcc")
-    results = kernel.run_jobs(jobs)
+    with stepper(False):
+        results = kernel.run_jobs(jobs)
     assert seen == [len(jobs)]
     for label, result in zip(labels, results):
         assert _digest(result) == GOLDEN_DIGESTS[label]
 
 
 def test_run_group_per_job_when_batching_off(monkeypatch):
+    """With grouping off (``REPRO_BATCH_KERNEL=0``) every detailed job
+    is its own group and runs through ``job.run()``."""
     from repro.engine import kernel
 
-    def explode(jobs, engine=None):  # pragma: no cover - must not run
-        raise AssertionError("batched path taken while disabled")
+    def explode(jobs):  # pragma: no cover - must not run
+        raise AssertionError("group path taken while grouping is off")
 
     monkeypatch.setattr("repro.uarch.detailed.run_detailed_group", explode)
-    monkeypatch.setattr(BATCH_ON, lambda: False)
+    monkeypatch.setenv("REPRO_BATCH_KERNEL", "0")
     labels, jobs = _golden_jobs("gcc")
-    for label, result in zip(labels, kernel.run_jobs(jobs)):
-        assert _digest(result) == GOLDEN_DIGESTS[label]
+    with stepper(False):
+        for label, result in zip(labels, kernel.run_jobs(jobs)):
+            assert _digest(result) == GOLDEN_DIGESTS[label]
 
 
 def test_detailed_batch_enabled_requires_jit(monkeypatch):

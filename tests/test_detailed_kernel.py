@@ -1,44 +1,51 @@
-"""Golden digests and engine parity for the detailed pipeline kernel.
+"""Golden digests and stepper parity for the detailed pipeline.
 
-The detailed backend has two execution engines — the object-model
-interpreter and the struct-of-arrays kernel (optionally numba-compiled)
-— that must produce bit-identical statistic streams.  This module pins:
+The detailed backend has two steppers — the object-model interpreter
+and the numba-compiled struct-of-arrays batch kernel — that must
+produce bit-identical statistic streams.  This module pins:
 
 * golden sha256 digests of full detailed runs for five
-  (benchmark, config) pairs, including DVM-enabled ones — any
+  (benchmark, config) pairs, including DVM-enabled ones, for each
+  stepper, run alone and as one group (:func:`test_goldens`) — any
   behavioural drift in the pipeline, caches, predictor or DVM
   controller fails loudly;
-* interpreter / kernel / JIT-setting parity against those digests
-  (the compiled-kernel case runs in CI's with-numba leg and is skipped
-  where numba is absent);
-* canonical-snapshot round-trips across engines, checkpoint
-  resume-mid-run (including crashing under one engine and resuming
-  under the other), and v1-checkpoint invalidation;
+* canonical-snapshot conversion between the object and array
+  representations, checkpoint resume mid-run, and v1-checkpoint
+  invalidation;
 * the interpreter's dead-cycle skipping against the kernel, which
   steps every cycle (:class:`TestDeadCycleSkip`);
 * the trace memo's sharing and isolation guarantees.
 
-Regenerate the digest table with ``tools/capture_detailed_goldens.py``
-after an *intended* behaviour change.
+The kernel runs only compiled, so every cell that steps it needs numba
+and runs in CI's with-numba leg.  Where it is absent,
+:class:`TestDeadCycleSkip` checks the interpreter against digests
+recorded from the stepping kernel.
+
+Regenerate the golden digest table with
+``tools/capture_detailed_goldens.py`` after an *intended* behaviour
+change.
 """
 
 import dataclasses
 import hashlib
 import os
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.dse.lhs import sample_train_configs
 from repro.dse.space import paper_design_space
+from repro.engine.jobs import SimJob
 from repro.errors import SimulationError
 from repro.reliability.dvm import DVMController, DVMPolicy
-from repro.uarch import jit
+from repro.uarch import detailed, jit
 from repro.uarch.detailed import (CHECKPOINT_VERSION, DetailedSimulator,
-                                  sweep_checkpoints)
+                                  run_detailed_group, sweep_checkpoints)
 from repro.uarch.params import MachineConfig, baseline_config
 from repro.uarch.pipeline import _MAX_CPI, OutOfOrderCore
+from repro.uarch.pipeline_kernel import BatchKernelState, run_interval_on_batch
 from repro.uarch.trace import InstructionTrace, OpClass
 from repro.workloads.generator import clear_trace_memo, synthesize_interval
 from repro.workloads.spec2000 import BENCHMARK_NAMES, get_benchmark
@@ -63,6 +70,25 @@ GOLDEN_DIGESTS = {
     "gcc-dvm":
         "71b15594b533fecab8903fd7f17d2848e32bcbc98f803eb345404a2b11c40d8d",
 }
+
+needs_numba = pytest.mark.skipif(
+    not jit.jit_available(),
+    reason="numba not installed: the kernel runs only compiled")
+
+#: The two steppers, as the JIT setting that selects each.
+STEPPERS = [pytest.param(False, id="interpreter"),
+            pytest.param(True, id="compiled", marks=needs_numba)]
+
+
+@contextmanager
+def stepper(compiled):
+    """Run detailed simulations on the compiled kernel or the
+    interpreter, whatever ``REPRO_JIT`` says."""
+    jit.set_jit(compiled)
+    try:
+        yield
+    finally:
+        jit.set_jit(None)
 
 
 def golden_cases():
@@ -91,71 +117,60 @@ def _digest(result) -> str:
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
-def _force_engine(monkeypatch, engine):
-    original = OutOfOrderCore.run_interval
-    monkeypatch.setattr(
-        OutOfOrderCore, "run_interval",
-        lambda self, trace, _original=original, _engine=engine:
-            _original(self, trace, engine=_engine))
-
-
 def _run_case(bench, config, **kwargs):
     return DetailedSimulator(config).run(
         bench, n_samples=N_SAMPLES, instructions_per_sample=IPS, **kwargs)
 
 
+def _job(bench, config, **kwargs):
+    return SimJob(bench, config, backend="detailed", n_samples=N_SAMPLES,
+                  instructions_per_sample=IPS, **kwargs)
+
+
+def _kernel_step(core, trace):
+    """One interval of ``core`` through the compiled kernel, as a batch
+    of one (the core stays in kernel mode afterwards)."""
+    batch = BatchKernelState([core._enter_kernel_mode()])
+    stats, = run_interval_on_batch([core], batch, trace,
+                                   np.ones(1, dtype=np.uint8))
+    return stats
+
+
 # ----------------------------------------------------------------------
-# Golden digests per engine
+# Golden digests per stepper, alone and grouped
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("label,bench,config", golden_cases(),
-                         ids=[c[0] for c in golden_cases()])
-def test_interpreter_matches_goldens(label, bench, config):
-    assert _digest(_run_case(bench, config)) == GOLDEN_DIGESTS[label]
-
-
-@pytest.mark.parametrize("label,bench,config", golden_cases(),
-                         ids=[c[0] for c in golden_cases()])
-def test_kernel_matches_goldens_uncompiled(monkeypatch, label, bench, config):
-    _force_engine(monkeypatch, "kernel-interp")
-    assert _digest(_run_case(bench, config)) == GOLDEN_DIGESTS[label]
-
-
-@pytest.mark.skipif(not jit.jit_available(), reason="numba not installed")
-@pytest.mark.parametrize("label,bench,config", golden_cases(),
-                         ids=[c[0] for c in golden_cases()])
-def test_kernel_matches_goldens_compiled(monkeypatch, label, bench, config):
-    _force_engine(monkeypatch, "kernel")
-    assert _digest(_run_case(bench, config)) == GOLDEN_DIGESTS[label]
+@pytest.mark.parametrize("bench", ["gcc", "mcf", "swim"])
+@pytest.mark.parametrize("compiled", STEPPERS)
+def test_goldens(compiled, bench):
+    """Every golden case of ``bench`` through one stepper, run alone
+    and as one group (heterogeneous, DVM members included; swim is a
+    group of one)."""
+    cases = [case for case in golden_cases() if case[1] == bench]
+    with stepper(compiled):
+        alone = [_run_case(bench, config) for _, _, config in cases]
+        grouped = run_detailed_group([_job(bench, config)
+                                      for _, _, config in cases])
+    for (label, _, _), one, member in zip(cases, alone, grouped):
+        assert _digest(one) == _digest(member) == GOLDEN_DIGESTS[label]
 
 
 def test_jit_on_off_parity():
     """Digest invariant under the JIT setting, whatever numba's state.
 
     With numba absent a requested JIT silently falls back to the
-    interpreter; with numba present (CI's with-numba leg) the default
-    engine becomes the compiled kernel — either way the streams must
-    not move.
+    interpreter; with numba present (CI's with-numba leg) runs step on
+    the compiled kernel — either way the streams must not move.
     """
     label, bench, config = golden_cases()[0]
-    try:
-        jit.set_jit(False)
+    with stepper(False):
         off = _digest(_run_case(bench, config))
-        jit.set_jit(True)
+    with stepper(True):
         on = _digest(_run_case(bench, config))
-    finally:
-        jit.set_jit(None)
     assert off == on == GOLDEN_DIGESTS[label]
 
 
-def test_unknown_engine_rejected():
-    core = OutOfOrderCore(baseline_config())
-    trace = synthesize_interval(get_benchmark("gcc"), 0, N_SAMPLES, IPS)
-    with pytest.raises(SimulationError, match="unknown pipeline engine"):
-        core.run_interval(trace, engine="fortran")
-
-
 # ----------------------------------------------------------------------
-# Snapshot round-trips across engines
+# Snapshot round-trips across representations
 # ----------------------------------------------------------------------
 def _interval_signature(stats):
     return (stats.cycles, stats.branch_mispredicts,
@@ -168,52 +183,67 @@ def _core_with_dvm():
                          dvm=DVMController(DVMPolicy(threshold=0.3)))
 
 
-def _run_intervals(core, lo, hi, engine):
-    workload = get_benchmark("gcc")
-    return [
-        _interval_signature(core.run_interval(
-            synthesize_interval(workload, i, N_SAMPLES, IPS), engine=engine))
-        for i in range(lo, hi)
-    ]
+def _gcc_interval(i):
+    return synthesize_interval(get_benchmark("gcc"), i, N_SAMPLES, IPS)
+
+
+def _run_intervals(core, lo, hi, step=OutOfOrderCore.run_interval):
+    return [_interval_signature(step(core, _gcc_interval(i)))
+            for i in range(lo, hi)]
 
 
 def test_alternating_engines_bit_identical():
-    reference = _run_intervals(_core_with_dvm(), 0, N_SAMPLES, "python")
+    """Even intervals go through the array representation — stepped by
+    the compiled kernel where numba is installed, else converted in and
+    back out around an interpreter step — odd ones through the
+    interpreter; the streams match the interpreter alone."""
+    reference = _run_intervals(_core_with_dvm(), 0, N_SAMPLES)
     core = _core_with_dvm()
-    workload = get_benchmark("gcc")
-    mixed = [
-        _interval_signature(core.run_interval(
-            synthesize_interval(workload, i, N_SAMPLES, IPS),
-            engine=("python" if i % 2 else "kernel-interp")))
-        for i in range(N_SAMPLES)
-    ]
+    mixed = []
+    for i in range(N_SAMPLES):
+        trace = _gcc_interval(i)
+        if i % 2 == 0 and jit.jit_available():
+            stats = _kernel_step(core, trace)
+        else:
+            if i % 2 == 0:
+                core._enter_kernel_mode()
+            core.restore_state(core.snapshot_state())  # back to objects
+            stats = core.run_interval(trace)
+        mixed.append(_interval_signature(stats))
     assert mixed == reference
 
 
-@pytest.mark.parametrize("first_engine,second_engine",
-                         [("kernel-interp", "python"),
-                          ("python", "kernel-interp")])
-def test_snapshot_round_trip_across_engines(first_engine, second_engine):
-    reference = _run_intervals(_core_with_dvm(), 0, N_SAMPLES, "python")
+@needs_numba
+@pytest.mark.parametrize("first,second",
+                         [("compiled", "interpreter"),
+                          ("interpreter", "compiled")])
+def test_snapshot_round_trip_across_engines(first, second):
+    steps = {"compiled": _kernel_step,
+             "interpreter": OutOfOrderCore.run_interval}
+    reference = _run_intervals(_core_with_dvm(), 0, N_SAMPLES)
     core = _core_with_dvm()
-    head = _run_intervals(core, 0, 4, first_engine)
+    head = _run_intervals(core, 0, 4, steps[first])
     snapshot = core.snapshot_state()
     resumed = _core_with_dvm()
     resumed.restore_state(snapshot)
-    tail = _run_intervals(resumed, 4, N_SAMPLES, second_engine)
+    tail = _run_intervals(resumed, 4, N_SAMPLES, steps[second])
     assert head == reference[:4]
     assert tail == reference[4:]
 
 
 def test_kernel_and_object_snapshots_identical():
+    """Converting a warmed core to the array representation and
+    exporting it reproduces the object-model snapshot exactly."""
     core = _core_with_dvm()
-    _run_intervals(core, 0, 4, "kernel-interp")
-    from_kernel = core.snapshot_state()
-    core._leave_kernel_mode()
+    _run_intervals(core, 0, 4)
     from_objects = core.snapshot_state()
+    core._enter_kernel_mode()
+    from_kernel = core.snapshot_state()
     assert set(from_kernel) == set(from_objects)
     for key in from_kernel:
         assert np.array_equal(from_kernel[key], from_objects[key]), key
+    with pytest.raises(SimulationError, match="array kernel"):
+        core.run_interval(_gcc_interval(4))
 
 
 def test_restore_rejects_mismatched_shapes():
@@ -233,6 +263,104 @@ def _exact(value):
     if isinstance(value, float):
         return value.hex()
     return value
+
+
+def _exact_stats(stats):
+    return [_exact(getattr(stats, f.name)) for f in dataclasses.fields(stats)]
+
+
+def _stream_digest(stats_list, snapshot) -> str:
+    """First 16 hex digits of a sha256 over every interval's exact
+    statistics and the final snapshot's arrays."""
+    h = hashlib.sha256()
+    for stats in stats_list:
+        h.update(repr(_exact_stats(stats)).encode())
+    for key in sorted(snapshot):
+        h.update(key.encode())
+        h.update(str(snapshot[key].dtype).encode())
+        h.update(snapshot[key].tobytes())
+    return h.hexdigest()[:16]
+
+
+#: :func:`_stream_digest` of each :class:`TestDeadCycleSkip` case,
+#: recorded from the array kernel stepping every cycle.
+DEAD_CYCLE_DIGESTS = {
+    "0-bzip2-nodvm": "d344f63b919991d5",
+    "0-bzip2-dvm0.05": "19a921e631427717",
+    "0-bzip2-dvm0.3": "19a921e631427717",
+    "1-crafty-nodvm": "9809df6fee000ce4",
+    "1-crafty-dvm0.05": "6691cb449a7a6462",
+    "1-crafty-dvm0.3": "6691cb449a7a6462",
+    "2-eon-nodvm": "9a962442472f518f",
+    "2-eon-dvm0.05": "31f77a5e7c220419",
+    "2-eon-dvm0.3": "31f77a5e7c220419",
+    "3-gap-nodvm": "7525613be5985f36",
+    "3-gap-dvm0.05": "d7ed48f89c89fbec",
+    "3-gap-dvm0.3": "d7ed48f89c89fbec",
+    "4-gcc-nodvm": "0fd0d05cdc557194",
+    "4-gcc-dvm0.05": "f76e9300e9e869a1",
+    "4-gcc-dvm0.3": "f76e9300e9e869a1",
+    "5-mcf-nodvm": "3b367cf6de607c09",
+    "5-mcf-dvm0.05": "9509d84c4020d8e0",
+    "5-mcf-dvm0.3": "9509d84c4020d8e0",
+    "6-parser-nodvm": "e1da6ac260582593",
+    "6-parser-dvm0.05": "f8f06da584de70c2",
+    "6-parser-dvm0.3": "f8f06da584de70c2",
+    "7-perlbmk-nodvm": "2d8fbfc64fd23c96",
+    "7-perlbmk-dvm0.05": "823a06a6af208c3f",
+    "7-perlbmk-dvm0.3": "823a06a6af208c3f",
+    "8-swim-nodvm": "eff569cf8eba71e9",
+    "8-swim-dvm0.05": "639f4757d47b25e6",
+    "8-swim-dvm0.3": "639f4757d47b25e6",
+    "9-twolf-nodvm": "770168deaf00520a",
+    "9-twolf-dvm0.05": "68fc61e26c304333",
+    "9-twolf-dvm0.3": "af2022417b8a2d79",
+    "10-vortex-nodvm": "51d4526be419f2e1",
+    "10-vortex-dvm0.05": "a7807dfb1b55fb24",
+    "10-vortex-dvm0.3": "a7807dfb1b55fb24",
+    "11-vpr-nodvm": "c7a46c5e40014a75",
+    "11-vpr-dvm0.05": "2eb2bb2407d25932",
+    "11-vpr-dvm0.3": "fda6186d67c91d87",
+    "12-bzip2-nodvm": "801b8c68d7eb68ff",
+    "12-bzip2-dvm0.05": "301e35fa14beaacb",
+    "12-bzip2-dvm0.3": "301e35fa14beaacb",
+    "13-crafty-nodvm": "22834da663775ff3",
+    "13-crafty-dvm0.05": "d2ecb44d6b69c25d",
+    "13-crafty-dvm0.3": "d2ecb44d6b69c25d",
+    "14-eon-nodvm": "82ecd460ecb495b5",
+    "14-eon-dvm0.05": "94ac009a3c5f3abd",
+    "14-eon-dvm0.3": "94ac009a3c5f3abd",
+    "15-gap-nodvm": "6ffbe25480ea1d1a",
+    "15-gap-dvm0.05": "916cb06bf5845518",
+    "15-gap-dvm0.3": "738e9000ab3736f6",
+    "16-gcc-nodvm": "c6490fad0bc5e094",
+    "16-gcc-dvm0.05": "0041bf3fa47d2bb9",
+    "16-gcc-dvm0.3": "0041bf3fa47d2bb9",
+    "17-mcf-nodvm": "9067f7358723e4ac",
+    "17-mcf-dvm0.05": "fcbb1ac657e6fd9b",
+    "17-mcf-dvm0.3": "fcbb1ac657e6fd9b",
+    "18-parser-nodvm": "7675e38c33c8bb45",
+    "18-parser-dvm0.05": "70c6690119672b36",
+    "18-parser-dvm0.3": "70c6690119672b36",
+    "19-perlbmk-nodvm": "b8d99a41b1fb092a",
+    "19-perlbmk-dvm0.05": "aec03bdae91257d5",
+    "19-perlbmk-dvm0.3": "aec03bdae91257d5",
+    "20-swim-nodvm": "7fce619abdcce664",
+    "20-swim-dvm0.05": "51f41efb4a8fdd00",
+    "20-swim-dvm0.3": "51f41efb4a8fdd00",
+    "21-twolf-nodvm": "8a137833879c1041",
+    "21-twolf-dvm0.05": "1fe1781b4435269c",
+    "21-twolf-dvm0.3": "1fe1781b4435269c",
+    "22-vortex-nodvm": "8a9f173c9042dbe9",
+    "22-vortex-dvm0.05": "e7c1e9c73f4861f4",
+    "22-vortex-dvm0.3": "e7c1e9c73f4861f4",
+    "23-vpr-nodvm": "392d9fbdeea7133d",
+    "23-vpr-dvm0.05": "130192339e45376e",
+    "23-vpr-dvm0.3": "130192339e45376e",
+    "dvm_sample_inside_dead_run": "3c869866c53d3c67",
+    "l2_miss_throttled_window": "c62eeea6328467ee",
+    "mispredict_fetch_stall": "76f044e39fee5165",
+}
 
 
 def _hand_trace(ops, src1=None, address=None, pc=None, taken=None):
@@ -262,16 +390,18 @@ def _lhs_cases():
             label = f"{index}-{bench}-" + ("nodvm" if dvm is None
                                            else f"dvm{dvm}")
             cases.append(pytest.param(
-                bench, (config.with_dvm(False) if dvm is None
-                        else config.with_dvm(True, dvm)), id=label))
+                label, bench, (config.with_dvm(False) if dvm is None
+                               else config.with_dvm(True, dvm)), id=label))
     return cases
 
 
 class TestDeadCycleSkip:
     """The interpreter jumps over cycles in which nothing commits,
-    issues, dispatches or fetches; the array kernel run as plain Python
-    steps every cycle.  Every statistic and the final snapshot must
-    agree to the bit, including where an event lands inside a dead run.
+    issues, dispatches or fetches; the array kernel steps every cycle.
+    Every statistic and the final snapshot must agree to the bit,
+    including where an event lands inside a dead run: live against the
+    compiled kernel where numba is installed, and always against the
+    digest recorded from the kernel.
     """
 
     @staticmethod
@@ -280,28 +410,27 @@ class TestDeadCycleSkip:
                if config.dvm_enabled else None)
         return OutOfOrderCore(config, dvm=dvm)
 
-    def _differential(self, config, traces):
-        skipping, stepping = self._core(config), self._core(config)
-        stats = []
-        for trace in traces:
-            got = skipping.run_interval(trace, engine="python")
-            want = stepping.run_interval(trace, engine="kernel-interp")
-            assert ([_exact(getattr(got, f.name))
-                     for f in dataclasses.fields(got)]
-                    == [_exact(getattr(want, f.name))
-                        for f in dataclasses.fields(want)])
-            stats.append(got)
-        got, want = skipping.snapshot_state(), stepping.snapshot_state()
-        assert sorted(got) == sorted(want)
-        for key in got:
-            assert got[key].dtype == want[key].dtype, key
-            assert got[key].tobytes() == want[key].tobytes(), key
+    def _differential(self, case, config, traces):
+        skipping = self._core(config)
+        stats = [skipping.run_interval(trace) for trace in traces]
+        assert (_stream_digest(stats, skipping.snapshot_state())
+                == DEAD_CYCLE_DIGESTS[case])
+        if jit.jit_available():
+            stepping = self._core(config)
+            for got, trace in zip(stats, traces):
+                want = _kernel_step(stepping, trace)
+                assert _exact_stats(got) == _exact_stats(want)
+            got, want = skipping.snapshot_state(), stepping.snapshot_state()
+            assert sorted(got) == sorted(want)
+            for key in got:
+                assert got[key].dtype == want[key].dtype, key
+                assert got[key].tobytes() == want[key].tobytes(), key
         return stats, skipping
 
-    @pytest.mark.parametrize("bench,config", _lhs_cases())
-    def test_lhs_configs_match_stepping_kernel(self, bench, config):
+    @pytest.mark.parametrize("case,bench,config", _lhs_cases())
+    def test_lhs_configs_match_stepping_kernel(self, case, bench, config):
         workload = get_benchmark(bench)
-        self._differential(config, [
+        self._differential(case, config, [
             synthesize_interval(workload, i, 4, 250) for i in range(2)])
 
     def test_dvm_sample_inside_dead_run(self):
@@ -322,7 +451,8 @@ class TestDeadCycleSkip:
             src1 += [0, 1, 2, 3, 0, 0]
             address += [0x2000_0000 + (block % 2) * 4096] + [0] * 5
         stats, core = self._differential(
-            config, [_hand_trace(ops, src1, address)])
+            "dvm_sample_inside_dead_run", config,
+            [_hand_trace(ops, src1, address)])
         assert stats[0].counters["l2"] == 2          # two cold lines only
         assert stats[0].dvm_throttled_cycles > 0
         assert core.dvm.sample_count >= stats[0].cycles // 200 >= 10
@@ -347,7 +477,8 @@ class TestDeadCycleSkip:
         probe = trace([0x2000_0000, 0x2200_0800])
         config = MachineConfig(dtlb_entries=2, tlb_miss_latency=600
                                ).with_dvm(True, 0.3)
-        stats, _ = self._differential(config, [warm, probe])
+        stats, _ = self._differential("l2_miss_throttled_window", config,
+                                      [warm, probe])
         assert stats[1].counters["l2"] == 1
         assert 0 < stats[1].dvm_throttled_cycles < stats[1].cycles - 300
 
@@ -362,14 +493,15 @@ class TestDeadCycleSkip:
         taken = [bool(op == OpClass.BRANCH and rng.random() < 0.5)
                  for op in ops]
         stats, _ = self._differential(
-            baseline_config(), [_hand_trace(ops, taken=taken)] * 2)
+            "mispredict_fetch_stall", baseline_config(),
+            [_hand_trace(ops, taken=taken)] * 2)
         assert all(s.branch_mispredicts > 0 for s in stats)
 
     @pytest.mark.parametrize("dvm", [None, 0.3], ids=["nodvm", "dvm"])
     def test_max_cycles_guard_raises_at_same_cycle(self, dvm):
         """A load that never returns inside the interval's cycle budget
-        trips the deadlock guard at ``max_cycles + 1`` in both engines,
-        with no cycle skipped past it."""
+        trips the deadlock guard at ``max_cycles + 1``, with no cycle
+        skipped past it; the kernel trips its guard too."""
         config = MachineConfig(memory_latency=50_000)
         if dvm is not None:
             config = config.with_dvm(True, dvm)
@@ -378,9 +510,10 @@ class TestDeadCycleSkip:
         limit = max(len(trace) * _MAX_CPI, 10_000)
         with pytest.raises(SimulationError,
                            match=f"at cycle {limit + 1} "):
-            self._core(config).run_interval(trace, engine="python")
-        with pytest.raises(SimulationError, match="model deadlock"):
-            self._core(config).run_interval(trace, engine="kernel-interp")
+            self._core(config).run_interval(trace)
+        if jit.jit_available():
+            with pytest.raises(SimulationError, match="model deadlock"):
+                _kernel_step(self._core(config), trace)
 
 
 # ----------------------------------------------------------------------
@@ -390,52 +523,53 @@ class _Crash(Exception):
     pass
 
 
-def _crashing_run(monkeypatch, bench, config, path, engine, crash_after):
-    """Run with checkpointing, forcing ``engine``, crashing after N
-    intervals; returns without the crash propagating."""
-    original = OutOfOrderCore.run_interval
-    calls = [0]
+def crash_at(monkeypatch, interval):
+    """Make the detailed interval loop crash when it synthesizes
+    measured ``interval`` (before stepping it, on either stepper)."""
+    original = detailed.synthesize_interval
 
-    def wrapper(self, trace, _original=original):
-        calls[0] += 1
-        if calls[0] > crash_after:
+    def failing(workload, i, n, ips, seed=None):
+        if i == interval and seed is None:
             raise _Crash()
-        return _original(self, trace, engine=engine)
+        if seed is None:
+            return original(workload, i, n, ips)
+        return original(workload, i, n, ips, seed=seed)
 
-    monkeypatch.setattr(OutOfOrderCore, "run_interval", wrapper)
-    with pytest.raises(_Crash):
-        _run_case(bench, config, checkpoint_every=3, checkpoint_path=path)
-    monkeypatch.undo()
+    monkeypatch.setattr(detailed, "synthesize_interval", failing)
 
 
-@pytest.mark.parametrize("crash_engine,resume_engine",
-                         [("python", "python"),
-                          ("kernel-interp", "python"),
-                          ("python", "kernel-interp")])
+@pytest.mark.parametrize("crash_compiled,resume_compiled", [
+    pytest.param(False, False, id="interpreter-interpreter"),
+    pytest.param(True, False, id="compiled-interpreter", marks=needs_numba),
+    pytest.param(False, True, id="interpreter-compiled", marks=needs_numba),
+])
 def test_checkpoint_resume_mid_run(monkeypatch, tmp_path,
-                                   crash_engine, resume_engine):
-    """A crashed run resumes bit-identically — in either engine, from a
-    snapshot written by either engine (DVM controller state included)."""
+                                   crash_compiled, resume_compiled):
+    """A crashed run resumes bit-identically — on either stepper, from a
+    snapshot written by either stepper (DVM controller state included)."""
     label, bench, config = golden_cases()[4]  # gcc-dvm
     path = tmp_path / "run.ckpt.npz"
     # Warmup + intervals 0..3 simulate; snapshot lands at next=3.
-    _crashing_run(monkeypatch, bench, config, path, crash_engine,
-                  crash_after=5)
+    crash_at(monkeypatch, 4)
+    with stepper(crash_compiled), pytest.raises(_Crash):
+        _run_case(bench, config, checkpoint_every=3, checkpoint_path=path)
+    monkeypatch.undo()
     assert path.exists()
 
-    _force_engine(monkeypatch, resume_engine)
-    calls = [0]
-    original = OutOfOrderCore.run_interval
+    calls = []
+    original = detailed.synthesize_interval
 
-    def counting(self, trace, _original=original):
-        calls[0] += 1
-        return _original(self, trace)
+    def counting(workload, i, n, ips, seed=None):
+        calls.append((i, seed))
+        return original(workload, i, n, ips, seed=seed)
 
-    monkeypatch.setattr(OutOfOrderCore, "run_interval", counting)
-    result = _run_case(bench, config, checkpoint_every=3,
-                       checkpoint_path=path)
+    monkeypatch.setattr(detailed, "synthesize_interval", counting)
+    with stepper(resume_compiled):
+        result = _run_case(bench, config, checkpoint_every=3,
+                           checkpoint_path=path)
     assert _digest(result) == GOLDEN_DIGESTS[label]
-    assert calls[0] == N_SAMPLES - 3   # no warmup, intervals 3..7 only
+    # No warmup, intervals 3..7 only.
+    assert calls == [(i, None) for i in range(3, N_SAMPLES)]
     assert not path.exists()           # completed runs remove the snapshot
 
 

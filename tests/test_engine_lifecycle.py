@@ -246,7 +246,7 @@ class TestCheckpointThreading:
     BENCH, N, IPS = "gcc", 8, 50
 
     def test_job_carries_checkpoint_settings(self, tmp_path, monkeypatch):
-        from repro.uarch import pipeline
+        from repro.uarch import detailed
         from repro.uarch.params import baseline_config
 
         monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
@@ -255,20 +255,19 @@ class TestCheckpointThreading:
                      n_samples=self.N, instructions_per_sample=self.IPS,
                      checkpoint_every=3, checkpoint_dir=str(tmp_path))
 
-        original = pipeline.OutOfOrderCore.run_interval
+        original = detailed.synthesize_interval
         calls = {"n": 0}
 
-        def dying(self, trace):
+        def dying(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] > 6:
                 raise RuntimeError("interrupted")
-            return original(self, trace)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline.OutOfOrderCore, "run_interval", dying)
+        monkeypatch.setattr(detailed, "synthesize_interval", dying)
         with pytest.raises(RuntimeError):
             job.run()
-        monkeypatch.setattr(pipeline.OutOfOrderCore, "run_interval",
-                            original)
+        monkeypatch.setattr(detailed, "synthesize_interval", original)
         # With no environment at all, the snapshot landed in the job's
         # own directory and resuming is bit-identical to a clean run.
         ckpt = tmp_path / f"{job.key()}.ckpt.npz"

@@ -66,7 +66,7 @@ def _check_detailed_kernel(record, checks):
         return
     _check(checks, "detailed_kernel.batched.bit_identical",
            batched.get("bit_identical") is True,
-           "batched == per-job scalar streams")
+           "batched == per-job streams")
     floor = batched.get("min_speedup_enforced")
     if floor is not None:
         for key in ("speedup", "resumed_speedup"):
@@ -80,8 +80,12 @@ def _check_detailed_backend(record, checks):
     _check(checks, "detailed_backend.bit_identical",
            record.get("bit_identical") is True,
            "SIGKILL-resumed run == clean run")
-    coarse = record.get("chunk_interval", 0)
-    fine = record.get("chunk_detailed", 1)
+    coarse = record.get("chunk_interval")
+    fine = record.get("chunk_detailed")
+    if coarse is None or fine is None:
+        _check(checks, "detailed_backend.chunk_ratio", False,
+               "chunk fields missing (chunk_interval, chunk_detailed)")
+        return
     _check(checks, "detailed_backend.chunk_ratio", coarse >= 8 * fine,
            f"interval chunks {coarse} vs detailed {fine} (>= 8x)")
 
