@@ -47,6 +47,20 @@ def _golden_jobs(bench):
     return [c[0] for c in cases], [_job(bench, c[2]) for c in cases]
 
 
+# ----------------------------------------------------------------------
+# Golden digests through a group
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("bench", ["gcc", "mcf", "swim"])
+def test_batched_group_matches_goldens(bench):
+    """Heterogeneous groups (DVM members included) and the swim
+    group-of-one, through the interpreter-driven group loop."""
+    labels, jobs = _golden_jobs(bench)
+    with stepper(False):
+        results = detailed.run_detailed_group(jobs)
+    for label, result in zip(labels, results):
+        assert _digest(result) == GOLDEN_DIGESTS[label]
+
+
 def test_batch_of_b_slices_per_core():
     """A widened group (ragged widths: iq/rob/lsq all differ) yields the
     golden stream for the member that has one, and every member matches

@@ -6,7 +6,10 @@ produce bit-identical statistic streams.  This module pins:
 
 * golden sha256 digests of full detailed runs for five
   (benchmark, config) pairs, including DVM-enabled ones, for each
-  stepper, run alone and as one group (:func:`test_goldens`) — any
+  stepper, run alone and as one group (the interpreter in
+  :func:`test_interpreter_matches_goldens` and
+  ``test_detailed_batch``, the compiled kernel in
+  :func:`test_goldens`) — any
   behavioural drift in the pipeline, caches, predictor or DVM
   controller fails loudly;
 * canonical-snapshot conversion between the object and array
@@ -139,12 +142,21 @@ def _kernel_step(core, trace):
 # ----------------------------------------------------------------------
 # Golden digests per stepper, alone and grouped
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("label,bench,config", golden_cases(),
+                         ids=[c[0] for c in golden_cases()])
+def test_interpreter_matches_goldens(label, bench, config):
+    with stepper(False):
+        assert _digest(_run_case(bench, config)) == GOLDEN_DIGESTS[label]
+
+
 @pytest.mark.parametrize("bench", ["gcc", "mcf", "swim"])
-@pytest.mark.parametrize("compiled", STEPPERS)
+@pytest.mark.parametrize("compiled", [STEPPERS[1]])
 def test_goldens(compiled, bench):
-    """Every golden case of ``bench`` through one stepper, run alone
-    and as one group (heterogeneous, DVM members included; swim is a
-    group of one)."""
+    """Every golden case of ``bench`` through the compiled kernel, run
+    alone and as one group (heterogeneous, DVM members included; swim
+    is a group of one).  The interpreter's cells are
+    :func:`test_interpreter_matches_goldens` and
+    ``test_detailed_batch::test_batched_group_matches_goldens``."""
     cases = [case for case in golden_cases() if case[1] == bench]
     with stepper(compiled):
         alone = [_run_case(bench, config) for _, _, config in cases]
