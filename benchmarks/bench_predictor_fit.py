@@ -15,9 +15,15 @@ re-sorts and re-scans each feature at each node, one tree at a time:
   grows them, must be **>= 4x** faster than the reference;
 * every split record and every node of every tree, on both paths, must
   be **byte-identical** to the reference and to the trees inside the
-  fitted predictor.  The reference keeps its own ``np.mean`` /
-  ``np.sum`` node statistics, so the grower's leaner sums are checked
-  against code they do not share.
+  fitted predictor.  The reference (shared with
+  ``tests/test_regression_tree.py``) keeps its own node objects and
+  ``np.mean`` / ``np.sum`` node statistics, so the grower's node table
+  and leaner sums are checked against code they do not share.
+
+Recorded, not gated: the size of the 16 node tables (``n_nodes`` and
+``table_bytes``) and ``network_fit_seconds``, the median time of one
+paper-scale ``RBFNetwork.fit_columns`` (trees plus weights), the fit a
+``WaveletNeuralPredictor`` makes per (benchmark, domain).
 
 It then times a 4,096-candidate ``predict`` of that predictor, the size
 of one ``PredictiveExplorer.search``, against the same predict built on
@@ -41,11 +47,12 @@ import time
 import numpy as np
 
 from repro.core.predictor import WaveletNeuralPredictor
-from repro.core.rbf import DESIGN_BLOCK_ROWS
-from repro.core.regression_tree import RegressionTree, SplitRecord, TreeNode
+from repro.core.rbf import DESIGN_BLOCK_ROWS, RBFNetwork
+from repro.core.regression_tree import RegressionTree
 from repro.core.wavelets import dwt_batch, idwt_batch
 from repro.engine import create_engine
 from repro.experiments.context import ExperimentContext, Scale
+from tests.test_regression_tree import _fingerprint, _ReferenceTree
 
 BENCHMARK = "gcc"
 DOMAIN = "cpi"
@@ -53,89 +60,6 @@ PAIRS = 7
 MIN_SPEEDUP = 2.0
 MIN_FOREST_SPEEDUP = 4.0
 N_CANDIDATES = 4096
-
-
-def _reference_best_split(X, y, min_leaf):
-    """Per-feature split search: re-sort and re-scan each column."""
-    n, d = X.shape
-    if n < 2 * min_leaf:
-        return None
-    total_sse = float(np.sum((y - y.mean()) ** 2))
-    best = None
-    for feat in range(d):
-        order = np.argsort(X[:, feat], kind="stable")
-        xs = X[order, feat]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csum2 = np.cumsum(ys * ys)
-        counts = np.arange(1, n)
-        left_sum = csum[:-1]
-        left_sse = csum2[:-1] - left_sum ** 2 / counts
-        right_cnt = n - counts
-        right_sum = csum[-1] - left_sum
-        right_sse = (csum2[-1] - csum2[:-1]) - right_sum ** 2 / right_cnt
-        sse = left_sse + right_sse
-        valid = ((counts >= min_leaf) & (right_cnt >= min_leaf)
-                 & (xs[:-1] < xs[1:]))
-        if not np.any(valid):
-            continue
-        sse = np.where(valid, sse, np.inf)
-        i = int(np.argmin(sse))
-        improvement = total_sse - float(sse[i])
-        if best is None or improvement > best[0] + 1e-12:
-            best = (improvement, feat, float(0.5 * (xs[i] + xs[i + 1])))
-    return best
-
-
-def _reference_node(y, depth, lower, upper):
-    """A node with ``np.mean`` / ``np.sum`` statistics over its rows."""
-    value = float(y.mean())
-    return TreeNode(depth=depth, value=value, n_samples=int(y.size),
-                    sse=float(np.sum((y - value) ** 2)),
-                    lower=lower, upper=upper)
-
-
-class _ReferenceTree(RegressionTree):
-    """Breadth-first builder that re-sorts every feature at every node."""
-
-    def fit(self, X, y):
-        self._n_features = X.shape[1]
-        self._splits = []
-        root = _reference_node(y, 0, X.min(axis=0), X.max(axis=0))
-        queue = [(root, X, y)]
-        while queue:
-            node, Xn, yn = queue.pop(0)
-            if node.depth >= self.max_depth or yn.size < self.min_samples_split:
-                continue
-            found = _reference_best_split(Xn, yn, self.min_samples_leaf)
-            if found is None or found[0] < self.min_impurity_decrease:
-                continue
-            improvement, feat, thr = found
-            mask = Xn[:, feat] <= thr
-            node.feature, node.threshold = feat, thr
-            self._splits.append(SplitRecord(
-                position=len(self._splits), depth=node.depth, feature=feat,
-                threshold=thr, improvement=improvement))
-            lo_l, up_l = node.lower.copy(), node.upper.copy()
-            up_l[feat] = thr
-            lo_r, up_r = node.lower.copy(), node.upper.copy()
-            lo_r[feat] = thr
-            node.left = _reference_node(yn[mask], node.depth + 1, lo_l, up_l)
-            node.right = _reference_node(yn[~mask], node.depth + 1, lo_r, up_r)
-            queue.append((node.left, Xn[mask], yn[mask]))
-            queue.append((node.right, Xn[~mask], yn[~mask]))
-        self._root = root
-        return self
-
-
-def _fingerprint(tree):
-    """Every split and node field, floats as exact bit patterns."""
-    splits = [(r.position, r.depth, r.feature, r.threshold.hex(),
-               r.improvement.hex()) for r in tree.splits]
-    nodes = [(n.depth, n.value.hex(), n.n_samples, n.sse.hex(),
-              n.lower.tobytes(), n.upper.tobytes(), n.feature)
-             for n in tree.nodes()]
-    return splits, nodes
 
 
 def _reference_design_matrix(X, centers, radii):
@@ -213,6 +137,18 @@ def _median_ratio(times):
             statistics.median(new for _, new in times))
 
 
+def _network_fit_seconds(X, Y, model):
+    """Median seconds of one ``RBFNetwork.fit_columns`` on the 16
+    targets, with ``model``'s network settings."""
+    s = model.settings
+    network = RBFNetwork(max_depth=s.rbf_max_depth,
+                         min_samples_leaf=s.rbf_min_samples_leaf,
+                         radius_scale=s.rbf_radius_scale, solver=s.rbf_solver)
+    network.fit_columns(X, Y)  # warm
+    return statistics.median(_seconds(lambda: network.fit_columns(X, Y))
+                             for _ in range(PAIRS))
+
+
 def _predict_timing(ctx, model):
     """Paired timings and bit identity of a 4,096-candidate predict."""
     candidates = ctx.space.sample_random(N_CANDIDATES, split="train", seed=0)
@@ -254,7 +190,10 @@ def test_grown_trees_fast_and_bit_identical():
     grown = [_fingerprint(t) for t in grow_all()]
     in_model = [_fingerprint(t) for t in fitted]
     identical = single == grown == ref == in_model
-    n_nodes = sum(len(nodes) for _, nodes in ref)
+    n_nodes = sum(tree.n_nodes for tree in fitted)
+    table_bytes = sum(column.nbytes for tree in fitted
+                      for column in tree.table)
+    network_fit_s = _network_fit_seconds(X, Y, model)
     predict_times, predict_identical = _predict_timing(ctx, model)
     predict_speedup, predict_reference_s, predict_s = _median_ratio(
         predict_times)
@@ -267,6 +206,8 @@ def test_grown_trees_fast_and_bit_identical():
         "n_features": int(X.shape[1]),
         "n_trees": len(targets),
         "n_nodes": n_nodes,
+        "table_bytes": table_bytes,
+        "network_fit_seconds": round(network_fit_s, 4),
         "pairs": PAIRS,
         "reference_seconds": round(reference_s, 4),
         "tree_seconds": round(single_s, 4),
@@ -300,6 +241,9 @@ def test_grown_trees_fast_and_bit_identical():
     print(f"  grown together   : {forest_s * 1e3:8.1f} ms "
           f"({forest_speedup:.2f}x vs {forest_reference_s * 1e3:.1f} ms)")
     print(f"  bit-identical    : {identical}")
+    print(f"  node tables      : {n_nodes} nodes, {table_bytes} bytes")
+    print(f"  network fit      : {network_fit_s * 1e3:8.1f} ms "
+          f"(trees plus weights, not gated)")
     print(f"predict: {N_CANDIDATES} candidates, {len(model.models_)} networks")
     print(f"  broadcast formula: {predict_reference_s * 1e3:8.1f} ms")
     print(f"  feature-major    : {predict_s * 1e3:8.1f} ms "

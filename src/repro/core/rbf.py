@@ -23,7 +23,7 @@ import numpy as np
 
 from repro._validation import as_2d_float_array
 from repro.errors import ModelError, NotFittedError
-from repro.core.regression_tree import RegressionTree, as_targets
+from repro.core.regression_tree import RegressionTree, as_training_data
 
 #: Weight-solving strategies.
 SOLVERS = ("ridge_gcv", "forward")
@@ -225,16 +225,21 @@ class RBFNetwork:
                  include_bias: bool = True):
         if solver not in SOLVERS:
             raise ModelError(f"unknown solver {solver!r}; choose from {SOLVERS}")
-        if radius_scale <= 0:
-            raise ModelError(f"radius_scale must be positive, got {radius_scale}")
-        if min_radius <= 0:
-            raise ModelError(f"min_radius must be positive, got {min_radius}")
+        for name, value in (("radius_scale", radius_scale),
+                            ("min_radius", min_radius)):
+            if not 0 < value < np.inf:
+                raise ModelError(f"{name} must be finite and positive, "
+                                 f"got {value}")
+        lambda_grid = tuple(float(lam) for lam in lambda_grid)
+        if not lambda_grid or not all(0 < lam < np.inf for lam in lambda_grid):
+            raise ModelError(f"lambda_grid must be a non-empty sequence of "
+                             f"finite values > 0, got {lambda_grid}")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.radius_scale = radius_scale
         self.min_radius = min_radius
         self.solver = solver
-        self.lambda_grid = tuple(lambda_grid)
+        self.lambda_grid = lambda_grid
         self.include_bias = include_bias
         # Fitted state
         self.tree_: Optional[RegressionTree] = None
@@ -248,8 +253,7 @@ class RBFNetwork:
     # ------------------------------------------------------------------
     def fit(self, X, y) -> "RBFNetwork":
         """Fit tree, derive candidate units, solve output weights."""
-        X = as_2d_float_array(X, name="X")
-        y = as_targets(y, X.shape[0])
+        X, y = as_training_data(X, y)
         return self._fit_weights(X, y, self._tree().fit(X, y), _factorize(X))
 
     def fit_columns(self, X, Y) -> List["RBFNetwork"]:
@@ -259,8 +263,7 @@ class RBFNetwork:
         column, and equals a separate :meth:`fit` bit for bit (see
         :meth:`RegressionTree.fit_columns`).  ``self`` is not modified.
         """
-        X = as_2d_float_array(X, name="X")
-        Y = as_targets(Y, X.shape[0], ndim=2)
+        X, Y = as_training_data(X, Y, ndim=2)
         trees = self._tree().fit_columns(X, Y)
         columns = _factorize(X)
         return [copy.copy(self)._fit_weights(X, y, tree, columns)
@@ -298,12 +301,10 @@ class RBFNetwork:
         midpoint, with radii ``radius_scale`` times the half widths,
         floored at ``min_radius``.
         """
-        nodes = list(self.tree_.nodes())
-        lower = np.array([node.lower for node in nodes])
-        upper = np.array([node.upper for node in nodes])
-        radii = np.maximum((upper - lower) / 2.0 * self.radius_scale,
-                           self.min_radius)
-        return (lower + upper) / 2.0, radii
+        table = self.tree_.table
+        radii = np.maximum((table.upper - table.lower) / 2.0
+                           * self.radius_scale, self.min_radius)
+        return (table.lower + table.upper) / 2.0, radii
 
     def _forward_select(self, phi: np.ndarray, y: np.ndarray):
         """Greedy forward selection of columns of ``phi`` minimizing GCV."""
@@ -359,4 +360,5 @@ class RBFNetwork:
 
     def _check_fitted(self) -> None:
         if self.weights_ is None:
-            raise NotFittedError("RBFNetwork.predict called before fit")
+            raise NotFittedError("RBFNetwork is not fitted; call fit or "
+                                 "fit_columns first")

@@ -14,6 +14,11 @@ This module implements the tree with exact variance-reduction splitting,
 records per-feature *first-split depth* and *split frequency*, and exposes
 every node's bounding box for RBF center extraction.
 
+A fitted tree is one breadth-first :class:`NodeTable`: row 0 is the
+root, and the children of the ``i``-th split node are rows ``2i + 1``
+and ``2i + 2``.  Prediction, importance and RBF unit extraction read
+its columns; there is no node object graph.
+
 One grower serves every fit.  It takes a target matrix ``Y`` of shape
 ``(n, T)`` and grows ``T`` trees on the same ``X`` together, level by
 level; :meth:`RegressionTree.fit` is the one-column case.  One stable
@@ -30,9 +35,8 @@ each tree's own creation order, so split positions are unchanged.
 from __future__ import annotations
 
 import copy
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,44 +44,31 @@ from repro._validation import as_2d_float_array
 from repro.errors import ModelError, NotFittedError
 
 
-@dataclass
-class TreeNode:
-    """One node of a fitted regression tree.
+class NodeTable(NamedTuple):
+    """Every node of one fitted tree, one row per node, breadth-first.
 
-    Attributes
-    ----------
-    depth:
-        Root is depth 0.
-    value:
-        Mean of the training targets reaching this node (the prediction
-        for leaves).
-    n_samples:
-        Number of training rows reaching this node.
-    sse:
-        Sum of squared errors of ``value`` over those rows.
-    lower, upper:
-        The node's axis-aligned bounding box in input space.  The root box
-        is the full training-data range; children inherit their parent's
-        box cut at the split threshold.
-    feature, threshold:
-        Split definition (``None`` for leaves); rows with
-        ``x[feature] <= threshold`` go left.
+    ``feature`` is ``-1`` for a leaf, whose ``threshold``, ``left`` and
+    ``right`` are then ``nan``, ``-1`` and ``-1`` and whose
+    ``improvement`` is 0.  Rows with ``x[feature] <= threshold`` go to
+    ``left``.  ``value`` is the mean of the training targets reaching
+    the node (a leaf's prediction), ``sse`` their squared error about
+    it, ``improvement`` the SSE reduction of the node's split.
+    ``lower`` and ``upper`` are ``(nodes, d)`` bounding boxes: the
+    root's is the training-data range, and each child's is its parent's
+    cut at the split threshold.
     """
 
-    depth: int
-    value: float
-    n_samples: int
-    sse: float
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
+    sse: np.ndarray
+    depth: np.ndarray
+    improvement: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    feature: Optional[int] = None
-    threshold: Optional[float] = None
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
 
 
 @dataclass(frozen=True)
@@ -99,50 +90,53 @@ class SplitRecord:
 LEVEL_BLOCK_ROWS = 2048
 
 
-def _make_node(y: np.ndarray, depth: int, lower: np.ndarray,
-               upper: np.ndarray) -> TreeNode:
-    """A node holding the targets ``y``: their mean and SSE about it.
+def _node_stats(y: np.ndarray):
+    """Mean of the targets ``y`` and their SSE about it.
 
-    The statistics are bit-equal to ``y.mean()`` and
-    ``np.sum((y - mean) ** 2)`` at a fraction of their call overhead.
-    Both sums must run over the node's own rows and nothing else:
-    NumPy's pairwise summation groups terms by position, so summing a
-    zero-padded row would change the bits.
+    Bit-equal to ``y.mean()`` and ``np.sum((y - mean) ** 2)`` at a
+    fraction of their call overhead.  Both sums must run over the
+    node's own rows and nothing else: NumPy's pairwise summation groups
+    terms by position, so summing a zero-padded row would change the
+    bits, and so does a segmented ``np.add.reduceat``.
     """
     value = float(np.add.reduce(y) / y.size)
     dev = y - value
-    return TreeNode(depth=depth, value=value, n_samples=y.size,
-                    sse=float(np.add.reduce(dev * dev)),
-                    lower=lower, upper=upper)
+    return value, float(np.add.reduce(dev * dev))
 
 
-def as_targets(Y, n_rows: int, ndim: int = 1) -> np.ndarray:
-    """Coerce regression targets to a finite float array with ``n_rows`` rows.
+def as_training_data(X, Y, ndim: int = 1):
+    """Coerce ``X`` to a non-empty 2-D float array and ``Y`` to finite
+    targets with one row per row of ``X``.
 
     A NaN or infinite target would poison every node statistic on its
     path and, through them, every split and prediction, so it is
     rejected here.
     """
+    X = as_2d_float_array(X, name="X")
+    if X.size == 0:
+        raise ModelError(f"X must have at least one row and one column, "
+                         f"got shape {X.shape}")
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != ndim or Y.shape[0] != n_rows:
+    if Y.ndim != ndim or Y.shape[0] != X.shape[0]:
         raise ModelError(
-            f"targets must be {ndim}-D with {n_rows} rows (one per row of X), "
-            f"got shape {Y.shape}"
+            f"targets must be {ndim}-D with {X.shape[0]} rows (one per row "
+            f"of X), got shape {Y.shape}"
         )
     if not np.all(np.isfinite(Y)):
         raise ModelError("targets contain non-finite values")
-    return Y
+    return X, Y
 
 
-def _search_level(level, rank, xsorted, ysorted, min_leaf: int):
+def _search_level(rows, trees, total_sse, rank, xsorted, ysorted,
+                  min_leaf: int):
     """Best split of every open node of one level, across all trees.
 
-    ``level`` holds ``(node, splits, tree, rows)`` per open node.
-    ``rank[r, f]`` is row ``r``'s position in feature ``f``'s stable
-    order, ``xsorted[p, f]`` the ``p``-th smallest value of feature
-    ``f`` and ``ysorted[t, p, f]`` tree ``t``'s target at that row; all
-    three carry a pad row ``n`` that ranks last in every feature, with
-    zero value and targets.
+    Open node ``k`` holds training rows ``rows[k]`` of tree
+    ``trees[k]``, with SSE ``total_sse[k]``.  ``rank[r, f]`` is row
+    ``r``'s position in feature ``f``'s stable order, ``xsorted[p, f]``
+    the ``p``-th smallest value of feature ``f`` and ``ysorted[t, p,
+    f]`` tree ``t``'s target at that row; all three carry a pad row
+    ``n`` that ranks last in every feature, with zero value and targets.
 
     Nodes are taken largest first, in blocks of at most
     :data:`LEVEL_BLOCK_ROWS` node-rows.  In a block, each node's rows
@@ -155,17 +149,15 @@ def _search_level(level, rank, xsorted, ysorted, min_leaf: int):
     Candidate thresholds are midpoints between consecutive distinct
     values.  On (near-)equal improvements the lowest feature wins.
 
-    Returns per-node lists ``(improvement, feature, threshold)``, with
+    Returns per-node arrays ``(improvement, feature, threshold)``, with
     ``feature == -1`` where no feature has a valid threshold.
     """
     n, d = rank.shape[0] - 1, rank.shape[1]
     cols = np.arange(d)
-    sizes = np.array([rows.size for _, _, _, rows in level])
-    trees = np.array([tree for _, _, tree, _ in level])
-    total_sse = np.array([node.sse for node, _, _, _ in level])
-    improvement = np.empty(len(level))
-    feature = np.empty(len(level), dtype=np.intp)
-    threshold = np.empty(len(level))
+    sizes = np.array([r.size for r in rows])
+    improvement = np.empty(len(rows))
+    feature = np.empty(len(rows), dtype=np.intp)
+    threshold = np.empty(len(rows))
     by_size = np.argsort(-sizes, kind="stable")
     start = 0
     while start < by_size.size:
@@ -175,7 +167,7 @@ def _search_level(level, rank, xsorted, ysorted, min_leaf: int):
         n_rows = sizes[block]
         ids = np.full((block.size, width), n)
         ids[np.arange(width) < n_rows[:, None]] = np.concatenate(
-            [level[k][3] for k in block])
+            [rows[k] for k in block])
         # Flat indices of the sorted cells: (nodes, rows, d).
         cells = np.sort(rank[ids], axis=1) * d + cols
         xs = xsorted.take(cells)
@@ -212,18 +204,19 @@ def _search_level(level, rank, xsorted, ysorted, min_leaf: int):
         improvement[block] = best
         feature[block] = feat
         threshold[block] = 0.5 * (xs[nodes, i, f] + xs[nodes, i + 1, f])
-    return improvement.tolist(), feature.tolist(), threshold.tolist()
+    return improvement, feature, threshold
 
 
 def _grow(X: np.ndarray, Y: np.ndarray, max_depth: int, min_leaf: int,
-          min_split: int, min_decrease: float):
+          min_split: int, min_decrease: float) -> List[NodeTable]:
     """Grow one tree per column of ``Y`` on the shared ``X``, level by level.
 
-    Returns ``[(root, splits), ...]`` in column order.  Every level's
-    open nodes, across all trees, are searched together
-    (:func:`_search_level`); the splits are then applied in each tree's
-    creation order, so nodes and :class:`SplitRecord` positions come out
-    in the breadth-first order of growing each tree on its own.
+    Returns one :class:`NodeTable` per column.  Every level's open
+    nodes, across all trees, are searched together
+    (:func:`_search_level`).  Each level's children are appended in
+    their parents' order, left before right, so each tree's rows come
+    out in the breadth-first order of growing it on its own.  A child's
+    box is its parent's row with the split column overwritten.
     """
     n, d = X.shape
     cols = np.arange(d)
@@ -237,42 +230,55 @@ def _grow(X: np.ndarray, Y: np.ndarray, max_depth: int, min_leaf: int,
     targets[:, :n] = Y.T
     ysorted = targets[:, order]
     x_cols = np.ascontiguousarray(X.T)
-    lower, upper = X.min(axis=0), X.max(axis=0)
-    all_rows = np.arange(n)
-    grown, level = [], []
-    for tree, y in enumerate(targets[:, :n]):
-        root, splits = _make_node(y, 0, lower.copy(), upper.copy()), []
-        grown.append((root, splits))
-        level.append((root, splits, tree, all_rows))
-    for depth in range(max_depth):
-        level = [item for item in level if item[3].size >= min_split]
-        if not level:
+    # The current level, all trees: each node's tree, rows and box.
+    trees = np.arange(Y.shape[1])
+    rows = [np.arange(n)] * trees.size
+    lower = np.repeat(X.min(axis=0)[None], trees.size, axis=0)
+    upper = np.repeat(X.max(axis=0)[None], trees.size, axis=0)
+    levels = []
+    for depth in range(max_depth + 1):
+        sizes = np.array([r.size for r in rows])
+        value, sse = np.array([_node_stats(targets[t].take(r))
+                               for t, r in zip(trees.tolist(), rows)]).T
+        feature = np.full(trees.size, -1)
+        threshold = np.full(trees.size, np.nan)
+        improvement = np.zeros(trees.size)
+        # The tree id, then the NodeTable columns less left and right.
+        levels.append((trees, feature, threshold, value, sizes, sse,
+                       np.full(trees.size, depth), improvement, lower, upper))
+        open_ = np.flatnonzero(sizes >= min_split) if depth < max_depth else []
+        if not len(open_):
             break
-        found = _search_level(level, rank, xsorted, ysorted, min_leaf)
+        gain, feat, thr = _search_level([rows[k] for k in open_],
+                                        trees[open_], sse[open_], rank,
+                                        xsorted, ysorted, min_leaf)
+        keep = (feat >= 0) & (gain >= min_decrease)
+        split, feat, thr = open_[keep], feat[keep], thr[keep]
+        if not split.size:
+            break
+        feature[split], threshold[split] = feat, thr
+        improvement[split] = gain[keep]
         children = []
-        for (node, splits, tree, rows), improvement, feat, thr in zip(
-                level, *found):
-            if feat < 0 or improvement < min_decrease:
-                continue
-            mask = x_cols[feat][rows] <= thr
-            node.feature, node.threshold = feat, thr
-            splits.append(SplitRecord(
-                position=len(splits), depth=depth, feature=feat,
-                threshold=thr, improvement=improvement,
-            ))
-            up_l = node.upper.copy()
-            up_l[feat] = thr
-            lo_r = node.lower.copy()
-            lo_r[feat] = thr
-            left, right = rows[mask], rows[~mask]
-            node.left = _make_node(targets[tree].take(left), depth + 1,
-                                   node.lower.copy(), up_l)
-            node.right = _make_node(targets[tree].take(right), depth + 1,
-                                    lo_r, node.upper.copy())
-            children.append((node.left, splits, tree, left))
-            children.append((node.right, splits, tree, right))
-        level = children
-    return grown
+        for k, f, t in zip(split.tolist(), feat.tolist(), thr.tolist()):
+            mask = x_cols[f][rows[k]] <= t
+            children += [rows[k][mask], rows[k][~mask]]
+        trees, rows = np.repeat(trees[split], 2), children
+        left = 2 * np.arange(split.size)
+        lower = np.repeat(lower[split], 2, axis=0)
+        upper = np.repeat(upper[split], 2, axis=0)
+        upper[left, feat] = thr
+        lower[left + 1, feat] = thr
+    tree, *columns = (np.concatenate(c) for c in zip(*levels))
+    by_tree = np.argsort(tree, kind="stable")
+    ends = np.cumsum(np.bincount(tree, minlength=Y.shape[1]))[:-1]
+    tables = []
+    for part in np.split(by_tree, ends):
+        feature, threshold, *rest = (c[part] for c in columns)
+        is_split = feature >= 0
+        left = np.where(is_split, 2 * np.cumsum(is_split) - 1, -1)
+        right = np.where(is_split, left + 1, -1)
+        tables.append(NodeTable(feature, threshold, left, right, *rest))
+    return tables
 
 
 class RegressionTree:
@@ -310,19 +316,15 @@ class RegressionTree:
         self.min_samples_leaf = min_samples_leaf
         self.min_samples_split = max(min_samples_split, 2 * min_samples_leaf)
         self.min_impurity_decrease = min_impurity_decrease
-        self._root: Optional[TreeNode] = None
-        self._n_features: Optional[int] = None
-        self._splits: List[SplitRecord] = []
+        self._table: Optional[NodeTable] = None
 
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
     def fit(self, X, y) -> "RegressionTree":
         """Fit the tree on ``X`` of shape (n, d) and targets ``y`` of shape (n,)."""
-        X = as_2d_float_array(X, name="X")
-        y = as_targets(y, X.shape[0])
-        (self._root, self._splits), = self._grow(X, y[:, None])
-        self._n_features = X.shape[1]
+        X, y = as_training_data(X, y)
+        self._table, = self._grow(X, y[:, None])
         return self
 
     def fit_columns(self, X, Y) -> List["RegressionTree"]:
@@ -333,17 +335,15 @@ class RegressionTree:
         together shares the presort of ``X`` and every level's split
         search.  ``self`` is not modified.
         """
-        X = as_2d_float_array(X, name="X")
-        Y = as_targets(Y, X.shape[0], ndim=2)
+        X, Y = as_training_data(X, Y, ndim=2)
         trees = []
-        for root, splits in self._grow(X, Y):
+        for table in self._grow(X, Y):
             tree = copy.copy(self)
-            tree._root, tree._splits = root, splits
-            tree._n_features = X.shape[1]
+            tree._table = table
             trees.append(tree)
         return trees
 
-    def _grow(self, X: np.ndarray, Y: np.ndarray):
+    def _grow(self, X: np.ndarray, Y: np.ndarray) -> List[NodeTable]:
         return _grow(X, Y, self.max_depth, self.min_samples_leaf,
                      self.min_samples_split, self.min_impurity_decrease)
 
@@ -351,87 +351,74 @@ class RegressionTree:
     # Prediction and introspection
     # ------------------------------------------------------------------
     @property
-    def root(self) -> TreeNode:
-        """The fitted root node."""
-        self._check_fitted()
-        return self._root
+    def table(self) -> NodeTable:
+        """The fitted nodes, one row each, breadth-first from the root."""
+        if self._table is None:
+            raise NotFittedError(
+                "RegressionTree is not fitted; call fit or fit_columns first")
+        return self._table
 
     @property
     def n_features(self) -> int:
         """Number of input features seen at fit time."""
-        self._check_fitted()
-        return self._n_features
+        return self.table.lower.shape[1]
 
     def predict(self, X) -> np.ndarray:
         """Predict targets for rows of ``X``.
 
-        Routing is batched per node: every row reaching a split is
-        partitioned with one vectorized comparison, so prediction costs
-        O(n_nodes) numpy operations instead of a Python loop over rows
-        — the explorer evaluates candidate batches of thousands of
-        configurations through this path.
+        Rows are routed level by level: each step moves every row still
+        at a split node to its child with one vectorized comparison, so
+        prediction costs O(depth) numpy operations instead of a Python
+        loop over rows — the explorer evaluates candidate batches of
+        thousands of configurations through this path.
         """
-        self._check_fitted()
+        table = self.table
         X = as_2d_float_array(X, name="X")
-        if X.shape[1] != self._n_features:
+        if X.shape[1] != self.n_features:
             raise ModelError(
-                f"X has {X.shape[1]} features, tree was fitted with {self._n_features}"
+                f"X has {X.shape[1]} features, tree was fitted with "
+                f"{self.n_features}"
             )
-        out = np.empty(X.shape[0], dtype=float)
-        stack = [(self._root, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            if node.is_leaf:
-                out[rows] = node.value
-                continue
-            goes_left = X[rows, node.feature] <= node.threshold
-            stack.append((node.left, rows[goes_left]))
-            stack.append((node.right, rows[~goes_left]))
-        return out
-
-    def nodes(self) -> Iterator[TreeNode]:
-        """Yield every node, breadth-first from the root."""
-        self._check_fitted()
-        queue = deque([self._root])
-        while queue:
-            node = queue.popleft()
-            yield node
-            if not node.is_leaf:
-                queue.append(node.left)
-                queue.append(node.right)
-
-    def leaves(self) -> Iterator[TreeNode]:
-        """Yield the leaf nodes."""
-        return (n for n in self.nodes() if n.is_leaf)
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for _ in range(self.depth):
+            feature = table.feature[node]
+            goes_left = X[rows, feature] <= table.threshold[node]
+            node = np.where(feature < 0, node, np.where(
+                goes_left, table.left[node], table.right[node]))
+        return table.value[node]
 
     @property
     def n_nodes(self) -> int:
         """Total node count."""
-        return sum(1 for _ in self.nodes())
+        return self.table.feature.size
 
     @property
     def depth(self) -> int:
-        """Maximum depth over all nodes (0 for a stump)."""
-        return max(n.depth for n in self.nodes())
+        """Maximum depth over all nodes (0 for a stump): the last row's."""
+        return int(self.table.depth[-1])
+
+    def _split_rows(self) -> np.ndarray:
+        """Table rows of the split nodes, in construction order."""
+        return np.flatnonzero(self.table.feature >= 0)
 
     @property
     def splits(self) -> List[SplitRecord]:
         """Splits in construction (breadth-first) order."""
-        self._check_fitted()
-        return list(self._splits)
+        table, at = self.table, self._split_rows()
+        return [SplitRecord(position, *fields) for position, fields in
+                enumerate(zip(table.depth[at].tolist(),
+                              table.feature[at].tolist(),
+                              table.threshold[at].tolist(),
+                              table.improvement[at].tolist()))]
 
     # ------------------------------------------------------------------
     # Parameter-importance measures (Figure 11)
     # ------------------------------------------------------------------
     def split_counts(self) -> np.ndarray:
         """Number of splits on each feature ("split frequency")."""
-        self._check_fitted()
-        counts = np.zeros(self._n_features, dtype=int)
-        for rec in self._splits:
-            counts[rec.feature] += 1
-        return counts
+        return np.bincount(self.table.feature[self._split_rows()],
+                           minlength=self.n_features)
 
     def first_split_positions(self) -> np.ndarray:
         """Breadth-first position of each feature's earliest split.
@@ -439,11 +426,9 @@ class RegressionTree:
         Features that are never split get position ``n_splits`` (i.e.,
         strictly after every real split), so lower is more important.
         """
-        self._check_fitted()
-        pos = np.full(self._n_features, len(self._splits), dtype=int)
-        for rec in self._splits:
-            if rec.position < pos[rec.feature]:
-                pos[rec.feature] = rec.position
+        features = self.table.feature[self._split_rows()]
+        pos = np.full(self.n_features, features.size)
+        np.minimum.at(pos, features, np.arange(features.size))
         return pos
 
     def split_order_scores(self) -> np.ndarray:
@@ -453,22 +438,21 @@ class RegressionTree:
         — the quantity visualised by spoke length in the paper's Figure
         11(a) star plots.
         """
-        self._check_fitted()
-        n = len(self._splits)
+        n = self._split_rows().size
         if n == 0:
-            return np.zeros(self._n_features)
+            return np.zeros(self.n_features)
         pos = self.first_split_positions().astype(float)
         return np.clip(1.0 - pos / n, 0.0, 1.0)
 
     def importance_by_improvement(self) -> np.ndarray:
-        """Total SSE reduction attributed to each feature, normalized to sum 1."""
-        self._check_fitted()
-        gain = np.zeros(self._n_features, dtype=float)
-        for rec in self._splits:
-            gain[rec.feature] += rec.improvement
+        """Total SSE reduction attributed to each feature, normalized to sum 1.
+
+        ``np.bincount`` adds the weights in table order, the same
+        sequential sums as accumulating the splits one by one.
+        """
+        at = self._split_rows()
+        gain = np.bincount(self.table.feature[at],
+                           weights=self.table.improvement[at],
+                           minlength=self.n_features)
         total = gain.sum()
         return gain / total if total > 0 else gain
-
-    def _check_fitted(self) -> None:
-        if self._root is None:
-            raise NotFittedError("RegressionTree.predict called before fit")

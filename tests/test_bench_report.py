@@ -70,11 +70,17 @@ def test_chunk_ratio_reports_missing_fields(tmp_path):
 def test_predictor_fit_gates_speedup_and_bit_identity(tmp_path):
     record = {"bench": "predictor_fit", "tree_speedup": 2.6,
               "forest_speedup": 5.9, "trees_bit_identical": True,
-              "predict_speedup": 0.5, "predict_bit_identical": True}
+              "predict_speedup": 0.5, "predict_bit_identical": True,
+              "n_nodes": 1044, "table_bytes": 225504,
+              "network_fit_seconds": 9.5}
     _write(tmp_path, "BENCH_predictor_fit.json", record)
     summary = bench_report.build_summary(tmp_path)
-    # predict_speedup is recorded, not gated: 0.5x still passes.
+    # predict_speedup, the node-table size and the network fit time are
+    # recorded, not gated: 0.5x and 9.5 s still pass.
     assert summary["failures"] == 0 and summary["checks_run"] == 4
+    detail = {c["check"]: c["detail"] for c in summary["checks"]}
+    assert ("1044 nodes in 225504 table bytes; one network fit 9.5 s"
+            in detail["predictor_fit.bit_identical"])
 
     record.update(tree_speedup=1.8, forest_speedup=3.9,
                   trees_bit_identical=False, predict_bit_identical=False)

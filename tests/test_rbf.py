@@ -302,9 +302,26 @@ class TestValidation:
         with pytest.raises(ModelError):
             RBFNetwork(min_radius=-1.0)
 
+    @pytest.mark.parametrize("params", [
+        dict(lambda_grid=()),
+        dict(lambda_grid=(np.nan,)),
+        dict(lambda_grid=(-1.0,)),
+        dict(lambda_grid=(0.0,)),
+        dict(lambda_grid=(1e-3, np.inf)),
+        dict(radius_scale=np.nan),
+        dict(radius_scale=np.inf),
+        dict(min_radius=np.nan),
+        dict(min_radius=np.inf),
+    ], ids=lambda params: "-".join(f"{k}={v}" for k, v in params.items()))
+    def test_malformed_hyperparameters_rejected(self, params):
+        with pytest.raises(ModelError):
+            RBFNetwork(**params)
+
     def test_predict_before_fit(self):
-        with pytest.raises(NotFittedError):
+        with pytest.raises(NotFittedError, match="not fitted; call fit"):
             RBFNetwork().predict([[0.0]])
+        with pytest.raises(NotFittedError, match="not fitted; call fit"):
+            RBFNetwork().n_units
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ModelError):

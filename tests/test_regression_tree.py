@@ -1,12 +1,16 @@
 """Unit and property tests for repro.core.regression_tree."""
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.predictor import WaveletNeuralPredictor
-from repro.core.regression_tree import RegressionTree, SplitRecord, TreeNode
+from repro.core.rbf import RBFNetwork
+from repro.core.regression_tree import RegressionTree, SplitRecord
 from repro.core.wavelets import dwt_batch
 from repro.engine import create_engine
 from repro.errors import ModelError, NotFittedError
@@ -24,9 +28,8 @@ class TestFitting:
     def test_recovers_single_split(self):
         X, y = _step_data()
         tree = RegressionTree(max_depth=1, min_samples_leaf=2).fit(X, y)
-        assert not tree.root.is_leaf
-        assert tree.root.feature == 1
-        assert tree.root.threshold == pytest.approx(0.5, abs=0.08)
+        assert tree.table.feature.tolist() == [1, -1, -1]
+        assert tree.table.threshold[0] == pytest.approx(0.5, abs=0.08)
 
     def test_predictions_are_leaf_means(self):
         X, y = _step_data()
@@ -38,21 +41,21 @@ class TestFitting:
     def test_max_depth_zero_gives_stump(self):
         X, y = _step_data()
         tree = RegressionTree(max_depth=0).fit(X, y)
-        assert tree.root.is_leaf
+        assert tree.table.feature.tolist() == [-1]
         assert tree.predict(X[:3]) == pytest.approx([y.mean()] * 3)
 
     def test_constant_target_never_splits(self):
         rng = np.random.default_rng(1)
         X = rng.uniform(size=(50, 4))
         tree = RegressionTree().fit(X, np.full(50, 3.0))
-        assert tree.root.is_leaf
+        assert tree.table.feature.tolist() == [-1]
         assert tree.n_nodes == 1
 
     def test_min_samples_leaf_respected(self):
         X, y = _step_data(n=40)
         tree = RegressionTree(max_depth=8, min_samples_leaf=7).fit(X, y)
-        for leaf in tree.leaves():
-            assert leaf.n_samples >= 7
+        table = tree.table
+        assert np.all(table.n_samples[table.feature < 0] >= 7)
 
     def test_deeper_tree_fits_better(self):
         rng = np.random.default_rng(2)
@@ -86,8 +89,32 @@ class TestFitting:
             RegressionTree().fit_columns(X, np.column_stack([X[:, 0], y]))
 
     def test_predict_before_fit_raises(self):
-        with pytest.raises(NotFittedError):
-            RegressionTree().predict([[1.0]])
+        """Every accessor of an unfitted tree raises, naming no one accessor."""
+        for accessor in (
+                lambda tree: tree.predict([[1.0]]),
+                lambda tree: tree.table,
+                lambda tree: tree.n_features,
+                lambda tree: tree.n_nodes,
+                lambda tree: tree.depth,
+                lambda tree: tree.splits,
+                lambda tree: tree.split_counts(),
+                lambda tree: tree.first_split_positions(),
+                lambda tree: tree.split_order_scores(),
+                lambda tree: tree.importance_by_improvement()):
+            with pytest.raises(NotFittedError,
+                               match="^RegressionTree is not fitted; call fit"):
+                accessor(RegressionTree())
+
+    @pytest.mark.parametrize("fit", [
+        lambda X: RegressionTree().fit(X, np.zeros(X.shape[0])),
+        lambda X: RegressionTree().fit_columns(X, np.zeros((X.shape[0], 2))),
+        lambda X: RBFNetwork().fit(X, np.zeros(X.shape[0])),
+        lambda X: RBFNetwork().fit_columns(X, np.zeros((X.shape[0], 2))),
+    ], ids=["tree.fit", "tree.fit_columns", "rbf.fit", "rbf.fit_columns"])
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (0, 0)], ids=str)
+    def test_empty_X_rejected(self, fit, shape):
+        with pytest.raises(ModelError, match="at least one row and one column"):
+            fit(np.empty(shape))
 
     def test_predict_wrong_width_rejected(self):
         X, y = _step_data(d=3)
@@ -100,23 +127,41 @@ class TestStructure:
     def test_bounding_boxes_nested(self):
         X, y = _step_data(n=128, d=2, seed=3)
         tree = RegressionTree(max_depth=4, min_samples_leaf=4).fit(X, y)
-        for node in tree.nodes():
-            if not node.is_leaf:
-                for child in (node.left, node.right):
-                    assert np.all(child.lower >= node.lower - 1e-12)
-                    assert np.all(child.upper <= node.upper + 1e-12)
+        t = tree.table
+        parents = np.flatnonzero(t.feature >= 0)
+        assert parents.size > 0
+        for children in (t.left[parents], t.right[parents]):
+            assert np.all(t.lower[children] >= t.lower[parents] - 1e-12)
+            assert np.all(t.upper[children] <= t.upper[parents] + 1e-12)
 
     def test_children_partition_samples(self):
         X, y = _step_data(n=100, seed=4)
         tree = RegressionTree(max_depth=5, min_samples_leaf=3).fit(X, y)
-        for node in tree.nodes():
-            if not node.is_leaf:
-                assert node.left.n_samples + node.right.n_samples == node.n_samples
+        t = tree.table
+        parents = np.flatnonzero(t.feature >= 0)
+        assert parents.size > 0
+        assert np.array_equal(
+            t.n_samples[t.left[parents]] + t.n_samples[t.right[parents]],
+            t.n_samples[parents])
+
+    def test_table_is_breadth_first(self):
+        X, y = _step_data(n=100, seed=4)
+        t = RegressionTree(max_depth=5, min_samples_leaf=3).fit(X, y).table
+        parents = np.flatnonzero(t.feature >= 0)
+        leaves = t.feature < 0
+        assert np.array_equal(t.left[parents], 2 * np.arange(parents.size) + 1)
+        assert np.array_equal(t.right[parents], t.left[parents] + 1)
+        assert np.array_equal(t.depth[t.left[parents]], t.depth[parents] + 1)
+        assert t.feature.size == 2 * parents.size + 1
+        assert np.all(np.isnan(t.threshold[leaves]))
+        assert np.all(t.left[leaves] == -1) and np.all(t.right[leaves] == -1)
+        assert np.all(t.improvement[leaves] == 0.0)
+        assert np.all(t.improvement[parents] > 0.0)
 
     def test_leaf_count_bounds(self):
         X, y = _step_data(n=100, seed=5)
         tree = RegressionTree(max_depth=3, min_samples_leaf=5).fit(X, y)
-        n_leaves = sum(1 for _ in tree.leaves())
+        n_leaves = np.count_nonzero(tree.table.feature < 0)
         assert 1 <= n_leaves <= 2 ** 3
 
     def test_splits_are_records(self):
@@ -172,35 +217,25 @@ class TestImportance:
 
 
 class TestVectorizedPredict:
-    """Batched node routing must agree with a per-row reference walk."""
-
-    @staticmethod
-    def _reference_predict(tree, X):
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            node = tree.root
-            while not node.is_leaf:
-                node = (node.left if row[node.feature] <= node.threshold
-                        else node.right)
-            out[i] = node.value
-        return out
+    """Level-wise routing must agree with a per-row walk of the reference."""
 
     def test_matches_reference_walk(self):
         rng = np.random.default_rng(42)
         X = rng.uniform(size=(300, 5))
         y = (np.sin(5 * X[:, 0]) + 2 * (X[:, 1] > 0.4)
              + 0.3 * rng.normal(size=300))
-        tree = RegressionTree(max_depth=7, min_samples_leaf=3).fit(X, y)
+        params = dict(max_depth=7, min_samples_leaf=3)
+        tree = RegressionTree(**params).fit(X, y)
         probe = rng.uniform(-0.2, 1.2, size=(500, 5))
         assert np.array_equal(tree.predict(probe),
-                              self._reference_predict(tree, probe))
+                              _ReferenceTree(**params).fit(X, y).predict(probe))
 
     def test_threshold_boundary_routes_left(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]] * 4)
         y = (X[:, 0] > 1.5).astype(float)
         tree = RegressionTree(max_depth=1, min_samples_leaf=2).fit(X, y)
-        threshold = tree.root.threshold
-        assert tree.predict([[threshold]])[0] == tree.root.left.value
+        t = tree.table
+        assert tree.predict([[t.threshold[0]]])[0] == t.value[t.left[0]]
 
     def test_stump_predicts_mean(self):
         rng = np.random.default_rng(1)
@@ -223,13 +258,12 @@ def _reference_best_split(X, y, min_leaf):
         ys = y[order]
         csum = np.cumsum(ys)
         csum2 = np.cumsum(ys * ys)
-        total_sum, total_sum2 = csum[-1], csum2[-1]
         counts = np.arange(1, n)
         left_sum = csum[:-1]
         left_sse = csum2[:-1] - left_sum ** 2 / counts
         right_cnt = n - counts
-        right_sum = total_sum - left_sum
-        right_sse = (total_sum2 - csum2[:-1]) - right_sum ** 2 / right_cnt
+        right_sum = csum[-1] - left_sum
+        right_sse = (csum2[-1] - csum2[:-1]) - right_sum ** 2 / right_cnt
         sse = left_sse + right_sse
         valid = ((counts >= min_leaf) & (right_cnt >= min_leaf)
                  & (xs[:-1] < xs[1:]))
@@ -243,24 +277,50 @@ def _reference_best_split(X, y, min_leaf):
     return best
 
 
+@dataclass
+class _ReferenceNode:
+    depth: int
+    value: float
+    n_samples: int
+    sse: float
+    lower: np.ndarray
+    upper: np.ndarray
+    feature: Optional[int] = None
+    threshold: Optional[float] = None
+    improvement: Optional[float] = None
+    left: Optional["_ReferenceNode"] = None
+    right: Optional["_ReferenceNode"] = None
+
+
 def _reference_node(y, depth, lower, upper):
     """A node with ``np.mean`` / ``np.sum`` statistics over its rows."""
     value = float(y.mean())
-    return TreeNode(depth=depth, value=value, n_samples=int(y.size),
-                    sse=float(np.sum((y - value) ** 2)),
-                    lower=lower, upper=upper)
+    return _ReferenceNode(depth=depth, value=value, n_samples=int(y.size),
+                          sse=float(np.sum((y - value) ** 2)),
+                          lower=lower, upper=upper)
 
 
-class _ReferenceTree(RegressionTree):
-    """Breadth-first builder that re-sorts every feature at every node."""
+class _ReferenceTree:
+    """Breadth-first builder that re-sorts every feature at every node.
+
+    It keeps its own node objects, statistics and split list, and shares
+    no code with the grower; only the resolved hyper-parameters come
+    from :class:`RegressionTree`.
+    """
+
+    def __init__(self, **params):
+        resolved = RegressionTree(**params)
+        self.max_depth = resolved.max_depth
+        self.min_samples_leaf = resolved.min_samples_leaf
+        self.min_samples_split = resolved.min_samples_split
+        self.min_impurity_decrease = resolved.min_impurity_decrease
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
-        self._n_features = X.shape[1]
-        self._splits = []
-        root = _reference_node(y, 0, X.min(axis=0), X.max(axis=0))
-        queue = [(root, X, y)]
+        self.root = _reference_node(y, 0, X.min(axis=0), X.max(axis=0))
+        self.nodes, self.splits = [self.root], []
+        queue = [(self.root, X, y)]
         while queue:
             node, Xn, yn = queue.pop(0)
             if node.depth >= self.max_depth or yn.size < self.min_samples_split:
@@ -271,30 +331,61 @@ class _ReferenceTree(RegressionTree):
             improvement, feat, thr = found
             mask = Xn[:, feat] <= thr
             node.feature, node.threshold = feat, thr
-            self._splits.append(SplitRecord(
-                position=len(self._splits), depth=node.depth, feature=feat,
-                threshold=thr, improvement=improvement))
+            node.improvement = improvement
+            self.splits.append((len(self.splits), node.depth, feat, thr,
+                                improvement))
             lo_l, up_l = node.lower.copy(), node.upper.copy()
             up_l[feat] = thr
             lo_r, up_r = node.lower.copy(), node.upper.copy()
             lo_r[feat] = thr
             node.left = _reference_node(yn[mask], node.depth + 1, lo_l, up_l)
             node.right = _reference_node(yn[~mask], node.depth + 1, lo_r, up_r)
+            self.nodes += [node.left, node.right]
             queue.append((node.left, Xn[mask], yn[mask]))
             queue.append((node.right, Xn[~mask], yn[~mask]))
-        self._root = root
         return self
+
+    def predict(self, X):
+        """Walk each row from the root, one node at a time."""
+        out = np.empty(len(X))
+        for i, row in enumerate(np.asarray(X, dtype=float)):
+            node = self.root
+            while node.feature is not None:
+                node = (node.left if row[node.feature] <= node.threshold
+                        else node.right)
+            out[i] = node.value
+        return out
+
+
+def _exact(fields):
+    """``fields`` with floats as ``.hex()`` and arrays as raw bytes."""
+    return tuple(f.hex() if isinstance(f, float)
+                 else f.tobytes() if isinstance(f, np.ndarray) else f
+                 for f in fields)
 
 
 def _fingerprint(tree):
-    """Every split and node field, floats as exact bit patterns."""
-    splits = [(r.position, r.depth, r.feature, r.threshold.hex(),
-               r.improvement.hex()) for r in tree.splits]
-    nodes = [(n.depth, n.value.hex(), n.n_samples, n.sse.hex(),
-              n.lower.tobytes(), n.upper.tobytes(), n.feature,
-              None if n.threshold is None else n.threshold.hex())
-             for n in tree.nodes()]
-    return splits, nodes
+    """Every split and every node field of a grown or reference tree.
+
+    Both are listed breadth-first, field by field, floats as exact bit
+    patterns.  A node's split fields (feature, threshold, improvement,
+    left and right child positions) read ``None`` for a leaf.
+    """
+    if isinstance(tree, _ReferenceTree):
+        at = {id(node): k for k, node in enumerate(tree.nodes)}
+        nodes = [(n.depth, n.value, n.n_samples, n.sse, n.lower, n.upper)
+                 + ((n.feature, n.threshold, n.improvement, at[id(n.left)],
+                     at[id(n.right)]) if n.left else (None,) * 5)
+                 for n in tree.nodes]
+        return [_exact(s) for s in tree.splits], [_exact(n) for n in nodes]
+    t = tree.table
+    splits = [(r.position, r.depth, r.feature, r.threshold, r.improvement)
+              for r in tree.splits]
+    rows = zip(t.depth, t.value, t.n_samples, t.sse, t.lower, t.upper,
+               t.feature, t.threshold, t.improvement, t.left, t.right)
+    nodes = [row[:6] + (row[6:] if row[6] >= 0 else (None,) * 5)
+             for row in rows]
+    return [_exact(s) for s in splits], [_exact(n) for n in nodes]
 
 
 class TestPresortedSplitSearch:

@@ -121,7 +121,10 @@ def _check_predictor_fit(record, checks):
            f"search (floor 4x)")
     _check(checks, "predictor_fit.bit_identical",
            record.get("trees_bit_identical") is True,
-           "grown trees == per-feature reference trees")
+           "grown trees == per-feature reference trees "
+           f"({record.get('n_nodes')} nodes in "
+           f"{record.get('table_bytes')} table bytes; one network fit "
+           f"{record.get('network_fit_seconds')} s; not gated)")
     _check(checks, "predictor_fit.predict_bit_identical",
            record.get("predict_bit_identical") is True,
            "feature-major predict == broadcast-formula predict "
