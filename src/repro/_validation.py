@@ -7,7 +7,7 @@ malformed input instead of producing silently wrong results.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -55,20 +55,6 @@ def require_power_of_two(n: int, name: str = "length") -> None:
     if not is_power_of_two(n):
         raise TransformError(
             f"{name} must be a positive power of two, got {n}"
-        )
-
-
-def require_positive(value: float, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is strictly positive."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def require_in(value, options: Sequence, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is one of ``options``."""
-    if value not in options:
-        raise ValueError(
-            f"{name} must be one of {sorted(map(str, options))}, got {value!r}"
         )
 
 

@@ -25,24 +25,14 @@ Commands
     the on-disk simulation result cache.
 ``simpoint``
     Representative-interval selection for a benchmark.
+``config``
+    Print every run setting of :mod:`repro.settings`, resolved, with its
+    source (``flag``, ``env`` or ``default``); takes the engine flags.
 
-The ``--jobs N`` / ``--cache-dir DIR`` / ``--cache-max-bytes N`` flags
-(on ``run-experiment``, ``sweep`` and ``dse``) select the execution
-engine's worker-process count and on-disk result cache; they mirror the
-``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` / ``REPRO_CACHE_MAX_BYTES``
-environment variables honoured by the library.  ``--shm/--no-shm``
-toggles the zero-copy shared-memory result transport (``REPRO_SHM``),
-``--checkpoint-every N`` enables detailed-backend mid-run snapshots,
-``--jit/--no-jit`` toggles numba compilation of the hot loops — the
-interval kernel's persistence scan and the detailed pipeline kernel
-(``REPRO_JIT``; a silent bit-identical pure-Python fallback covers
-numba-less installs), ``--jit-threads N`` lets the batched detailed
-kernel ``prange`` across N threads (``REPRO_JIT_THREADS``; bit-identical
-at any count), and ``--progress`` prints a running jobs-done /
-cache-hit count while long sweeps execute.
-
-All flags are threaded through engine and job objects — a CLI run
-never mutates ``os.environ``, so embedding callers that invoke
+Each engine flag of ``run-experiment``, ``sweep``, ``dse`` and
+``config`` sets one row of :mod:`repro.settings`, beating its
+``REPRO_*`` variable; an out-of-range value is a usage error.  A CLI
+run never mutates ``os.environ``, so embedding callers that invoke
 :func:`main` repeatedly see their environment untouched.
 """
 
@@ -52,6 +42,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro import settings
 from repro.uarch.params import VARIED_PARAMETERS
 
 
@@ -155,61 +146,55 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="cache directory (default: "
                                      "REPRO_CACHE_DIR)")
 
+    config = sub.add_parser(
+        "config", help="print every resolved run setting and its source")
+    _add_engine_arguments(config)
+
     sp = sub.add_parser("simpoint", help="pick a representative interval")
     sp.add_argument("benchmark")
     sp.add_argument("--intervals", type=int, default=64)
     return parser
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (a usage error otherwise)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=_positive_int, default=None,
-                        metavar="N",
-                        help="worker processes for sweep execution "
-                             "(default: in-process)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="on-disk simulation result cache directory")
-    parser.add_argument("--cache-max-bytes", type=_positive_int, default=None,
-                        metavar="N",
-                        help="byte cap for the disk cache (mtime-LRU "
-                             "eviction of whole segments)")
+    def setting(name: str, help: str, metavar: Optional[str] = None):
+        # One flag per settings row, checked by the row's own parser so
+        # a malformed value is a usage error; bool rows get --no-<flag>.
+        knob = settings.BY_NAME[name]
+
+        def parse(text: str):
+            try:
+                return knob.parse(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        kwargs = ({"action": argparse.BooleanOptionalAction}
+                  if isinstance(knob.default, bool)
+                  else {"type": parse, "metavar": metavar})
+        parser.add_argument("--" + name.replace("_", "-"), default=None,
+                            help=f"{help} [{knob.variable}]", **kwargs)
+
+    setting("jobs", "worker processes for sweep execution (default: "
+                    "in-process)", "N")
+    setting("cache_dir", "on-disk simulation result cache directory", "DIR")
+    setting("cache_max_bytes", "byte cap for the disk cache (mtime-LRU "
+                               "eviction of whole segments)", "N")
     parser.add_argument("--progress", action="store_true",
                         help="print jobs-done / cache-hit progress during "
                              "sweeps")
-    parser.add_argument("--shm", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="zero-copy shared-memory result transport for "
-                             "parallel sweeps (default: on; REPRO_SHM)")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="N",
-                        help="detailed backend: snapshot simulation state "
-                             "every N intervals so killed sweeps resume "
-                             "mid-benchmark (REPRO_CHECKPOINT_EVERY)")
-    parser.add_argument("--jit", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="numba-compile the hot loops: the interval "
-                             "kernel's persistence scan and the detailed "
-                             "pipeline kernel (default: off; REPRO_JIT; "
-                             "silently falls back to the bit-identical "
-                             "pure-Python engines when numba is "
-                             "unavailable)")
-    parser.add_argument("--jit-threads", type=int, default=None,
-                        metavar="N",
-                        help="threads the batched detailed kernel prange-s "
-                             "across (default: 1; REPRO_JIT_THREADS; "
-                             "bit-identical at any count — batch rows are "
-                             "independent, so this is a speed knob only)")
+    setting("shm", "zero-copy shared-memory result transport for parallel "
+                   "sweeps (default: on)")
+    setting("checkpoint_every", "detailed backend: snapshot simulation "
+                                "state every N intervals so killed sweeps "
+                                "resume mid-benchmark", "N")
+    setting("jit", "numba-compile the hot loops: the interval kernel's "
+                   "persistence scan and the detailed pipeline kernel "
+                   "(default: off; silently falls back to the "
+                   "bit-identical pure-Python engines when numba is "
+                   "unavailable)")
+    setting("jit_threads", "threads the batched detailed kernel prange-s "
+                           "across (default: 1; bit-identical at any "
+                           "count, so this is a speed knob only)", "N")
 
 
 def _cmd_list_benchmarks(out) -> int:
@@ -265,36 +250,38 @@ def _progress_printer(out, every: int = 25):
     return on_result
 
 
+def _engine_flags(args) -> dict:
+    """The settings rows given as flags, which argparse stores under
+    their field names."""
+    return {knob.name: getattr(args, knob.name) for knob in settings.KNOBS
+            if hasattr(args, knob.name)}
+
+
 def _make_engine(args, out=None):
-    from repro.experiments.context import engine_from_env
+    from repro.engine import create_engine
 
-    # The JIT toggle is module state (set_jit), not an environment
-    # mutation — forked pool workers inherit it, and either way the
-    # NumPy and JIT scans are bit-identical, so a worker resolving the
-    # flag differently can only differ in speed.
-    if getattr(args, "jit", None) is not None:
-        from repro.uarch.jit import set_jit
-
-        set_jit(args.jit)
-    if getattr(args, "jit_threads", None) is not None:
-        from repro.uarch.jit import set_jit_threads
-
-        set_jit_threads(args.jit_threads)
+    flags = _engine_flags(args)
+    # The kernels read the JIT rows deep in the call stack, so those
+    # flags become process-wide overrides (forked workers inherit them).
+    for name in ("jit", "jit_threads"):
+        if flags.get(name) is not None:
+            settings.set_override(name, flags[name])
     on_result = None
     if getattr(args, "progress", False):
         on_result = _progress_printer(out or sys.stdout)
-    # Checkpoint settings are threaded through the engine onto the jobs
-    # themselves (pickled to pool workers), so a CLI invocation never
-    # leaks REPRO_* variables into the parent process.  Flags win
-    # (--checkpoint-every 0 disables even when the environment
-    # enables); unset flags fall back to the environment, resolved by
-    # engine_from_env against the effective cache dir.
-    return engine_from_env(jobs=args.jobs, cache_dir=args.cache_dir,
-                           cache_max_bytes=args.cache_max_bytes,
-                           on_result=on_result,
-                           shm=getattr(args, "shm", None),
-                           checkpoint_every=getattr(args, "checkpoint_every",
-                                                    None))
+    # The rest become explicit engine configuration that rides inside
+    # the jobs to pool workers (--checkpoint-every 0 beats the env).
+    return create_engine(on_result=on_result,
+                         **settings.resolve(**flags).engine_options())
+
+
+def _cmd_config(args, out) -> int:
+    flags = _engine_flags(args)
+    for knob in settings.KNOBS:
+        value, source = settings.lookup(knob.name, flags)
+        shown = "-" if value is None else str(value)
+        out.write(f"{knob.variable:24s} {shown:28s} {source}\n")
+    return 0
 
 
 def _cmd_run_experiment(args, out) -> int:
@@ -410,7 +397,7 @@ def _cmd_dse(args, out) -> int:
                          engine=_make_engine(args, out))
 
     if args.active:
-        settings = ActiveSearchSettings(
+        search = ActiveSearchSettings(
             budget=args.budget if args.budget is not None else 160,
             batch_size=(args.batch_size if args.batch_size is not None
                         else 16),
@@ -419,7 +406,7 @@ def _cmd_dse(args, out) -> int:
         result = runner.run_active(
             args.benchmark,
             objectives if len(objectives) > 1 else objectives[0],
-            constraints=constraints, settings=settings, space=space)
+            constraints=constraints, settings=search, space=space)
         out.write(f"{'round':>5s}  {'strategy':<12s} {'sims':>5s}  "
                   f"{'feasible':>8s}  {'best':>10s}\n")
         for record in result.rounds:
@@ -477,14 +464,11 @@ def _human_bytes(n: int) -> str:
 
 
 def _cmd_cache(args, out) -> int:
-    import os
-    from pathlib import Path
-
     from repro.engine import ResultCache
     from repro.errors import EngineError
 
-    cache_dir = args.cache_dir or os.environ.get(
-        "REPRO_CACHE_DIR", "").strip() or None
+    resolved = settings.resolve(cache_dir=args.cache_dir)
+    cache_dir = resolved.cache_dir
     if cache_dir is None:
         raise EngineError(
             "no cache directory: pass --cache-dir or set REPRO_CACHE_DIR"
@@ -512,14 +496,11 @@ def _cmd_cache(args, out) -> int:
                       f"({entries - len(cache)} entries, "
                       f"{_human_bytes(freed)}), "
                       f"{_human_bytes(cache.disk_bytes())} retained\n")
-        # Orphaned detailed-run snapshots: the cache's checkpoint
-        # subdirectory, plus an explicit REPRO_CHECKPOINT_DIR if it
-        # points elsewhere.
+        # Orphaned snapshots: the cache's and the configured directory.
         ttl = args.checkpoint_ttl_hours * 3600.0
-        ckpt_dirs = [str(Path(cache_dir) / "checkpoints")]
-        env_dir = os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
-        if env_dir and env_dir not in ckpt_dirs:
-            ckpt_dirs.append(env_dir)
+        ckpt_dirs = dict.fromkeys((
+            settings.default_checkpoint_dir(cache_dir),
+            resolved.checkpoint_dir))
         ckpt_files = ckpt_bytes = 0
         for directory in ckpt_dirs:
             files, freed = sweep_checkpoints(directory, ttl_seconds=ttl)
@@ -549,28 +530,15 @@ def _cmd_simpoint(args, out) -> int:
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
-    """CLI entry point; returns a process exit code.
-
-    Never mutates ``os.environ``: every flag is threaded through engine
-    and job objects, so embedding callers can invoke :func:`main`
-    repeatedly without inheriting stale ``REPRO_*`` settings.
-    """
-    out = out or sys.stdout
+    """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "list-benchmarks":
-        return _cmd_list_benchmarks(out)
-    if args.command == "list-experiments":
-        return _cmd_list_experiments(out)
-    if args.command == "simulate":
-        return _cmd_simulate(args, out)
-    if args.command == "run-experiment":
-        return _cmd_run_experiment(args, out)
-    if args.command == "sweep":
-        return _cmd_sweep(args, out)
-    if args.command == "dse":
-        return _cmd_dse(args, out)
-    if args.command == "cache":
-        return _cmd_cache(args, out)
-    if args.command == "simpoint":
-        return _cmd_simpoint(args, out)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return _COMMANDS[args.command](args, out or sys.stdout)
+
+
+_COMMANDS = {
+    "list-benchmarks": lambda args, out: _cmd_list_benchmarks(out),
+    "list-experiments": lambda args, out: _cmd_list_experiments(out),
+    "simulate": _cmd_simulate, "run-experiment": _cmd_run_experiment,
+    "sweep": _cmd_sweep, "dse": _cmd_dse, "cache": _cmd_cache,
+    "simpoint": _cmd_simpoint, "config": _cmd_config,
+}

@@ -23,7 +23,8 @@ import numpy as np
 
 from repro._validation import as_2d_float_array
 from repro.errors import ModelError, NotFittedError
-from repro.core.regression_tree import RegressionTree, as_training_data
+from repro.core.regression_tree import (RegressionTree, as_training_data,
+                                        check_growth_params)
 
 #: Weight-solving strategies.
 SOLVERS = ("ridge_gcv", "forward")
@@ -223,6 +224,7 @@ class RBFNetwork:
                  solver: str = "ridge_gcv",
                  lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
                  include_bias: bool = True):
+        check_growth_params(max_depth, min_samples_leaf)
         if solver not in SOLVERS:
             raise ModelError(f"unknown solver {solver!r}; choose from {SOLVERS}")
         for name, value in (("radius_scale", radius_scale),

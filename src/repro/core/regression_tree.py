@@ -35,6 +35,7 @@ each tree's own creation order, so split positions are unchanged.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
@@ -112,10 +113,11 @@ def as_training_data(X, Y, ndim: int = 1):
     path and, through them, every split and prediction, so it is
     rejected here.
     """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.size == 0:
+        raise ModelError(f"X must be 2-D with at least one row and one "
+                         f"column, got shape {X.shape}")
     X = as_2d_float_array(X, name="X")
-    if X.size == 0:
-        raise ModelError(f"X must have at least one row and one column, "
-                         f"got shape {X.shape}")
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != ndim or Y.shape[0] != X.shape[0]:
         raise ModelError(
@@ -281,6 +283,22 @@ def _grow(X: np.ndarray, Y: np.ndarray, max_depth: int, min_leaf: int,
     return tables
 
 
+def check_growth_params(max_depth, min_samples_leaf,
+                        min_impurity_decrease=1e-10) -> None:
+    """Raise :class:`ModelError` unless ``max_depth >= 0`` and
+    ``min_samples_leaf >= 1`` are integers and ``min_impurity_decrease``
+    is finite and ``>= 0`` (a NaN one would fit a one-node stump)."""
+    for name, value, low in (("max_depth", max_depth, 0),
+                             ("min_samples_leaf", min_samples_leaf, 1)):
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral) or value < low:
+            raise ModelError(f"{name} must be an integer >= {low}, "
+                             f"got {value!r}")
+    if not 0 <= min_impurity_decrease < np.inf:
+        raise ModelError(f"min_impurity_decrease must be finite and >= 0, "
+                         f"got {min_impurity_decrease}")
+
+
 class RegressionTree:
     """Least-squares CART regression tree.
 
@@ -308,10 +326,8 @@ class RegressionTree:
     def __init__(self, max_depth: int = 6, min_samples_leaf: int = 5,
                  min_samples_split: int = 10,
                  min_impurity_decrease: float = 1e-10):
-        if max_depth < 0:
-            raise ModelError(f"max_depth must be >= 0, got {max_depth}")
-        if min_samples_leaf < 1:
-            raise ModelError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+        check_growth_params(max_depth, min_samples_leaf,
+                            min_impurity_decrease)
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_samples_split = max(min_samples_split, 2 * min_samples_leaf)

@@ -94,10 +94,8 @@ class SimJob:
         killed sweep resumes mid-benchmark.  Threaded through the job
         itself — pickled to pool workers — so enabling checkpointing
         never mutates ``os.environ``.  ``None`` means *unset*: the job
-        falls back to the
-        ``REPRO_CHECKPOINT_EVERY`` / ``REPRO_CHECKPOINT_DIR``
-        environment of whatever process runs it; an explicit ``0``
-        disables checkpointing even when that environment enables it.
+        falls back to the run settings of whatever process runs it; an
+        explicit ``0`` disables checkpointing even when they enable it.
         **Excluded from the job key**: checkpointing changes where
         intermediate state lives, never the result.
     """
@@ -185,10 +183,9 @@ class SimJob:
         Imported lazily so job objects stay cheap to pickle into worker
         processes.
 
-        Detailed jobs checkpoint according to their own
-        ``checkpoint_every`` / ``checkpoint_dir`` fields, falling back
-        to the ``REPRO_CHECKPOINT_EVERY`` / ``REPRO_CHECKPOINT_DIR``
-        environment when unset: mid-run snapshots are written under a
+        Detailed jobs checkpoint according to their own checkpoint
+        fields (see :func:`~repro.uarch.detailed.resolve_checkpoint_settings`):
+        mid-run snapshots are written under a
         file named by this job's content-hash key, so a killed sweep
         resumes each job from its last checkpoint — in any process, on
         any executor, on any host — instead of restarting it.

@@ -40,17 +40,16 @@ changes speed, not bits).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro import settings
 from repro.engine.jobs import SimJob, _canonical
 from repro.uarch.simulator import SimulationResult
 
 
 def batch_kernel_enabled() -> bool:
     """Whether grouped kernel dispatch is on (``REPRO_BATCH_KERNEL``)."""
-    return os.environ.get("REPRO_BATCH_KERNEL", "1").strip().lower() \
-        not in ("0", "false", "off", "no")
+    return settings.get("batch_kernel")
 
 
 def detailed_batch_enabled() -> bool:

@@ -35,7 +35,6 @@ pickling that one result; the transports are bit-identical either way.
 from __future__ import annotations
 
 import mmap
-import os
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -43,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import settings
 from repro.uarch.params import MachineConfig
 from repro.uarch.simulator import DOMAINS, SimulationResult
 
@@ -54,19 +54,14 @@ MAX_COMPONENT_SLOTS = 16
 #: Refuse to create arenas beyond this size (fall back to pickling).
 MAX_ARENA_BYTES = 2 << 30
 
-_FALSEY = frozenset(("0", "false", "no", "off"))
-
 #: Interned native float64 dtype (identity-comparable: numpy interns
 #: builtin dtypes, and any non-native variant must fall back anyway).
 _F64 = np.dtype(np.float64)
 
 
-def shm_from_env(default: bool = True) -> bool:
+def shm_from_env() -> bool:
     """The ``REPRO_SHM`` toggle (default: transport enabled)."""
-    raw = os.environ.get("REPRO_SHM", "").strip().lower()
-    if not raw:
-        return default
-    return raw not in _FALSEY
+    return settings.get("shm")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ class ReproError(Exception):
 
 
 class ConfigurationError(ReproError):
-    """An invalid machine configuration or design-space definition."""
+    """An invalid machine configuration, design-space definition or run
+    setting (a malformed ``REPRO_*`` variable, flag or override)."""
 
 
 class WorkloadError(ReproError):

@@ -19,20 +19,18 @@ Two scales are provided:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import settings
 from repro.core.metrics import pooled_nmse_percent
 from repro.core.predictor import WaveletNeuralPredictor
 from repro.dse.dataset import DynamicsDataset
 from repro.dse.runner import SweepPlan, SweepRunner
 from repro.dse.space import DesignSpace, paper_design_space
 from repro.engine import ExecutionEngine, create_engine
-from repro.errors import ExperimentError
 from repro.workloads.spec2000 import BENCHMARK_NAMES
 
 #: Domains with predictive models in the evaluation.
@@ -70,77 +68,11 @@ class Scale:
 
     @classmethod
     def from_env(cls, default: str = "paper") -> "Scale":
-        """Scale selected by the ``REPRO_SCALE`` environment variable."""
-        name = os.environ.get("REPRO_SCALE", default).lower()
-        if name == "paper":
-            return cls.paper()
-        if name == "quick":
-            return cls.quick()
-        raise ExperimentError(
-            f"REPRO_SCALE must be 'paper' or 'quick', got {name!r}"
-        )
-
-
-def engine_from_env(jobs: Optional[int] = None,
-                    cache_dir=None,
-                    cache_max_bytes: Optional[int] = None,
-                    on_result=None,
-                    shm: Optional[bool] = None,
-                    checkpoint_every: Optional[int] = None,
-                    checkpoint_dir=None) -> ExecutionEngine:
-    """Build an engine from environment knobs, with optional overrides.
-
-    ``REPRO_JOBS`` selects the worker-process count (parallel sweep
-    execution when > 1), ``REPRO_CACHE_DIR`` enables the on-disk result
-    cache, ``REPRO_CACHE_MAX_BYTES`` caps its size (mtime-LRU
-    eviction, ties broken by filename), and ``REPRO_SHM`` toggles the
-    zero-copy shared-memory result transport (default on).  Explicit
-    arguments (the CLI's ``--jobs`` / ``--cache-dir`` /
-    ``--cache-max-bytes`` / ``--shm`` flags) take precedence over the
-    environment.  This function only *reads* the environment —
-    checkpoint settings are resolved here into explicit engine
-    configuration that travels inside the pickled jobs, never through
-    ``os.environ`` mutation.
-    """
-    if jobs is None:
-        jobs_env = os.environ.get("REPRO_JOBS", "").strip()
-        try:
-            jobs = int(jobs_env) if jobs_env else None
-        except ValueError:
-            raise ExperimentError(
-                f"REPRO_JOBS must be an integer, got {jobs_env!r}"
-            )
-    if cache_dir is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip() or None
-    if cache_max_bytes is None:
-        cap_env = os.environ.get("REPRO_CACHE_MAX_BYTES", "").strip()
-        try:
-            cache_max_bytes = int(cap_env) if cap_env else None
-        except ValueError:
-            raise ExperimentError(
-                f"REPRO_CACHE_MAX_BYTES must be an integer, got {cap_env!r}"
-            )
-    if checkpoint_every is None:
-        every_env = os.environ.get("REPRO_CHECKPOINT_EVERY", "").strip()
-        if every_env:
-            try:
-                checkpoint_every = int(every_env)
-            except ValueError:
-                raise ExperimentError(
-                    f"REPRO_CHECKPOINT_EVERY must be an integer, "
-                    f"got {every_env!r}"
-                )
-    if checkpoint_every and checkpoint_dir is None:
-        # Pin the directory too, so every worker writes snapshots to
-        # the one directory resolved here.
-        checkpoint_dir = (os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
-                          or (str(Path(cache_dir) / "checkpoints")
-                              if cache_dir else ".repro-checkpoints"))
-    return create_engine(jobs=jobs, cache_dir=cache_dir,
-                         cache_max_bytes=cache_max_bytes,
-                         on_result=on_result, shm=shm,
-                         checkpoint_every=checkpoint_every,
-                         checkpoint_dir=checkpoint_dir)
+        """Scale selected by ``REPRO_SCALE`` (``default`` when unset)."""
+        name, source = settings.lookup("scale")
+        if source == "default":
+            name = settings.check("scale", default)
+        return cls.quick() if name == "quick" else cls.paper()
 
 
 class ExperimentContext:
@@ -152,14 +84,14 @@ class ExperimentContext:
         Scope knobs; defaults to the ``REPRO_SCALE`` environment.
     engine:
         Execution engine shared by every sweep this context runs;
-        defaults to :func:`engine_from_env` (``REPRO_JOBS`` /
-        ``REPRO_CACHE_DIR``).
+        defaults to one built from :func:`repro.settings.resolve`.
     """
 
     def __init__(self, scale: Optional[Scale] = None,
                  engine: Optional[ExecutionEngine] = None):
         self.scale = scale or Scale.from_env()
-        self.engine = engine or engine_from_env()
+        self.engine = engine or create_engine(
+            **settings.resolve().engine_options())
         self.space = paper_design_space()
         self.dvm_space = self.space.with_dvm_parameter()
         self._datasets: Dict[Tuple, Tuple[DynamicsDataset, DynamicsDataset]] = {}
@@ -317,11 +249,4 @@ def get_context() -> ExperimentContext:
     global _CONTEXT
     if _CONTEXT is None:
         _CONTEXT = ExperimentContext()
-    return _CONTEXT
-
-
-def reset_context(scale: Optional[Scale] = None) -> ExperimentContext:
-    """Replace the shared context (used by tests and benches)."""
-    global _CONTEXT
-    _CONTEXT = ExperimentContext(scale)
     return _CONTEXT

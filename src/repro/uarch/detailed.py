@@ -42,6 +42,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro import settings
 from repro.errors import SimulationError
 from repro.power.wattch import WattchModel
 from repro.reliability.avf import AVFModel
@@ -64,43 +65,17 @@ CHECKPOINT_VERSION = "ckpt/v2"
 _TRACE_FIELDS = ("cpi", "power", "avf", "iq_avf", "mispredicts", "throttled")
 
 
-def _default_checkpoint_dir() -> str:
-    """Directory snapshots land in when none is configured explicitly:
-    ``$REPRO_CHECKPOINT_DIR``, else ``$REPRO_CACHE_DIR/checkpoints``
-    when a cache directory is configured, else ``.repro-checkpoints``.
-    """
-    directory = os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
-    if directory:
-        return directory
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    return (str(Path(cache_dir) / "checkpoints") if cache_dir
-            else ".repro-checkpoints")
-
-
 def resolve_checkpoint_settings(every: Optional[int] = None,
                                 directory: Optional[str] = None,
                                 ) -> Tuple[int, Optional[str]]:
-    """Effective ``(checkpoint_every, checkpoint_dir)`` for one run.
-
-    Explicit arguments — the values a :class:`~repro.engine.jobs.SimJob`
-    carries — win; the ``REPRO_CHECKPOINT_EVERY`` /
-    ``REPRO_CHECKPOINT_DIR`` environment only fills the gaps, so
-    checkpoint settings normally travel *inside* jobs (to pool workers)
-    and the environment is never mutated to transport them.
-    """
+    """Effective ``(checkpoint_every, checkpoint_dir)`` for one run: the
+    values a :class:`~repro.engine.jobs.SimJob` carries, gaps filled
+    from :mod:`repro.settings`."""
     if every is None:
-        raw = os.environ.get("REPRO_CHECKPOINT_EVERY", "").strip()
-        if not raw:
-            return 0, None
-        try:
-            every = int(raw)
-        except ValueError:
-            raise SimulationError(
-                f"REPRO_CHECKPOINT_EVERY must be an integer, got {raw!r}"
-            )
+        every = settings.get("checkpoint_every")
     if every <= 0:
         return 0, None
-    return every, (directory or _default_checkpoint_dir())
+    return every, (directory or settings.get("checkpoint_dir"))
 
 
 def _checkpoint_meta(workload: WorkloadModel, config: MachineConfig,

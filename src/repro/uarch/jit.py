@@ -16,12 +16,9 @@ scan with three interchangeable implementations:
   off;
 * both proven bit-identical in ``tests/test_kernel_batch.py``.
 
-JIT is opt-in, resolved in priority order:
-
-1. an explicit ``jit=`` argument to :func:`ewma_scan`;
-2. the process-wide override set by :func:`set_jit` (the CLI's
-   ``--jit`` flag uses this — the environment is never mutated);
-3. the ``REPRO_JIT`` environment variable (``1``/``true``/``on``).
+JIT is opt-in: an explicit ``jit=`` argument to :func:`ewma_scan`, else
+the ``jit`` row of :mod:`repro.settings` (:func:`set_jit`, else
+``REPRO_JIT``).
 
 numba is an *optional* dependency: when it is not installed every path
 silently uses the NumPy fallback, and requesting JIT is a no-op rather
@@ -30,96 +27,54 @@ than an error (``jit_available()`` reports which case you are in).
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-#: Process-wide JIT override set by :func:`set_jit` (``None`` = consult
-#: the ``REPRO_JIT`` environment).
-_JIT_OVERRIDE: Optional[bool] = None
-
-#: Process-wide thread-count override set by :func:`set_jit_threads`
-#: (``None`` = consult the ``REPRO_JIT_THREADS`` environment).
-_THREADS_OVERRIDE: Optional[int] = None
+from repro import settings
 
 #: Lazily-resolved compiled scan: ``None`` = not attempted yet,
 #: ``False`` = numba unavailable (or compilation failed), otherwise the
 #: dispatcher-wrapped function.
 _NUMBA_SCAN = None
 
-_TRUE_STRINGS = ("1", "true", "on", "yes")
-
 
 def set_jit(enabled: Optional[bool]) -> None:
-    """Set the process-wide JIT preference (``None`` restores env lookup).
+    """Set the process-wide JIT override (``None`` restores env lookup).
 
-    Used by the CLI's ``--jit`` flag so enabling JIT never mutates
-    ``os.environ`` (pool workers inherit the environment; an in-process
-    override keeps the decision local to the dispatching process, and
-    jobs shipped to workers re-resolve it from *their* environment).
+    The CLI's ``--jit`` flag uses this, so enabling JIT never mutates
+    ``os.environ``; see :func:`repro.settings.set_override`.
     """
-    global _JIT_OVERRIDE
-    _JIT_OVERRIDE = enabled if enabled is None else bool(enabled)
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_JIT", "").strip().lower() in _TRUE_STRINGS
+    settings.set_override("jit", enabled)
 
 
 def jit_requested() -> bool:
     """Whether JIT is *requested* (override or environment), ignoring
     whether numba can actually honor the request."""
-    if _JIT_OVERRIDE is not None:
-        return _JIT_OVERRIDE
-    return _env_enabled()
+    return settings.get("jit")
 
 
 def set_jit_threads(n: Optional[int]) -> None:
     """Set the process-wide kernel thread count (``None`` restores env
-    lookup).
+    lookup; below 1 raises :class:`~repro.errors.ConfigurationError`).
 
-    Used by the CLI's ``--jit-threads`` flag; like :func:`set_jit`, this
-    is module state rather than an environment mutation, so the decision
-    stays local to the dispatching process and never leaks into pool
-    workers (which re-resolve ``REPRO_JIT_THREADS`` from *their*
-    environment).
+    The CLI's ``--jit-threads`` flag uses this, like :func:`set_jit`.
     """
-    global _THREADS_OVERRIDE
-    if n is None:
-        _THREADS_OVERRIDE = None
-        return
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"jit threads must be >= 1, got {n}")
-    _THREADS_OVERRIDE = n
+    settings.set_override("jit_threads", n)
 
 
 def jit_threads() -> int:
     """Threads the batched detailed kernel may ``prange`` across.
 
-    Resolution order: :func:`set_jit_threads` override, then the
-    ``REPRO_JIT_THREADS`` environment, then **1**.  The conservative
-    default matters: executors already run one worker per CPU, so a
+    The conservative default of **1** matters: executors already run one worker per CPU, so a
     worker quietly spawning a thread team would oversubscribe the
     machine — multi-threaded stepping is for single-process batched
     runs that ask for it.  Thread count never changes results: batch
     rows are fully independent (see
     :mod:`repro.uarch.pipeline_kernel`), so this is a speed knob only.
     """
-    if _THREADS_OVERRIDE is not None:
-        return _THREADS_OVERRIDE
-    raw = os.environ.get("REPRO_JIT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_JIT_THREADS must be an integer >= 1, got {raw!r}"
-        )
-    return max(1, n)
+    return settings.get("jit_threads")
 
 
 def apply_jit_threads() -> int:
@@ -138,21 +93,15 @@ def apply_jit_threads() -> int:
 
 
 def jit_cache_dir() -> Optional[str]:
-    """Directory for numba's persistent on-disk compilation cache.
-
-    ``REPRO_JIT_CACHE_DIR`` wins; else ``$REPRO_CACHE_DIR/numba-cache``
-    when a result-cache root is configured; else ``None`` (in-memory
-    compilation only).  With a directory pinned, every process —
+    """Directory for numba's persistent on-disk compilation cache, or
+    ``None`` to compile in memory only.  With a directory pinned, every
+    process —
     including forked pool workers — loads the detailed-pipeline
     mega-function from disk instead of recompiling it, which is the
     difference between milliseconds and tens of seconds of warm-up per
     worker.
     """
-    explicit = os.environ.get("REPRO_JIT_CACHE_DIR", "").strip()
-    if explicit:
-        return explicit
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    return str(Path(cache_dir) / "numba-cache") if cache_dir else None
+    return settings.get("jit_cache_dir")
 
 
 #: Compiled-dispatcher cache for :func:`compile_njit`, keyed by

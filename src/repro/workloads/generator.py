@@ -12,12 +12,12 @@ same phase-by-phase behaviour the interval model computes analytically.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from typing import Optional
 
 import numpy as np
 
+from repro import settings
 from repro._validation import rng_from_seed, stable_hash
 from repro.errors import WorkloadError
 from repro.uarch.trace import InstructionTrace, OpClass
@@ -40,8 +40,7 @@ _TRACE_MEMO: "OrderedDict[tuple, InstructionTrace]" = OrderedDict()
 
 
 def _memo_enabled() -> bool:
-    raw = os.environ.get("REPRO_TRACE_MEMO", "").strip().lower()
-    return raw not in ("0", "false", "off", "no")
+    return settings.get("trace_memo")
 
 
 def clear_trace_memo() -> None:

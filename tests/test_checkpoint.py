@@ -154,10 +154,10 @@ class TestEnvironmentPlumbing:
         assert resolve_checkpoint_settings(0, "/tmp/job") == (0, None)
 
     def test_invalid_every_rejected(self, monkeypatch):
-        from repro.errors import SimulationError
+        from repro.errors import ConfigurationError
 
         monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "soon")
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError, match="REPRO_CHECKPOINT_EVERY"):
             resolve_checkpoint_settings()
 
     def test_job_run_writes_keyed_checkpoint(self, tmp_path, monkeypatch):

@@ -125,6 +125,37 @@ class TestOtherCommands:
             main([])
 
 
+class TestConfig:
+    def test_prints_every_setting_with_its_source(self, monkeypatch,
+                                                  tmp_path):
+        import os
+
+        from repro import settings
+
+        for knob in settings.KNOBS:
+            monkeypatch.delenv(knob.variable, raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_JIT", "")  # empty means unset
+        before = dict(os.environ)
+        code, text = _run(["config", "--jobs", "2", "--jit",
+                           "--checkpoint-every", "0"])
+        assert code == 0
+        rows = {line.split()[0]: line.split()[1:] for line in
+                text.splitlines()}
+        assert list(rows) == [knob.variable for knob in settings.KNOBS]
+        assert rows["REPRO_JOBS"] == ["2", "flag"]
+        assert rows["REPRO_JIT"] == ["True", "flag"]
+        assert rows["REPRO_CHECKPOINT_EVERY"] == ["0", "flag"]
+        assert rows["REPRO_CACHE_DIR"] == [str(tmp_path), "env"]
+        assert rows["REPRO_CHECKPOINT_DIR"] == [
+            str(tmp_path / "checkpoints"), "default"]
+        assert rows["REPRO_SHM"] == ["True", "default"]
+        assert rows["REPRO_CACHE_MAX_BYTES"] == ["-", "default"]
+        # Printing the settings changes none of them.
+        assert os.environ == before
+        assert settings.get("jit") is False
+
+
 class TestEngineFlags:
     @pytest.mark.parametrize("argv", [
         ["--jobs", "0"],
@@ -132,6 +163,8 @@ class TestEngineFlags:
         ["--jobs", "two"],
         ["--cache-max-bytes", "-5"],
         ["--cache-max-bytes", "0"],
+        ["--jit-threads", "0"],
+        ["--checkpoint-every", "-3"],
     ])
     def test_out_of_range_engine_flags_are_usage_errors(self, argv, capsys):
         # Rejected by argparse (exit 2 with a usage line), before any

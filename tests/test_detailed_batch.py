@@ -310,25 +310,6 @@ def test_chunk_tuner_plans_whole_groups():
 # ----------------------------------------------------------------------
 # jit helpers: thread knob, compile memo, cache dir
 # ----------------------------------------------------------------------
-def test_jit_threads_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_JIT_THREADS", raising=False)
-    assert jit.jit_threads() == 1
-    monkeypatch.setenv("REPRO_JIT_THREADS", "3")
-    assert jit.jit_threads() == 3
-    try:
-        jit.set_jit_threads(2)
-        assert jit.jit_threads() == 2  # override beats environment
-    finally:
-        jit.set_jit_threads(None)
-    assert jit.jit_threads() == 3
-    assert jit.apply_jit_threads() >= 1
-    monkeypatch.setenv("REPRO_JIT_THREADS", "zero")
-    with pytest.raises(ValueError, match="REPRO_JIT_THREADS"):
-        jit.jit_threads()
-    with pytest.raises(ValueError, match=">= 1"):
-        jit.set_jit_threads(0)
-
-
 def test_jit_cache_dir_resolution(monkeypatch):
     monkeypatch.delenv("REPRO_JIT_CACHE_DIR", raising=False)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

@@ -124,12 +124,3 @@ class TestContext:
         train, test = tiny_ctx.dataset("gcc", dvm=True)
         assert any(c.dvm_enabled for c in train.configs)
         assert any(not c.dvm_enabled for c in train.configs)
-
-    def test_scale_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "quick")
-        assert Scale.from_env().name == "quick"
-        monkeypatch.setenv("REPRO_SCALE", "paper")
-        assert Scale.from_env().name == "paper"
-        monkeypatch.setenv("REPRO_SCALE", "huge")
-        with pytest.raises(ExperimentError):
-            Scale.from_env()

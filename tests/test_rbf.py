@@ -312,6 +312,9 @@ class TestValidation:
         dict(radius_scale=np.inf),
         dict(min_radius=np.nan),
         dict(min_radius=np.inf),
+        dict(max_depth=-1),
+        dict(max_depth=2.5),
+        dict(min_samples_leaf=1.5),
     ], ids=lambda params: "-".join(f"{k}={v}" for k, v in params.items()))
     def test_malformed_hyperparameters_rejected(self, params):
         with pytest.raises(ModelError):

@@ -72,6 +72,14 @@ class TestFitting:
             RegressionTree(max_depth=-1)
         with pytest.raises(ModelError):
             RegressionTree(min_samples_leaf=0)
+        # Checked at construction, not at fit: a NaN threshold would
+        # otherwise fit a one-node stump without error.
+        for params in (dict(min_impurity_decrease=np.nan),
+                       dict(min_impurity_decrease=np.inf),
+                       dict(min_impurity_decrease=-1.0),
+                       dict(max_depth=2.5), dict(min_samples_leaf=2.0)):
+            with pytest.raises(ModelError):
+                RegressionTree(**params)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ModelError):
@@ -111,7 +119,8 @@ class TestFitting:
         lambda X: RBFNetwork().fit(X, np.zeros(X.shape[0])),
         lambda X: RBFNetwork().fit_columns(X, np.zeros((X.shape[0], 2))),
     ], ids=["tree.fit", "tree.fit_columns", "rbf.fit", "rbf.fit_columns"])
-    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (0, 0)], ids=str)
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (0, 0), (3,),
+                                       (2, 2, 2)], ids=str)
     def test_empty_X_rejected(self, fit, shape):
         with pytest.raises(ModelError, match="at least one row and one column"):
             fit(np.empty(shape))

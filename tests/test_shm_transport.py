@@ -25,7 +25,7 @@ from repro.engine import (
     stack_rows,
 )
 from repro.engine.executor import PROBE_CHUNK_SIZE
-from repro.engine.shm import MAX_COMPONENT_SLOTS, shm_from_env
+from repro.engine.shm import MAX_COMPONENT_SLOTS
 from repro.uarch.params import baseline_config
 from repro.uarch.simulator import SimulationResult
 
@@ -201,15 +201,6 @@ class TestArenaUnit:
             assert desc.fallback is not None
         finally:
             arena.unlink()
-
-    def test_shm_env_toggle(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        assert shm_from_env() is True
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert shm_from_env() is False
-        assert ParallelExecutor(max_workers=2).shm is False
-        monkeypatch.setenv("REPRO_SHM", "1")
-        assert ParallelExecutor(max_workers=2).shm is True
 
 
 class TestStackRows:
