@@ -4,7 +4,7 @@ The detailed backend costs seconds per job, which makes it both the
 dominant expense of the engine and the place where scheduling decisions
 matter most.  This bench pins the two PR-3 behaviours:
 
-* the **chunk autotuner** measures per-job wall time from the first
+* the **chunk tuner** measures per-job wall time from the first
   completed chunk of each backend and sizes later chunks accordingly —
   detailed jobs must end up at least 8x finer-chunked than interval
   jobs, so the ``as_completed`` stream stays responsive where jobs are
@@ -91,16 +91,17 @@ def test_autotuner_chunks_detailed_fine_interval_coarse():
                             instructions_per_sample=200) for c in configs]
     with ParallelExecutor(max_workers=2) as ex:
         start = time.perf_counter()
-        ex.run_batch(interval_jobs)
+        list(ex.submit_batch(interval_jobs))
         interval_wall = time.perf_counter() - start
         start = time.perf_counter()
-        ex.run_batch(detailed_jobs)
+        list(ex.submit_batch(detailed_jobs))
         detailed_wall = time.perf_counter() - start
 
-        per_interval = ex._tuned["interval"]
-        per_detailed = ex._tuned["detailed"]
-        coarse = ex.planned_chunk_size("interval", 250)
-        fine = ex.planned_chunk_size("detailed", 250)
+        tuner = ex.tuner
+        per_interval = tuner._tuned["interval"]
+        per_detailed = tuner._tuned["detailed"]
+        coarse = tuner.plan("interval", 250, ex.max_workers)
+        fine = tuner.plan("detailed", 250, ex.max_workers)
 
     print(f"\nmeasured per-job seconds: interval {per_interval * 1e3:.2f} ms, "
           f"detailed {per_detailed * 1e3:.1f} ms "

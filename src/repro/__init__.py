@@ -48,7 +48,6 @@ from repro.dse.active import (
     ActiveSearch,
     ActiveSearchResult,
     ActiveSearchSettings,
-    run_active_search,
 )
 from repro.dse.explorer import (
     Constraint,
@@ -59,7 +58,6 @@ from repro.dse.explorer import (
 from repro.dse.lhs import l2_star_discrepancy, latin_hypercube
 from repro.engine import (
     ExecutionEngine,
-    LocalExecutor,
     ParallelExecutor,
     ResultCache,
     SimJob,
@@ -115,11 +113,9 @@ __all__ = [
     "ActiveSearch",
     "ActiveSearchResult",
     "ActiveSearchSettings",
-    "run_active_search",
     # Execution engine
     "SimJob",
     "ExecutionEngine",
-    "LocalExecutor",
     "ParallelExecutor",
     "ResultCache",
     "create_engine",

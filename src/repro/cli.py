@@ -71,7 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("run-experiment", help="run one experiment driver")
     exp.add_argument("experiment_id")
-    exp.add_argument("--scale", choices=("paper", "quick"), default="quick")
+    exp.add_argument("--scale", choices=("paper", "quick"), default=None,
+                     help="experiment scale (default: REPRO_SCALE, else "
+                          "quick)")
     _add_engine_arguments(exp)
 
     sweep = sub.add_parser(
@@ -288,7 +290,10 @@ def _cmd_run_experiment(args, out) -> int:
     from repro.experiments import run_experiment
     from repro.experiments.context import ExperimentContext, Scale
 
-    scale = Scale.paper() if args.scale == "paper" else Scale.quick()
+    if args.scale is None:
+        scale = Scale.from_env(default="quick")
+    else:
+        scale = Scale.paper() if args.scale == "paper" else Scale.quick()
     ctx = ExperimentContext(scale, engine=_make_engine(args, out))
     result = run_experiment(args.experiment_id, ctx)
     out.write(result.render() + "\n")

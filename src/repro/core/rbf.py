@@ -21,10 +21,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro._validation import as_2d_float_array
 from repro.errors import ModelError, NotFittedError
-from repro.core.regression_tree import (RegressionTree, as_training_data,
-                                        check_growth_params)
+from repro.core.regression_tree import (RegressionTree, as_query,
+                                        as_training_data, check_growth_params)
 
 #: Weight-solving strategies.
 SOLVERS = ("ridge_gcv", "forward")
@@ -346,12 +345,7 @@ class RBFNetwork:
     def predict(self, X) -> np.ndarray:
         """Evaluate the network at rows of ``X``."""
         self._check_fitted()
-        X = as_2d_float_array(X, name="X")
-        if X.shape[1] != self.centers_.shape[1]:
-            raise ModelError(
-                f"X has {X.shape[1]} features, network was fitted with "
-                f"{self.centers_.shape[1]}"
-            )
+        X = as_query(X, self.centers_.shape[1], "network")
         return self._predict(X, _factorize(X))
 
     def _predict(self, X: np.ndarray, columns: list) -> np.ndarray:

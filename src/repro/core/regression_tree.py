@@ -129,6 +129,19 @@ def as_training_data(X, Y, ndim: int = 1):
     return X, Y
 
 
+def as_query(X, n_features: int, model: str) -> np.ndarray:
+    """Coerce ``X`` to a 2-D float array of ``n_features`` columns for
+    ``model``'s ``predict`` (zero rows allowed)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ModelError(f"X must be 2-D, got shape {X.shape}")
+    X = as_2d_float_array(X, name="X")
+    if X.shape[1] != n_features:
+        raise ModelError(f"X has {X.shape[1]} features, {model} was fitted "
+                         f"with {n_features}")
+    return X
+
+
 def _search_level(rows, trees, total_sse, rank, xsorted, ysorted,
                   min_leaf: int):
     """Best split of every open node of one level, across all trees.
@@ -389,12 +402,7 @@ class RegressionTree:
         thousands of configurations through this path.
         """
         table = self.table
-        X = as_2d_float_array(X, name="X")
-        if X.shape[1] != self.n_features:
-            raise ModelError(
-                f"X has {X.shape[1]} features, tree was fitted with "
-                f"{self.n_features}"
-            )
+        X = as_query(X, self.n_features, "tree")
         rows = np.arange(X.shape[0])
         node = np.zeros(X.shape[0], dtype=np.intp)
         for _ in range(self.depth):

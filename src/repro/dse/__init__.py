@@ -34,7 +34,6 @@ from repro.dse.active import (
     ParetoPoint,
     RoundRecord,
     pareto_front,
-    run_active_search,
 )
 
 __all__ = [
@@ -52,5 +51,4 @@ __all__ = [
     "ParetoPoint",
     "RoundRecord",
     "pareto_front",
-    "run_active_search",
 ]

@@ -593,15 +593,3 @@ class ActiveSearch:
         lcb = mu - self.settings.kappa * sd
         return (lcb.max() - lcb + 1e-12) * pfeas
 
-
-def run_active_search(runner, workload,
-                      objectives: Union[Objective, Sequence[Objective]],
-                      constraints: Sequence[Constraint] = (),
-                      settings: Optional[ActiveSearchSettings] = None,
-                      space: Optional[DesignSpace] = None,
-                      init_configs: Optional[Sequence[MachineConfig]] = None,
-                      **kwargs) -> ActiveSearchResult:
-    """Functional entry point: build an :class:`ActiveSearch` and run it."""
-    search = ActiveSearch(runner, objectives, constraints=constraints,
-                          settings=settings, space=space, **kwargs)
-    return search.run(workload, init_configs=init_configs)

@@ -6,13 +6,11 @@ goes through:
 * :class:`~repro.engine.jobs.SimJob` — a content-addressed unit of work
   (benchmark, configuration, backend, options) with a process-stable
   hash key;
-* :class:`~repro.engine.executor.LocalExecutor` /
-  :class:`~repro.engine.executor.ParallelExecutor` — in-process and
-  process-pool batch execution behind one
-  :class:`~repro.engine.executor.Executor` protocol, with deterministic
-  result ordering; the pool path ships results through a zero-copy
-  shared-memory arena (:mod:`repro.engine.shm`) and autotunes chunk
-  sizes from measured per-job wall time;
+* :class:`~repro.engine.executor.ParallelExecutor` — the one
+  executor: in-process with ``max_workers=1``, on a process pool
+  otherwise; the pool path ships results through a zero-copy
+  shared-memory arena (:mod:`repro.engine.shm`) and sizes chunks from
+  measured per-job wall time;
 * :class:`~repro.engine.cache.ResultCache` — checksummed records on
   disk, one segment file per batch, plus an in-memory LRU front, keyed
   by job content hash, with a byte-capped mtime-LRU lifecycle over
@@ -42,7 +40,6 @@ from repro.engine.executor import (
     ChunkTuner,
     ExecutionEngine,
     Executor,
-    LocalExecutor,
     ParallelExecutor,
     ResultCallback,
     create_engine,
@@ -62,7 +59,6 @@ __all__ = [
     "KEY_VERSION",
     "VERSION_TAG",
     "Executor",
-    "LocalExecutor",
     "ParallelExecutor",
     "ChunkTuner",
     "ExecutionEngine",

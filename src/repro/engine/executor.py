@@ -1,24 +1,25 @@
-"""Executors: run job batches in-process or across worker processes.
+"""The executor: run job batches in-process or across worker processes.
 
-Every executor implements ``run_batch(jobs)`` — results **in job order**,
-regardless of completion order — and ``submit_batch(jobs)``, a streaming
-variant yielding ``(job_index, result)`` pairs in **completion order**.
-Because each :class:`~repro.engine.jobs.SimJob` is deterministic (the
-interval model seeds its measurement texture from the job content
-itself), the parallel, sequential and streaming paths produce
-bit-identical traces; ``tests/test_engine.py``,
+:class:`ParallelExecutor` is the one executor.  Its one method,
+``submit_batch(jobs)``, yields ``(job_index, result)`` pairs in
+**completion order**.  With ``max_workers=1`` (the engine default) it
+runs the batch in-process, group by group, in job order; with more
+workers it fans chunks out over a process pool.  Because each
+:class:`~repro.engine.jobs.SimJob` is deterministic (the interval model
+seeds its measurement texture from the job content itself), both paths
+produce bit-identical traces; ``tests/test_engine.py``,
 ``tests/test_streaming.py`` and ``tests/test_shm_transport.py`` pin
 that property.
 
-:class:`ParallelExecutor` brings results home through a zero-copy
-shared-memory arena by default (:mod:`repro.engine.shm`): workers write
-trace rows straight into a preallocated per-batch block and only tiny
-descriptors cross the pool pipe.  It also autotunes chunk sizes per
-backend from measured per-job wall time (:class:`ChunkTuner`) — coarse
-chunks for sub-millisecond interval jobs, fine-grained ones for
-seconds-per-job detailed runs.
+The pool path brings results home through a zero-copy shared-memory
+arena by default (:mod:`repro.engine.shm`): workers write trace rows
+straight into a preallocated per-batch block and only tiny descriptors
+cross the pool pipe.  It also sizes chunks per backend from measured
+per-job wall time (:class:`ChunkTuner`) — coarse chunks for
+sub-millisecond interval jobs, fine-grained ones for seconds-per-job
+detailed runs.
 
-:class:`ExecutionEngine` composes an executor with an optional
+:class:`ExecutionEngine` composes the executor with an optional
 :class:`~repro.engine.cache.ResultCache`: batch lookups first, duplicate
 jobs deduplicated by content key, only the misses dispatched.  Its
 ``submit`` method returns a :class:`BatchHandle` whose ``as_completed``
@@ -63,10 +64,6 @@ ResultCallback = Callable[[int, SimJob, SimulationResult, bool], None]
 class Executor(Protocol):
     """Anything that can run a batch of simulation jobs."""
 
-    def run_batch(self, jobs: Sequence[SimJob]) -> List[SimulationResult]:
-        """Run every job; results align index-for-index with ``jobs``."""
-        ...
-
     def submit_batch(self, jobs: Sequence[SimJob],
                      ) -> Iterator[Tuple[int, SimulationResult]]:
         """Stream ``(job_index, result)`` pairs in completion order."""
@@ -82,7 +79,7 @@ def _run_chunk_transport(jobs: Sequence[SimJob],
     straight into shared memory and only tiny descriptors return over
     the pipe; without one the results themselves are returned (the
     pickle transport).  The measured seconds cover simulation only —
-    the autotuner uses them to size subsequent chunks per backend.
+    the chunk tuner uses them to size subsequent chunks per backend.
     Interval jobs in the chunk run through the batched kernel (see
     :mod:`repro.engine.kernel`).
     """
@@ -92,28 +89,6 @@ def _run_chunk_transport(jobs: Sequence[SimJob],
     if spec is None:
         return results, elapsed
     return write_results(spec, rows, results), elapsed
-
-
-class LocalExecutor:
-    """Runs jobs sequentially in the current process.
-
-    Interval jobs sharing a workload advance as one batched kernel call
-    (:func:`repro.engine.kernel.run_jobs`); everything else runs per job.
-    """
-
-    def run_batch(self, jobs: Sequence[SimJob]) -> List[SimulationResult]:
-        return run_jobs(jobs)
-
-    def submit_batch(self, jobs: Sequence[SimJob],
-                     ) -> Iterator[Tuple[int, SimulationResult]]:
-        """Stream results lazily, in job order (== completion order).
-
-        Group-lazy: each kernel group (see :mod:`repro.engine.kernel`)
-        runs — via ``self.run_batch``, so subclasses that instrument
-        execution observe the streaming path too — when the consumer
-        pulls its first member.
-        """
-        return stream_jobs(jobs, run=self.run_batch)
 
 
 #: Chunk size used to probe a backend whose per-job cost is unknown yet.
@@ -152,27 +127,22 @@ class ChunkTuner:
 
     def plan(self, key: Hashable, n_jobs: int, workers: int,
              group_size: int = 1) -> int:
-        """Jobs per chunk for ``key`` in a batch of ``n_jobs``.
+        """Jobs per chunk for the tuned ``key`` in a batch of ``n_jobs``.
 
-        A tuned key targets ``target_seconds`` of measured work per
-        chunk (capped so every one of ``workers`` still gets a chunk);
-        an untuned key gets a small probe chunk.
+        Targets ``target_seconds`` of measured work per chunk (capped so
+        every one of ``workers`` still gets a chunk).  Only a
+        :meth:`known` key has a plan; an untimed backend is sized by
+        :meth:`ParallelExecutor.submit_batch`'s probe wave.
 
         ``group_size > 1`` plans in whole-group units: batched detailed
         dispatch advances a kernel group as one stacked call, so a
         chunk is sized by per-*group* cost (the recorded per-job time
         times the group run length) and always returned as a multiple
         of ``group_size`` — a chunk boundary never shears a group.
-        With the default ``group_size=1`` this is exactly the
-        historical per-job plan.
         """
         group_size = max(1, int(group_size))
         n_units = -(-n_jobs // group_size)
-        default = max(1, -(-n_units // (max(workers, 1) * 4)))
-        per_job = self._tuned.get(key)
-        if per_job is None:
-            probe = max(1, PROBE_CHUNK_SIZE // group_size)
-            return min(default, probe) * group_size
+        per_job = self._tuned[key]
         per_unit = max(per_job * group_size, 1e-7)
         upper = max(1, -(-n_units // max(workers, 1)))
         units = max(1, min(int(self.target_seconds / per_unit), upper))
@@ -194,8 +164,6 @@ def batch_group_run(jobs: Sequence[SimJob], start: int) -> int:
     if job.backend != "detailed" or not detailed_batch_enabled():
         return 1
     signature = group_signature(job)
-    if signature is None:
-        return 1
     stop = start + 1
     while stop < len(jobs) and group_signature(jobs[stop]) == signature:
         stop += 1
@@ -227,8 +195,7 @@ def carve_chunk(jobs: Sequence[SimJob], start: int, size: int) -> int:
 
         if detailed_batch_enabled():
             signature = group_signature(jobs[stop])
-            if (signature is not None
-                    and group_signature(jobs[stop - 1]) == signature):
+            if group_signature(jobs[stop - 1]) == signature:
                 run_start = stop - 1
                 while (run_start > start
                        and group_signature(jobs[run_start - 1]) == signature):
@@ -255,18 +222,19 @@ def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class ParallelExecutor:
-    """Fans job batches out over a process pool.
+    """Runs job batches in-process or over a process pool.
 
-    Jobs are grouped into contiguous chunks (amortizing per-chunk IPC
-    overhead over many sub-millisecond interval simulations) and
-    submitted to a :class:`~concurrent.futures.ProcessPoolExecutor`.
-    ``run_batch`` stitches the chunks back together by chunk index — so
-    the output order never depends on scheduling — while
-    ``submit_batch`` yields each chunk's results the moment its future
-    completes, letting consumers overlap analysis with the simulation
-    tail.
+    With ``max_workers=1`` (the engine default) a batch runs in this
+    process, one kernel group at a time, in job order; no pool is
+    created and no pool setting is read.  With more workers, jobs are
+    grouped into contiguous chunks (amortizing per-chunk IPC overhead
+    over many sub-millisecond interval simulations) and submitted to a
+    :class:`~concurrent.futures.ProcessPoolExecutor`;
+    :meth:`submit_batch` yields each chunk's results the moment its
+    future completes, letting consumers overlap analysis with the
+    simulation tail.
 
-    Two transports bring results home, bit-identically:
+    Two transports bring pool results home, bit-identically:
 
     * **shared memory** (default): the batch preallocates a
       :class:`~repro.engine.shm.ShmArena`; workers write trace rows
@@ -274,44 +242,35 @@ class ParallelExecutor:
     * **pickle** (``shm=False``, ``REPRO_SHM=0``, or when shared
       memory is unavailable): whole results return through the pipe.
 
-    Without an explicit ``chunk_size`` an **autotuner** sizes chunks
-    per backend: every completed chunk updates a per-job wall-time
-    estimate (exponential moving average, persisted across batches),
-    and once a backend is timed its chunks target
-    :data:`DEFAULT_TARGET_CHUNK_SECONDS` of work each — interval jobs
-    stay coarse-chunked while seconds-per-job detailed jobs go fine-grained,
-    keeping the completion stream responsive.  A backend's very first
-    batch starts with a small probe wave plus worker-count-heuristic
-    chunks (everything still dispatched eagerly at submit time).
+    A **tuner** sizes pool chunks per backend: every completed chunk
+    updates a per-job wall-time estimate (exponential moving average,
+    persisted across batches), and once a backend is timed its chunks
+    target :data:`DEFAULT_TARGET_CHUNK_SECONDS` of work each — interval
+    jobs stay coarse-chunked while seconds-per-job detailed jobs go
+    fine-grained, keeping the completion stream responsive.  A
+    backend's very first batch starts with a small probe wave plus
+    worker-count-heuristic chunks (everything still dispatched eagerly
+    at submit time).
 
     Parameters
     ----------
     max_workers:
-        Worker processes; defaults to the machine's CPU count.
-    chunk_size:
-        Fixed jobs-per-chunk; disables the autotuner.  By default the
-        autotuner chooses per-backend sizes.
+        Worker processes; defaults to the machine's CPU count.  ``1``
+        runs in-process.
     shm:
-        Shared-memory result transport; ``None`` consults ``REPRO_SHM``
-        (default on).  Falls back to pickling when the platform lacks
-        shared memory.
+        Shared-memory result transport for the pool; ``None`` consults
+        ``REPRO_SHM`` (default on) when a pool batch starts.  Falls
+        back to pickling when the platform lacks shared memory.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
                  shm: Optional[bool] = None):
         if max_workers is not None and max_workers < 1:
             raise EngineError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        if chunk_size is not None and chunk_size < 1:
-            raise EngineError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
         self.max_workers = max_workers or os.cpu_count() or 1
-        self.chunk_size = chunk_size
-        self.shm = shm_from_env() if shm is None else bool(shm)
-        self.autotune = chunk_size is None
+        self._shm = None if shm is None else bool(shm)
         self.tuner = ChunkTuner()
         #: Last batch's arena (``None`` for pickle transport); exposed
         #: for lifecycle tests and benchmarks.  Intentionally retained
@@ -322,14 +281,14 @@ class ParallelExecutor:
         self._pool_finalizer: Optional[weakref.finalize] = None
 
     @property
-    def _tuned(self) -> Dict[Hashable, float]:
-        # Back-compat alias for tests/diagnostics: backend -> seconds.
-        return self.tuner._tuned
+    def shm(self) -> bool:
+        """Whether pool batches use the shared-memory transport."""
+        return shm_from_env() if self._shm is None else self._shm
 
     def _get_pool(self) -> ProcessPoolExecutor:
-        # Lazily created and reused across run_batch calls: an engine
-        # shared by a whole experiment session pays worker start-up once,
-        # not once per benchmark batch.
+        # Lazily created and reused across batches: an engine shared by
+        # a whole experiment session pays worker start-up once, not
+        # once per benchmark batch.
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
             # The finalizer — not __del__, whose ordering during
@@ -348,7 +307,7 @@ class ParallelExecutor:
             self._pool = None
 
     def close(self) -> None:
-        """Shut the worker pool down (a later run_batch restarts it).
+        """Shut the worker pool down (a later batch restarts it).
 
         Also drops the executor's reference to the last batch's arena;
         result views keep their own memory alive regardless.  Idempotent
@@ -365,37 +324,20 @@ class ParallelExecutor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def planned_chunk_size(self, backend: str, n_jobs: int,
-                           group_size: int = 1) -> int:
-        """Jobs per chunk for ``backend`` in a batch of ``n_jobs``.
-
-        Fixed ``chunk_size`` wins; otherwise a tuned backend targets
-        the tuner's ``target_seconds`` of measured work per chunk
-        (capped so every worker still gets a chunk) and an untuned
-        backend gets a small probe chunk so its first timing lands
-        quickly.
-        ``group_size`` (see :func:`batch_group_run`) makes the plan a
-        whole-group multiple under batched detailed dispatch.
-        """
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return self.tuner.plan(backend, n_jobs, self.max_workers,
-                               group_size=group_size)
-
-    def _record_timing(self, backend: str, per_job: float) -> None:
-        self.tuner.record(backend, per_job)
-
     def submit_batch(self, jobs: Sequence[SimJob],
                      ) -> Iterator[Tuple[int, SimulationResult]]:
         """Submit the batch now; stream results in completion order.
 
-        Futures are dispatched eagerly — the pool starts working the
-        moment this method is called, before the returned iterator is
-        first pulled — so consumer-side work genuinely overlaps the
-        remaining simulations.  When a backend has no timing yet, the
-        first ``max_workers`` chunks are small probes and the rest use
-        the worker-count heuristic; the measured timings right-size
-        every later batch.
+        In-process (``max_workers=1``, or a batch of one job) the stream
+        is group-lazy and in job order: each kernel group runs when the
+        consumer pulls its first member.  On the pool, futures are
+        dispatched eagerly — the pool starts working the moment this
+        method is called, before the returned iterator is first pulled
+        — so consumer-side work genuinely overlaps the remaining
+        simulations.  When a backend has no timing yet, the first
+        ``max_workers`` chunks are small probes and the rest use the
+        worker-count heuristic; the measured timings right-size every
+        later batch.
         """
         jobs = list(jobs)
         if not jobs:
@@ -414,11 +356,10 @@ class ParallelExecutor:
         while cursor < n:
             start = cursor
             backend = jobs[start].backend
-            if self.chunk_size is not None:
-                size = self.chunk_size
-            elif self.tuner.known(backend):
-                size = self.planned_chunk_size(
-                    backend, n, group_size=batch_group_run(jobs, start))
+            if self.tuner.known(backend):
+                size = self.tuner.plan(
+                    backend, n, self.max_workers,
+                    group_size=batch_group_run(jobs, start))
             elif len(futures) < self.max_workers:
                 size = min(default_size, PROBE_CHUNK_SIZE)  # probe wave
             else:
@@ -450,9 +391,9 @@ class ParallelExecutor:
                                 f"down and the batch aborted"
                             ) from exc
                         start = futures[future]
-                        if payload and self.autotune:
-                            self._record_timing(jobs[start].backend,
-                                                elapsed / len(payload))
+                        if payload:
+                            self.tuner.record(jobs[start].backend,
+                                              elapsed / len(payload))
                         for j, item in enumerate(payload):
                             if arena is not None:
                                 item = arena.materialize(item)
@@ -466,13 +407,6 @@ class ParallelExecutor:
                     arena.unlink()
 
         return _drain()
-
-    def run_batch(self, jobs: Sequence[SimJob]) -> List[SimulationResult]:
-        jobs = list(jobs)
-        ordered: List[Optional[SimulationResult]] = [None] * len(jobs)
-        for i, result in self.submit_batch(jobs):
-            ordered[i] = result
-        return ordered  # type: ignore[return-value]
 
 
 class BatchHandle:
@@ -679,7 +613,8 @@ class ExecutionEngine:
     Parameters
     ----------
     executor:
-        Where misses execute; defaults to :class:`LocalExecutor`.
+        Where misses execute; defaults to an in-process
+        :class:`ParallelExecutor` (``max_workers=1``).
     cache:
         Optional :class:`~repro.engine.cache.ResultCache`.
     on_result:
@@ -711,7 +646,7 @@ class ExecutionEngine:
                  on_result: Optional[ResultCallback] = None,
                  checkpoint_every: Optional[int] = None,
                  checkpoint_dir=None):
-        self.executor = executor or LocalExecutor()
+        self.executor = executor or ParallelExecutor(max_workers=1)
         self.cache = cache
         self.on_result = on_result
         self.checkpoint_every = checkpoint_every
@@ -845,9 +780,8 @@ def create_engine(jobs: Optional[int] = None,
     Parameters
     ----------
     jobs:
-        Worker processes; ``None`` or 1 selects the in-process
-        :class:`LocalExecutor`, anything larger a
-        :class:`ParallelExecutor`.
+        Worker processes of the :class:`ParallelExecutor`; ``None`` or
+        1 runs in-process, anything larger on a process pool.
     cache_dir:
         On-disk cache directory (``None`` disables the disk tier but
         keeps an in-memory LRU when ``memory_items > 0``).
@@ -893,11 +827,7 @@ def create_engine(jobs: Optional[int] = None,
     """
     if jobs is not None and jobs < 1:
         raise EngineError(f"jobs must be >= 1, got {jobs}")
-    executor: Executor
-    if jobs is not None and jobs > 1:
-        executor = ParallelExecutor(max_workers=jobs, shm=shm)
-    else:
-        executor = LocalExecutor()
+    executor = ParallelExecutor(max_workers=jobs or 1, shm=shm)
     cache = None
     if cache_dir is not None or memory_items > 0:
         cache = ResultCache(cache_dir=cache_dir, memory_items=memory_items,

@@ -179,39 +179,22 @@ class SimJob:
     def run(self):
         """Execute this job in the current process.
 
-        Returns a :class:`~repro.uarch.simulator.SimulationResult`.
-        Imported lazily so job objects stay cheap to pickle into worker
-        processes.
+        Returns a :class:`~repro.uarch.simulator.SimulationResult`: the
+        job runs as a kernel group of one
+        (:func:`repro.engine.kernel.run_jobs`), bit-identical to the
+        same job inside any batch.  Imported lazily so job objects stay
+        cheap to pickle into worker processes.
 
         Detailed jobs checkpoint according to their own checkpoint
-        fields (see :func:`~repro.uarch.detailed.resolve_checkpoint_settings`):
-        mid-run snapshots are written under a
-        file named by this job's content-hash key, so a killed sweep
-        resumes each job from its last checkpoint — in any process, on
-        any executor, on any host — instead of restarting it.
+        fields (see :func:`~repro.uarch.detailed.run_detailed_group`):
+        mid-run snapshots are written under a file named by this job's
+        content-hash key, so a killed sweep resumes each job from its
+        last checkpoint — in any process, on any executor — instead of
+        restarting it.
         """
-        from repro.uarch.simulator import Simulator
+        from repro.engine.kernel import run_jobs
 
-        simulator = Simulator(backend=self.backend, noise=self.noise)
-        workload = self.workload if self.workload is not None else self.benchmark
-        kwargs = {}
-        if self.backend == "detailed":
-            from pathlib import Path
-
-            from repro.uarch.detailed import resolve_checkpoint_settings
-
-            every, directory = resolve_checkpoint_settings(
-                self.checkpoint_every, self.checkpoint_dir)
-            if every:
-                kwargs = dict(
-                    checkpoint_every=every,
-                    checkpoint_path=Path(directory) / f"{self.key()}.ckpt.npz",
-                )
-        return simulator.run(
-            workload, self.config, n_samples=self.n_samples,
-            instructions_per_sample=self.instructions_per_sample,
-            **kwargs,
-        )
+        return run_jobs([self])[0]
 
 
 def make_jobs(workload: Union[str, WorkloadModel],

@@ -1,14 +1,17 @@
-"""Grouped kernel dispatch: run interval-job chunks as batched calls.
+"""Grouped kernel dispatch: the one place a job becomes a result.
 
-Every executor funnels its chunks through :func:`run_jobs`, which
-detects groups of interval-backend :class:`~repro.engine.jobs.SimJob`\\ s
-sharing a workload — same benchmark (and attached workload model, if
-any), same trace resolution, same noise setting — and advances each
-group through :func:`~repro.uarch.interval_model.simulate_interval_batch`
-as **one** stacked kernel call instead of one scalar call per job.  A
-design-space sweep is exactly this shape (one benchmark x many
-configurations), so in practice a whole chunk collapses into a single
-kernel invocation.
+Every executor path funnels its jobs through :func:`run_jobs` (or the
+group-lazy :func:`stream_jobs`), which detects groups of
+:class:`~repro.engine.jobs.SimJob`\\ s sharing a workload — same
+benchmark (and attached workload model, if any), same trace
+resolution, same noise setting — and advances each group through
+:func:`run_group` as **one** stacked kernel call instead of one scalar
+call per job.  A design-space sweep is exactly this shape (one
+benchmark x many configurations), so in practice a whole chunk
+collapses into a single kernel invocation.  A single job is a group of
+one: :meth:`SimJob.run <repro.engine.jobs.SimJob.run>` and
+:meth:`Simulator.run <repro.uarch.simulator.Simulator.run>` come here
+too.
 
 Everything around the kernel is unchanged by design:
 
@@ -17,25 +20,25 @@ Everything around the kernel is unchanged by design:
   recipe are untouched, so existing cache entries stay valid
   (``tests/test_kernel_batch.py`` pins golden keys);
 * **results** — each job still materializes its own
-  :class:`~repro.uarch.simulator.SimulationResult`, bit-identical to
-  ``job.run()`` (the batch rows are views into the group's stacked
+  :class:`~repro.uarch.simulator.SimulationResult`, bit-identical to a
+  group of one (the batch rows are views into the group's stacked
   matrices; the shm transport copies rows into its arena and the cache
   detaches, exactly as before);
 * **ordering** — results align index-for-index with the submitted
   chunk, whatever the grouping.
 
-Detailed-backend jobs group too — same benchmark/workload/resolution —
-and every multi-member detailed group runs through
+Interval groups run as one
+:func:`~repro.uarch.interval_model.simulate_interval_batch` call.
+Detailed groups — same benchmark/workload/resolution — run through
 :func:`~repro.uarch.detailed.run_detailed_group`: one synthesized trace
 per interval feeds the whole group, stepped by one of two
 bit-identical steppers.  With ``REPRO_JIT`` on and numba importable
 (:func:`detailed_batch_enabled`) that is one compiled ``prange`` batch
 kernel call per interval over config-stacked state; otherwise it is
-the interpreter, member by member.  Jobs with no groupmate in their
-chunk run through ``job.run()`` as always.
+the interpreter, member by member.
 ``REPRO_BATCH_KERNEL=0`` disables grouping entirely (the escape hatch;
-the scalar path is the same code as a batch of one, so this only
-changes speed, not bits).
+every job then runs as a group of one, so this only changes speed, not
+bits).
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ def detailed_batch_enabled() -> bool:
     return batch_kernel_enabled() and jit_enabled()
 
 
-def group_signature(job: SimJob) -> Optional[Tuple]:
-    """Hashable grouping identity, or ``None`` for ungroupable jobs.
+def group_signature(job: SimJob) -> Tuple:
+    """Hashable grouping identity.
 
     Jobs with equal signatures simulate the same workload at the same
     resolution and noise setting, so they may run as one batched kernel
@@ -85,8 +88,6 @@ def group_signature(job: SimJob) -> Optional[Tuple]:
     if job.backend == "detailed":
         return ("detailed", job.benchmark, workload, job.n_samples,
                 job.instructions_per_sample)
-    if job.backend != "interval":
-        return None
     return (job.benchmark, workload, job.n_samples, job.noise)
 
 
@@ -109,17 +110,14 @@ def _run_interval_group(group: Sequence[SimJob]) -> List[SimulationResult]:
 
 def plan_groups(jobs: Sequence[SimJob]) -> List[List[int]]:
     """Partition job indices into kernel groups, preserving first-seen
-    order.  Ungroupable jobs (and all jobs when the batch kernel is
-    disabled) become singleton groups."""
+    order.  With the batch kernel disabled every job is its own
+    group."""
     if len(jobs) < 2 or not batch_kernel_enabled():
         return [[i] for i in range(len(jobs))]
     order: List[List[int]] = []
     groups: Dict[Tuple, List[int]] = {}
     for i, job in enumerate(jobs):
         signature = group_signature(job)
-        if signature is None:
-            order.append([i])
-            continue
         members = groups.get(signature)
         if members is None:
             groups[signature] = members = [i]
@@ -131,9 +129,13 @@ def plan_groups(jobs: Sequence[SimJob]) -> List[List[int]]:
 
 def run_group(jobs: Sequence[SimJob], indices: Sequence[int],
               ) -> List[SimulationResult]:
-    """Run one planned group; results align with ``indices``."""
-    if len(indices) == 1:
-        return [jobs[indices[0]].run()]
+    """Run one planned group; results align with ``indices``.
+
+    A group of one is the single-job path: an interval job is row 0 of a
+    one-config :func:`~repro.uarch.interval_model.simulate_interval_batch`
+    call, a detailed job a one-member
+    :func:`~repro.uarch.detailed.run_detailed_group`.
+    """
     group = [jobs[i] for i in indices]
     if group[0].backend == "detailed":
         from repro.uarch.detailed import run_detailed_group
@@ -143,8 +145,8 @@ def run_group(jobs: Sequence[SimJob], indices: Sequence[int],
 
 
 def run_jobs(jobs: Sequence[SimJob]) -> List[SimulationResult]:
-    """Run a chunk of jobs, batching interval groups; results in job
-    order.  The chunk runner behind every executor's ``run_batch``."""
+    """Run a chunk of jobs group by group; results in job order.  What
+    a pool worker runs for each chunk."""
     jobs = list(jobs)
     results: List[Optional[SimulationResult]] = [None] * len(jobs)
     for indices in plan_groups(jobs):
@@ -154,14 +156,10 @@ def run_jobs(jobs: Sequence[SimJob]) -> List[SimulationResult]:
 
 
 def stream_jobs(jobs: Sequence[SimJob],
-                run=run_jobs) -> Iterator[Tuple[int, SimulationResult]]:
+                ) -> Iterator[Tuple[int, SimulationResult]]:
     """Group-lazy in-process stream, yielding in job order.
 
-    Each kernel group runs when the consumer pulls its first member
-    (the per-group generalization of the historical one-job-at-a-time
-    lazy stream); ``run`` lets callers route execution through their
-    own ``run_batch`` so instrumented subclasses observe the streaming
-    path too.
+    Each kernel group runs when the consumer pulls its first member.
     """
     jobs = list(jobs)
     group_of: Dict[int, List[int]] = {}
@@ -172,6 +170,6 @@ def stream_jobs(jobs: Sequence[SimJob],
     for i in range(len(jobs)):
         if i not in done:
             indices = group_of[i]
-            for j, result in zip(indices, run([jobs[j] for j in indices])):
+            for j, result in zip(indices, run_group(jobs, indices)):
                 done[j] = result
         yield i, done.pop(i)

@@ -27,8 +27,7 @@ snapshot and produces a **bit-identical**
 :class:`~repro.uarch.simulator.SimulationResult` — a killed sweep
 restarts mid-benchmark instead of from scratch.  The engine keys
 checkpoint files by job content hash under the cache directory (see
-:func:`resolve_checkpoint_settings` and
-:meth:`repro.engine.jobs.SimJob.run`).
+:func:`resolve_checkpoint_settings` and :func:`run_detailed_group`).
 """
 
 from __future__ import annotations
@@ -274,8 +273,9 @@ class DetailedSimulator:
 
 def run_detailed_group(jobs):
     """Run a group of detailed jobs sharing one workload signature as
-    one interval stream: the group twin of ``[job.run() for job in
-    jobs]``, bit-identical to it.
+    one interval stream, bit-identical to running each job alone (a
+    group of one is how :meth:`SimJob.run
+    <repro.engine.jobs.SimJob.run>` runs a detailed job).
 
     Each interval is synthesized once for the whole group and stepped
     for every member (through the compiled batch kernel when

@@ -320,11 +320,6 @@ def _persistence_smooth_rows(traces: np.ndarray,
             + 0.25 * padded[:, 2:])
 
 
-def _persistence_smooth(trace: np.ndarray, alpha: float = 0.3) -> np.ndarray:
-    """One-trace persistence smoothing (row-of-one of the batch scan)."""
-    return _persistence_smooth_rows(trace[None, :], alpha)[0]
-
-
 def _noise(trace: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
     """Deterministic texture: Gaussian at ``level`` x the trace's std."""
     if level <= 0.0:

@@ -14,15 +14,14 @@ CPI / power / AVF / IQ-AVF traces the predictive models consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.uarch.params import MachineConfig
 from repro.workloads.phases import WorkloadModel
-from repro.workloads.spec2000 import get_benchmark
 
 #: Trace domains every backend must produce.
 DOMAINS = ("cpi", "power", "avf", "iq_avf")
@@ -134,10 +133,11 @@ class Simulator:
 
     def run(self, workload: Union[str, WorkloadModel], config: MachineConfig,
             n_samples: int = 128,
-            instructions_per_sample: int = 1000,
-            checkpoint_every: Optional[int] = None,
-            checkpoint_path=None) -> SimulationResult:
+            instructions_per_sample: int = 1000) -> SimulationResult:
         """Simulate one (workload, configuration) pair.
+
+        Builds the one engine job (see :meth:`jobs`) and runs it in this
+        process, without checkpointing.
 
         Parameters
         ----------
@@ -151,28 +151,10 @@ class Simulator:
             Detailed backend only: synthetic instructions simulated per
             trace interval (the paper uses 200M/128 per interval; the
             synthetic traces need far fewer for stable statistics).
-        checkpoint_every, checkpoint_path:
-            Detailed backend only: periodic mid-run snapshots enabling
-            bit-identical resume after a crash (see
-            :meth:`repro.uarch.detailed.DetailedSimulator.run`).
-            Ignored by the interval backend, whose runs are too cheap
-            to checkpoint.
         """
-        if isinstance(workload, str):
-            workload = get_benchmark(workload)
-        if self.backend == "interval":
-            from repro.uarch.interval_model import simulate_interval
-
-            res = simulate_interval(workload, config, n_samples,
-                                    noise=self.noise)
-            return interval_result_to_simulation(res)
-        from repro.uarch.detailed import DetailedSimulator
-
-        detailed = DetailedSimulator(config)
-        return detailed.run(workload, n_samples=n_samples,
-                            instructions_per_sample=instructions_per_sample,
-                            checkpoint_every=checkpoint_every,
-                            checkpoint_path=checkpoint_path)
+        [job] = self.jobs(workload, [config], n_samples,
+                          instructions_per_sample)
+        return replace(job, checkpoint_every=0).run()
 
     # ------------------------------------------------------------------
     def jobs(self, workload: Union[str, WorkloadModel],
@@ -189,29 +171,3 @@ class Simulator:
                          n_samples=n_samples,
                          instructions_per_sample=instructions_per_sample,
                          noise=self.noise)
-
-    def run_batch(self, jobs: Sequence["SimJob"],
-                  executor=None) -> List[SimulationResult]:
-        """Run a batch of engine jobs *under this simulator's settings*.
-
-        Each job is re-stamped with this simulator's backend and noise
-        options (so ``Simulator(backend="detailed").run_batch(jobs)``
-        really runs the detailed model), then executed in job order.
-
-        Parameters
-        ----------
-        jobs:
-            :class:`~repro.engine.jobs.SimJob` sequence; see
-            :meth:`jobs` to build one from configuration lists.
-        executor:
-            An :class:`~repro.engine.executor.Executor`; defaults to the
-            in-process :class:`~repro.engine.executor.LocalExecutor`.
-        """
-        from dataclasses import replace
-
-        from repro.engine.executor import LocalExecutor
-
-        stamped = [replace(job, backend=self.backend, noise=self.noise)
-                   for job in jobs]
-        executor = executor or LocalExecutor()
-        return executor.run_batch(stamped)

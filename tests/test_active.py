@@ -12,7 +12,6 @@ from repro.dse.active import (
     ActiveSearchResult,
     ActiveSearchSettings,
     pareto_front,
-    run_active_search,
 )
 from repro.dse.explorer import Constraint, Objective
 from repro.dse.lhs import sample_candidate_pool
@@ -230,12 +229,6 @@ class TestSingleObjective:
         assert res.converged
         assert res.reason == "converged"
         assert res.n_simulations < 120
-
-    def test_run_active_search_function(self):
-        res = run_active_search(
-            _runner(), "gcc", Objective("cpi", "mean"),
-            settings=_settings(budget=20))
-        assert res.n_simulations == 20
 
 
 class TestMultiObjective:

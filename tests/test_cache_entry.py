@@ -26,7 +26,6 @@ from repro.cli import main
 from repro.engine import (
     VERSION_TAG,
     ExecutionEngine,
-    LocalExecutor,
     ResultCache,
     SimJob,
     create_engine,
@@ -378,7 +377,7 @@ class TestStaleFiles:
         assert ResultCache(tmp_path).get(key) is None
 
 
-class _FailAfter(LocalExecutor):
+class _FailAfter:
     """Streams the first ``n`` results of a batch, then fails."""
 
     def __init__(self, n):

@@ -120,6 +120,32 @@ class TestOtherCommands:
         assert code == 0
         assert "fetch_width" in text
 
+    @pytest.mark.parametrize("env, flags, expected", [
+        ("paper", [], "paper"),
+        ("paper", ["--scale", "quick"], "quick"),
+        ("quick", ["--scale", "paper"], "paper"),
+        (None, [], "quick"),
+    ], ids=["env", "flag-over-env-quick", "flag-over-env-paper", "default"])
+    def test_run_experiment_scale_is_flag_then_env_then_quick(
+            self, monkeypatch, env, flags, expected):
+        import repro.experiments as experiments
+
+        seen = []
+        real = experiments.run_experiment
+
+        def spy(experiment_id, ctx):
+            seen.append(ctx.scale.name)
+            return real(experiment_id, ctx)
+
+        monkeypatch.setattr(experiments, "run_experiment", spy)
+        if env is None:
+            monkeypatch.delenv("REPRO_SCALE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SCALE", env)
+        code, _ = _run(["run-experiment", "table2", *flags])
+        assert code == 0
+        assert seen == [expected]
+
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])

@@ -28,10 +28,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from executor_utils import chunk_plan
 from test_detailed_kernel import (GOLDEN_DIGESTS, _Crash, _digest, _job,
                                   crash_at, golden_cases, stepper)
 
-from repro.engine.executor import ChunkTuner, batch_group_run, carve_chunk
+from repro.engine.executor import (ChunkTuner, ParallelExecutor,
+                                   batch_group_run, carve_chunk)
 from repro.engine.jobs import SimJob
 from repro.errors import SimulationError
 from repro.uarch import detailed, jit
@@ -209,18 +211,23 @@ def test_run_group_routes_groups_through_batch(monkeypatch):
 
 def test_run_group_per_job_when_batching_off(monkeypatch):
     """With grouping off (``REPRO_BATCH_KERNEL=0``) every detailed job
-    is its own group and runs through ``job.run()``."""
+    is its own group: a one-member ``run_detailed_group``."""
     from repro.engine import kernel
 
-    def explode(jobs):  # pragma: no cover - must not run
-        raise AssertionError("group path taken while grouping is off")
+    seen = []
+    real = detailed.run_detailed_group
 
-    monkeypatch.setattr("repro.uarch.detailed.run_detailed_group", explode)
+    def spy(jobs):
+        seen.append(len(jobs))
+        return real(jobs)
+
+    monkeypatch.setattr("repro.uarch.detailed.run_detailed_group", spy)
     monkeypatch.setenv("REPRO_BATCH_KERNEL", "0")
     labels, jobs = _golden_jobs("gcc")
     with stepper(False):
         for label, result in zip(labels, kernel.run_jobs(jobs)):
             assert _digest(result) == GOLDEN_DIGESTS[label]
+    assert seen == [1] * len(jobs)
 
 
 def test_detailed_batch_enabled_requires_jit(monkeypatch):
@@ -291,7 +298,7 @@ def test_batch_group_run_lengths(monkeypatch):
     assert batch_group_run(jobs, 2) == 1
 
 
-def test_chunk_tuner_plans_whole_groups():
+def test_chunk_tuner_plans_whole_groups(monkeypatch):
     tuner = ChunkTuner(target_seconds=1.0)
     tuner.record("detailed", 0.01)
     flat = tuner.plan("detailed", 640, workers=4)
@@ -300,9 +307,14 @@ def test_chunk_tuner_plans_whole_groups():
     # Planning in group units keeps the same per-chunk time target:
     # 100 jobs' worth of work, rounded to one whole 64-job group.
     assert flat == 100 and grouped == 64
-    # An untuned key probes a single group rather than shearing one.
-    probe = ChunkTuner().plan("detailed", 640, workers=4, group_size=64)
-    assert probe == 64
+    # An untimed backend's probe chunk takes a single whole group
+    # rather than shearing one.
+    monkeypatch.setattr("repro.engine.kernel.detailed_batch_enabled",
+                        lambda: True)
+    jobs = [SimJob(bench, baseline_config(), backend="detailed", n_samples=8)
+            for bench in ("gcc", "mcf") for _ in range(64)]
+    plan = chunk_plan(ParallelExecutor(max_workers=4, shm=False), jobs)
+    assert plan[:2] == [(0, 64), (64, 128)]
     # group_size=1 is exactly the historical plan.
     assert tuner.plan("detailed", 640, 4, group_size=1) == flat
 

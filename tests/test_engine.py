@@ -10,10 +10,10 @@ import pytest
 
 import repro
 from repro.dse.runner import SweepPlan, SweepRunner
+from repro.dse.lhs import sample_train_configs
 from repro.dse.space import paper_design_space
 from repro.engine import (
     ExecutionEngine,
-    LocalExecutor,
     ParallelExecutor,
     ResultCache,
     SimJob,
@@ -24,6 +24,9 @@ from repro.engine.cache import SUFFIX
 from repro.errors import EngineError
 from repro.uarch.params import baseline_config
 from repro.uarch.simulator import SimulationResult, Simulator
+from repro.workloads.spec2000 import BENCHMARK_NAMES
+
+from executor_utils import chunk_plan, ordered
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +103,8 @@ class TestSimJob:
 
 class TestExecutors:
     def test_parallel_matches_sequential_bit_identical(self, jobs):
-        seq = LocalExecutor().run_batch(jobs)
-        par = ParallelExecutor(max_workers=2, chunk_size=2).run_batch(jobs)
+        seq = ordered(ParallelExecutor(max_workers=1), jobs)
+        par = ordered(ParallelExecutor(max_workers=2), jobs)
         assert len(seq) == len(par) == len(jobs)
         for a, b in zip(seq, par):
             assert a.benchmark == b.benchmark
@@ -110,26 +113,66 @@ class TestExecutors:
                 assert np.array_equal(a.trace(domain), b.trace(domain))
 
     def test_result_order_matches_job_order(self, jobs):
-        par = ParallelExecutor(max_workers=2, chunk_size=1).run_batch(jobs)
+        par = ordered(ParallelExecutor(max_workers=2), jobs)
         assert [r.config for r in par] == [j.config for j in jobs]
 
     def test_empty_batch(self):
-        assert ParallelExecutor(max_workers=2).run_batch([]) == []
-        assert LocalExecutor().run_batch([]) == []
+        assert ordered(ParallelExecutor(max_workers=2), []) == []
+        assert ordered(ParallelExecutor(max_workers=1), []) == []
 
     def test_worker_exception_propagates(self, configs):
         bad = SimJob("gcc", configs[0], n_samples=64)
         object.__setattr__(bad, "benchmark", "no_such_benchmark")
         with pytest.raises(Exception):
-            ParallelExecutor(max_workers=2, chunk_size=1).run_batch([bad])
+            ordered(ParallelExecutor(max_workers=2), [bad])
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(EngineError):
             ParallelExecutor(max_workers=0)
         with pytest.raises(EngineError):
-            ParallelExecutor(chunk_size=0)
-        with pytest.raises(EngineError):
             create_engine(jobs=0)
+
+    @pytest.mark.parametrize("build", [
+        ExecutionEngine,
+        create_engine,
+        lambda: create_engine(jobs=1),
+    ], ids=["ExecutionEngine()", "create_engine()", "create_engine(jobs=1)"])
+    def test_default_engine_runs_in_process(self, build, jobs, monkeypatch):
+        # The in-process executor reads no pool setting: a malformed
+        # REPRO_SHM cannot break it, and no pool is ever created.
+        monkeypatch.setenv("REPRO_SHM", "flase")
+        engine = build()
+        results = engine.run(jobs[:3])
+        assert [r.config for r in results] == [j.config for j in jobs[:3]]
+        assert engine.executor.max_workers == 1
+        assert engine.executor._pool is None
+
+    def test_pool_chunk_plan_is_pinned(self):
+        # A pool_mixed-shaped batch: per benchmark 200 interval jobs,
+        # then one detailed job.  Goldens: a move in the pool's chunk
+        # policy must be a deliberate, visible change.
+        space = paper_design_space()
+        interval = sample_train_configs(space, 200, seed=0)
+        detailed = sample_train_configs(space, len(BENCHMARK_NAMES), seed=1)
+        batch = []
+        for bench, config in zip(BENCHMARK_NAMES, detailed):
+            batch += make_jobs(bench, interval)
+            batch += make_jobs(bench, [config], backend="detailed",
+                               n_samples=32)
+        starts = [201 * b for b in range(len(BENCHMARK_NAMES))]
+        probe_wave = [(0, 4), (4, 8), (8, 200), (200, 201)] + [
+            chunk for s in starts[1:] for chunk in ((s, s + 200),
+                                                    (s + 200, s + 201))]
+        tuned = [chunk for s in starts for chunk in (
+            (s, s + 62), (s + 62, s + 124), (s + 124, s + 186),
+            (s + 186, s + 200), (s + 200, s + 201))]
+
+        ex = ParallelExecutor(max_workers=2, shm=False)
+        assert chunk_plan(ex, batch) == probe_wave
+        ex.tuner.record("interval", 4e-3)  # 0.25 s per chunk: 62 jobs
+        assert chunk_plan(ex, batch) == tuned
+        ex.tuner.record("detailed", 0.05)
+        assert chunk_plan(ex, batch) == tuned
 
 
 class TestResultCache:
@@ -182,14 +225,14 @@ class TestResultCache:
 
 class TestExecutionEngine:
     def test_cache_hits_skip_execution(self, tmp_path, jobs):
-        class CountingExecutor(LocalExecutor):
+        class CountingExecutor(ParallelExecutor):
             calls = 0
 
-            def run_batch(self, batch):
+            def submit_batch(self, batch):
                 CountingExecutor.calls += len(batch)
-                return super().run_batch(batch)
+                return super().submit_batch(batch)
 
-        engine = ExecutionEngine(executor=CountingExecutor(),
+        engine = ExecutionEngine(executor=CountingExecutor(max_workers=1),
                                  cache=ResultCache(tmp_path))
         engine.run(jobs)
         assert CountingExecutor.calls == len(jobs)
@@ -197,14 +240,15 @@ class TestExecutionEngine:
         assert CountingExecutor.calls == len(jobs)
 
     def test_duplicate_jobs_deduplicated(self, jobs):
-        class CountingExecutor(LocalExecutor):
+        class CountingExecutor(ParallelExecutor):
             calls = 0
 
-            def run_batch(self, batch):
+            def submit_batch(self, batch):
                 CountingExecutor.calls += len(batch)
-                return super().run_batch(batch)
+                return super().submit_batch(batch)
 
-        engine = ExecutionEngine(executor=CountingExecutor(), cache=None)
+        engine = ExecutionEngine(executor=CountingExecutor(max_workers=1),
+                                 cache=None)
         results = engine.run([jobs[0], jobs[1], jobs[0], jobs[0]])
         assert CountingExecutor.calls == 2
         assert np.array_equal(results[0].trace("cpi"), results[2].trace("cpi"))
@@ -221,8 +265,7 @@ class TestSweepRunnerIntegration:
         seq = SweepRunner(n_samples=64).run_configs("gcc", configs)
         par = SweepRunner(
             n_samples=64,
-            engine=ExecutionEngine(ParallelExecutor(max_workers=2,
-                                                    chunk_size=2)),
+            engine=ExecutionEngine(ParallelExecutor(max_workers=2)),
         ).run_configs("gcc", configs)
         for domain in seq.domains:
             assert np.array_equal(seq.domain(domain), par.domain(domain))
@@ -325,24 +368,26 @@ class TestReviewRegressions:
         )
         unregister_reducer("hmean")
 
-    def test_simulator_run_batch_restamps_jobs(self, configs):
-        # run_batch honours the simulator it is called on, not whatever
-        # backend/noise the jobs were built with.
-        noisy_jobs = [SimJob("gcc", configs[0], n_samples=64, noise=True)]
+    def test_simulator_jobs_carry_its_settings(self, configs):
+        # Jobs built by a simulator carry its backend and noise options,
+        # so they run what that simulator's run() runs.
         quiet = Simulator(noise=False)
-        batch = quiet.run_batch(noisy_jobs)
+        [job] = quiet.jobs("gcc", configs[:1], n_samples=64)
+        assert (job.backend, job.noise) == ("interval", False)
         direct = quiet.run("gcc", configs[0], 64)
-        assert np.array_equal(batch[0].trace("cpi"), direct.trace("cpi"))
+        assert np.array_equal(job.run().trace("cpi"), direct.trace("cpi"))
         noisy = Simulator(noise=True).run("gcc", configs[0], 64)
-        assert not np.array_equal(batch[0].trace("cpi"), noisy.trace("cpi"))
+        assert not np.array_equal(direct.trace("cpi"), noisy.trace("cpi"))
+        [detailed] = Simulator(backend="detailed").jobs("gcc", configs[:1])
+        assert detailed.backend == "detailed"
 
     def test_parallel_executor_reuses_pool(self, jobs):
-        ex = ParallelExecutor(max_workers=2, chunk_size=3)
+        ex = ParallelExecutor(max_workers=2)
         try:
-            ex.run_batch(jobs[:2])
+            ordered(ex, jobs[:2])
             pool = ex._pool
             assert pool is not None
-            ex.run_batch(jobs[2:4])
+            ordered(ex, jobs[2:4])
             assert ex._pool is pool
         finally:
             ex.close()

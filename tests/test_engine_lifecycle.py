@@ -36,19 +36,14 @@ from repro.engine import (
 from repro.engine.cache import SUFFIX
 from repro.errors import SimulationError
 
+from executor_utils import KillWorkerJob, ordered
+
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 
 
 @pytest.fixture(scope="module")
 def configs():
     return paper_design_space().sample_random(6, split="train", seed=41)
-
-
-class _KillWorkerJob(SimJob):
-    """A job that kills its worker process mid-chunk (crash testing)."""
-
-    def run(self):
-        os._exit(1)
 
 
 class TestDeterministicTeardown:
@@ -94,7 +89,7 @@ print(ex.last_arena.name if ex.last_arena is not None else "pickle")
     def test_arena_unlink_runs_exactly_once(self, configs):
         jobs = [SimJob("gcc", c, n_samples=32) for c in configs[:3]]
         with ParallelExecutor(max_workers=2, shm=True) as ex:
-            ex.run_batch(jobs)
+            ordered(ex, jobs)
             arena = ex.last_arena
             assert arena is not None and arena.unlinked
             before = arena._shm  # segment object survives for views
@@ -104,9 +99,9 @@ print(ex.last_arena.name if ex.last_arena is not None else "pickle")
 
     def test_close_is_idempotent_and_detaches_finalizer(self, configs):
         ex = ParallelExecutor(max_workers=2)
-        ex.run_batch([SimJob("gcc", configs[0], n_samples=16)] * 2)
+        ordered(ex, [SimJob("gcc", configs[0], n_samples=16)] * 2)
         # Single job short-circuits; force a pool with two chunks.
-        ex.run_batch([SimJob("gcc", c, n_samples=16) for c in configs[:4]])
+        ordered(ex, [SimJob("gcc", c, n_samples=16) for c in configs[:4]])
         assert ex._pool is not None and ex._pool_finalizer.alive
         finalizer = ex._pool_finalizer
         ex.close()
@@ -126,11 +121,11 @@ class TestFailurePropagation:
             cache.put(job.key(), result)
             expected.append(result)
         # Two killers: the batch has >= 2 executor misses, so it takes
-        # the pool path (a single miss would run in-process and
-        # os._exit the test itself).
-        killers = [_KillWorkerJob("gcc", configs[2], n_samples=32),
-                   _KillWorkerJob("gcc", configs[3], n_samples=32)]
-        with ParallelExecutor(max_workers=2, chunk_size=1) as ex:
+        # the pool path (a single miss would run in-process, where no
+        # worker receives it).
+        killers = [KillWorkerJob("gcc", configs[2], n_samples=32),
+                   KillWorkerJob("gcc", configs[3], n_samples=32)]
+        with ParallelExecutor(max_workers=2) as ex:
             engine = ExecutionEngine(ex, cache=cache)
             handle = engine.submit(good + killers)
             # Cache hits resolved at submit: available before (and
@@ -153,12 +148,12 @@ class TestFailurePropagation:
                                   expected[1].trace("cpi"))
             assert handle.done == 2
 
-    def test_run_batch_reports_structured_error(self, configs):
+    def test_submit_batch_reports_structured_error(self, configs):
         jobs = [SimJob("gcc", configs[0], n_samples=16),
-                _KillWorkerJob("gcc", configs[1], n_samples=16)]
-        with ParallelExecutor(max_workers=2, chunk_size=1) as ex:
+                KillWorkerJob("gcc", configs[1], n_samples=16)]
+        with ParallelExecutor(max_workers=2) as ex:
             with pytest.raises(SimulationError, match="worker process died"):
-                ex.run_batch(jobs)
+                ordered(ex, jobs)
 
 
 class TestDeterministicEviction:

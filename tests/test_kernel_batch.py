@@ -22,7 +22,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.engine.executor import LocalExecutor, ParallelExecutor
+from repro.engine.executor import ParallelExecutor
 from repro.engine.jobs import SimJob, make_jobs
 from repro.engine.kernel import (
     batch_kernel_enabled,
@@ -38,6 +38,8 @@ from repro.uarch.interval_model import (
 from repro.uarch.jit import ewma_scan, jit_available, jit_enabled, set_jit
 from repro.uarch.params import ConfigBatch, baseline_config
 from repro.workloads.spec2000 import get_benchmark
+
+from executor_utils import ordered
 
 
 def _trace_digest(res) -> str:
@@ -331,7 +333,7 @@ def test_local_executor_stream_grouped(monkeypatch):
     jobs = _mixed_jobs()
     ref = [j.run() for j in jobs]
     seen = []
-    for i, res in LocalExecutor().submit_batch(jobs):
+    for i, res in ParallelExecutor(max_workers=1).submit_batch(jobs):
         seen.append(i)
         _result_equal(ref[i], res)
     assert seen == list(range(len(jobs)))
@@ -341,7 +343,7 @@ def test_local_executor_stream_grouped(monkeypatch):
 def test_parallel_executor_grouped(shm):
     jobs = _mixed_jobs()
     ref = [j.run() for j in jobs]
-    got = ParallelExecutor(max_workers=2, shm=shm).run_batch(jobs)
+    got = ordered(ParallelExecutor(max_workers=2, shm=shm), jobs)
     for r, g in zip(ref, got):
         _result_equal(r, g)
 

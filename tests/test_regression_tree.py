@@ -125,6 +125,16 @@ class TestFitting:
         with pytest.raises(ModelError, match="at least one row and one column"):
             fit(np.empty(shape))
 
+    @pytest.mark.parametrize("model", [RegressionTree, RBFNetwork],
+                             ids=["tree.predict", "rbf.predict"])
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)], ids=str)
+    def test_predict_non_2d_X_rejected(self, model, shape):
+        X, y = _step_data(d=2)
+        fitted = model().fit(X, y)
+        with pytest.raises(ModelError, match="X must be 2-D"):
+            fitted.predict(np.empty(shape))
+        assert fitted.predict(np.empty((0, 2))).shape == (0,)
+
     def test_predict_wrong_width_rejected(self):
         X, y = _step_data(d=3)
         tree = RegressionTree().fit(X, y)

@@ -4,11 +4,10 @@ Pins the PR-3 tentpole guarantees: shared-memory and pickle transports
 are bit-identical across backends, arenas are unlinked on batch
 completion / worker crash / early consumer exit while delivered views
 stay valid, dataset assembly is zero-copy for contiguous batches, and
-the chunk autotuner sizes interval and detailed chunks differently.
+the chunk tuner sizes interval and detailed chunks differently.
 """
 
 import multiprocessing.shared_memory as _sm
-import os
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from repro.dse.runner import SweepRunner
 from repro.dse.space import paper_design_space
 from repro.engine import (
     ExecutionEngine,
-    LocalExecutor,
     ParallelExecutor,
     ShmArena,
     SimJob,
@@ -28,6 +26,8 @@ from repro.engine.executor import PROBE_CHUNK_SIZE
 from repro.engine.shm import MAX_COMPONENT_SLOTS
 from repro.uarch.params import baseline_config
 from repro.uarch.simulator import SimulationResult
+
+from executor_utils import KillWorkerJob, chunk_plan, ordered
 
 
 @pytest.fixture(scope="module")
@@ -48,22 +48,15 @@ def _assert_results_equal(a, b):
         assert np.array_equal(a.components[name], b.components[name])
 
 
-class _KillWorkerJob(SimJob):
-    """A job that kills its worker process mid-chunk (crash testing)."""
-
-    def run(self):
-        os._exit(1)
-
-
 class TestTransportParity:
     def test_interval_shm_matches_pickle_and_local(self, configs):
         jobs = [SimJob("gcc", c, n_samples=64) for c in configs]
-        local = LocalExecutor().run_batch(jobs)
+        local = ordered(ParallelExecutor(max_workers=1), jobs)
         with ParallelExecutor(max_workers=2, shm=True) as shm_ex:
-            via_shm = shm_ex.run_batch(jobs)
+            via_shm = ordered(shm_ex, jobs)
             assert shm_ex.last_arena is not None  # transport engaged
         with ParallelExecutor(max_workers=2, shm=False) as pickle_ex:
-            via_pickle = pickle_ex.run_batch(jobs)
+            via_pickle = ordered(pickle_ex, jobs)
             assert pickle_ex.last_arena is None
         for a, b, c in zip(local, via_shm, via_pickle):
             _assert_results_equal(a, b)
@@ -72,11 +65,11 @@ class TestTransportParity:
     def test_detailed_shm_matches_pickle_and_local(self, configs):
         jobs = [SimJob("mcf", c, backend="detailed", n_samples=4,
                        instructions_per_sample=60) for c in configs[:3]]
-        local = LocalExecutor().run_batch(jobs)
+        local = ordered(ParallelExecutor(max_workers=1), jobs)
         with ParallelExecutor(max_workers=2, shm=True) as shm_ex:
-            via_shm = shm_ex.run_batch(jobs)
+            via_shm = ordered(shm_ex, jobs)
         with ParallelExecutor(max_workers=2, shm=False) as pickle_ex:
-            via_pickle = pickle_ex.run_batch(jobs)
+            via_pickle = ordered(pickle_ex, jobs)
         for a, b, c in zip(local, via_shm, via_pickle):
             _assert_results_equal(a, b)
             _assert_results_equal(a, c)
@@ -84,7 +77,7 @@ class TestTransportParity:
     def test_interval_components_survive_transport(self, configs):
         jobs = [SimJob("swim", c, n_samples=32) for c in configs[:2]]
         with ParallelExecutor(max_workers=2, shm=True) as ex:
-            results = ex.run_batch(jobs)
+            results = ordered(ex, jobs)
         reference = jobs[0].run()
         assert list(results[0].components) == list(reference.components)
         for name, arr in reference.components.items():
@@ -95,7 +88,7 @@ class TestArenaLifecycle:
     def test_unlinked_on_completion_views_stay_valid(self, configs):
         jobs = [SimJob("gcc", c, n_samples=32) for c in configs]
         with ParallelExecutor(max_workers=2, shm=True) as ex:
-            results = ex.run_batch(jobs)
+            results = ordered(ex, jobs)
             arena = ex.last_arena
             assert arena is not None and arena.unlinked
             with pytest.raises(FileNotFoundError):
@@ -107,10 +100,10 @@ class TestArenaLifecycle:
 
     def test_unlinked_on_worker_crash(self, configs):
         jobs = [SimJob("gcc", configs[0], n_samples=32),
-                _KillWorkerJob("gcc", configs[1], n_samples=32)]
-        with ParallelExecutor(max_workers=2, chunk_size=1, shm=True) as ex:
+                KillWorkerJob("gcc", configs[1], n_samples=32)]
+        with ParallelExecutor(max_workers=2, shm=True) as ex:
             with pytest.raises(Exception):
-                ex.run_batch(jobs)
+                ordered(ex, jobs)
             arena = ex.last_arena
             assert arena is not None and arena.unlinked
             with pytest.raises(FileNotFoundError):
@@ -118,7 +111,7 @@ class TestArenaLifecycle:
 
     def test_unlinked_on_early_consumer_exit(self, configs):
         jobs = [SimJob("gcc", c, n_samples=32) for c in configs]
-        with ParallelExecutor(max_workers=2, chunk_size=2, shm=True) as ex:
+        with ParallelExecutor(max_workers=2, shm=True) as ex:
             stream = ex.submit_batch(jobs)
             next(stream)
             stream.close()  # consumer abandons the batch
@@ -144,7 +137,7 @@ class TestArenaLifecycle:
     def test_views_are_read_only(self, configs):
         jobs = [SimJob("gcc", c, n_samples=32) for c in configs[:2]]
         with ParallelExecutor(max_workers=2, shm=True) as ex:
-            results = ex.run_batch(jobs)
+            results = ordered(ex, jobs)
         trace = results[0].trace("cpi")
         assert not trace.flags.writeable
         with pytest.raises((ValueError, RuntimeError)):
@@ -240,28 +233,25 @@ class TestStackRows:
 
 
 class TestChunkAutotune:
-    def test_probe_then_tuned_sizes(self):
-        ex = ParallelExecutor(max_workers=2)
-        assert ex.planned_chunk_size("interval", 200) <= PROBE_CHUNK_SIZE
-        ex._record_timing("interval", 1e-4)   # fast interval jobs
-        ex._record_timing("detailed", 0.5)    # seconds-per-job detailed
-        coarse = ex.planned_chunk_size("interval", 200)
-        fine = ex.planned_chunk_size("detailed", 200)
+    def test_probe_then_tuned_sizes(self, configs):
+        ex = ParallelExecutor(max_workers=2, shm=False)
+        jobs = [SimJob("gcc", configs[0], n_samples=16)] * 200
+        probes = chunk_plan(ex, jobs)[:ex.max_workers]
+        assert all(stop - start <= PROBE_CHUNK_SIZE for start, stop in probes)
+        ex.tuner.record("interval", 1e-4)   # fast interval jobs
+        ex.tuner.record("detailed", 0.5)    # seconds-per-job detailed
+        coarse = ex.tuner.plan("interval", 200, ex.max_workers)
+        fine = ex.tuner.plan("detailed", 200, ex.max_workers)
         assert fine == 1
         assert coarse > 8 * fine
         assert coarse <= 100  # every worker still gets a chunk
 
-    def test_fixed_chunk_size_disables_autotune(self):
-        ex = ParallelExecutor(max_workers=2, chunk_size=7)
-        assert ex.planned_chunk_size("interval", 200) == 7
-        assert ex.autotune is False
-
     def test_timings_recorded_end_to_end(self, configs):
         jobs = [SimJob("gcc", c, n_samples=32) for c in configs]
         with ParallelExecutor(max_workers=2) as ex:
-            results = ex.run_batch(jobs)
-            assert "interval" in ex._tuned
-            assert ex._tuned["interval"] > 0
+            results = ordered(ex, jobs)
+            assert ex.tuner.known("interval")
+            assert ex.tuner._tuned["interval"] > 0
         assert [r.config for r in results] == [j.config for j in jobs]
 
     def test_mixed_backend_chunks_stay_homogeneous(self, configs):
@@ -269,6 +259,6 @@ class TestChunkAutotune:
                 + [SimJob("gcc", c, backend="detailed", n_samples=4,
                           instructions_per_sample=40) for c in configs[3:5]])
         with ParallelExecutor(max_workers=2) as ex:
-            results = ex.run_batch(jobs)
+            results = ordered(ex, jobs)
         assert [r.backend for r in results] == (["interval"] * 3
                                                 + ["detailed"] * 2)

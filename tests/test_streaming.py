@@ -18,7 +18,6 @@ from repro.dse.space import paper_design_space
 from repro.engine import (
     VERSION_TAG,
     ExecutionEngine,
-    LocalExecutor,
     ParallelExecutor,
     ResultCache,
     SimJob,
@@ -26,6 +25,8 @@ from repro.engine import (
 )
 from repro.engine.cache import SUFFIX
 from repro.errors import EngineError
+
+from executor_utils import ordered
 
 
 @pytest.fixture(scope="module")
@@ -41,25 +42,27 @@ def jobs(configs):
 class FailingExecutor:
     """An executor that must never be asked to run anything."""
 
-    def run_batch(self, batch):
-        raise AssertionError("executor invoked for a fully-cached batch")
-
     def submit_batch(self, batch):
         raise AssertionError("executor invoked for a fully-cached batch")
 
 
-class CountingExecutor(LocalExecutor):
+class CountingExecutor(ParallelExecutor):
     def __init__(self):
+        super().__init__(max_workers=1)
         self.calls = 0
 
-    def run_batch(self, batch):
+    def submit_batch(self, batch):
         self.calls += len(batch)
-        return super().run_batch(batch)
+        return super().submit_batch(batch)
+
+
+def local():
+    return ParallelExecutor(max_workers=1)
 
 
 class TestBatchHandle:
     def test_results_in_job_order(self, jobs):
-        reference = LocalExecutor().run_batch(jobs)
+        reference = ordered(local(), jobs)
         handle = ExecutionEngine().submit(jobs)
         streamed = handle.results()
         assert len(streamed) == len(jobs)
@@ -67,15 +70,14 @@ class TestBatchHandle:
             assert np.array_equal(expected.trace("cpi"), got.trace("cpi"))
 
     def test_as_completed_yields_each_job_exactly_once(self, jobs):
-        engine = ExecutionEngine(
-            ParallelExecutor(max_workers=2, chunk_size=1))
+        engine = ExecutionEngine(ParallelExecutor(max_workers=2))
         handle = engine.submit(jobs)
         seen = {}
         for index, result in handle.as_completed():
             assert index not in seen
             seen[index] = result
         assert sorted(seen) == list(range(len(jobs)))
-        reference = LocalExecutor().run_batch(jobs)
+        reference = ordered(local(), jobs)
         for i, expected in enumerate(reference):
             assert np.array_equal(expected.trace("cpi"),
                                   seen[i].trace("cpi"))
@@ -130,8 +132,8 @@ class TestBatchHandle:
 
 class TestStreamingSweeps:
     @pytest.mark.parametrize("make_executor", [
-        LocalExecutor,
-        lambda: ParallelExecutor(max_workers=2, chunk_size=2),
+        local,
+        lambda: ParallelExecutor(max_workers=2),
     ])
     def test_streaming_and_batch_datasets_bit_identical(self, configs,
                                                         make_executor):
