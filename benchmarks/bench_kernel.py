@@ -32,7 +32,7 @@ from repro.workloads.spec2000 import get_benchmark
 BENCHMARK = "gcc"
 BATCH = 128
 N_SAMPLES = 128
-REPEATS = 3
+REPEATS = 7
 MIN_SPEEDUP = 10.0
 
 

@@ -41,7 +41,6 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from repro._validation import as_2d_float_array
 from repro.errors import ModelError, NotFittedError
 
 
@@ -105,6 +104,11 @@ def _node_stats(y: np.ndarray):
     return value, float(np.add.reduce(dev * dev))
 
 
+def _require_finite(X: np.ndarray) -> None:
+    if not np.all(np.isfinite(X)):
+        raise ModelError("X contains non-finite values")
+
+
 def as_training_data(X, Y, ndim: int = 1):
     """Coerce ``X`` to a non-empty 2-D float array and ``Y`` to finite
     targets with one row per row of ``X``.
@@ -117,7 +121,7 @@ def as_training_data(X, Y, ndim: int = 1):
     if X.ndim != 2 or X.size == 0:
         raise ModelError(f"X must be 2-D with at least one row and one "
                          f"column, got shape {X.shape}")
-    X = as_2d_float_array(X, name="X")
+    _require_finite(X)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != ndim or Y.shape[0] != X.shape[0]:
         raise ModelError(
@@ -135,7 +139,7 @@ def as_query(X, n_features: int, model: str) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ModelError(f"X must be 2-D, got shape {X.shape}")
-    X = as_2d_float_array(X, name="X")
+    _require_finite(X)
     if X.shape[1] != n_features:
         raise ModelError(f"X has {X.shape[1]} features, {model} was fitted "
                          f"with {n_features}")

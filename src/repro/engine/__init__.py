@@ -11,8 +11,8 @@ goes through:
   otherwise; the pool path ships results through a zero-copy
   shared-memory arena (:mod:`repro.engine.shm`) and sizes chunks from
   measured per-job wall time;
-* :class:`~repro.engine.cache.ResultCache` — checksummed records on
-  disk, one segment file per batch, plus an in-memory LRU front, keyed
+* :class:`~repro.engine.cache.ResultCache` — blocks of checksummed rows
+  on disk, one segment file per batch, plus an in-memory LRU front, keyed
   by job content hash, with a byte-capped mtime-LRU lifecycle over
   whole segments (``gc`` / ``gc_versions`` / ``clear``);
 * :class:`~repro.engine.executor.ExecutionEngine` — composes the two:

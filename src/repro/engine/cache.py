@@ -1,4 +1,4 @@
-"""Result cache: checksummed records, one segment file per batch on disk.
+"""Result cache: blocks of checksummed rows, one segment file per batch.
 
 Repeated experiment and figure runs re-simulate the exact same
 (benchmark, configuration) grid; with a :class:`ResultCache` attached to
@@ -7,43 +7,43 @@ job's content-hash key (:meth:`repro.engine.jobs.SimJob.key`), so a
 cache directory can be shared between processes, machines, and sweeps —
 anything with the same key is by construction the same simulation.
 
-On disk a **record** holds one result: ``MAGIC``, JSON header length,
-CRC32 of the rest, JSON header, config values, raw array bytes.  A
-**segment** file holds the records one engine batch stored, back to
-back, then a footer of fixed-width ``(offset, length, crc)`` entries
-each followed by its key, then a trailer (footer length, footer CRC32,
+The unit stored is a **block**: the rows a batch stored of one
+:class:`~repro.uarch.simulator.ResultBlock` (a kernel group; a lone
+result is a one-row block).  On disk it is ``MAGIC``, header length,
+header CRC32, a JSON header naming the layout once (benchmark, backend,
+sample count, config field names; name, dtype and row shape of every
+array), then the rows back to back, row-major: each is one key's config
+values as float64 and its arrays' bytes, so a block's rows share one
+length.  A **segment** holds a batch's blocks, a footer of
+``(block offset, row offset, row length, row CRC32)`` entries each
+followed by its key, and a trailer (footer length, footer CRC32,
 ``SEGMENT_MAGIC``).  It is written once, atomically (tmp file +
-``os.replace``), as ``<VERSION_TAG>-<hash of its keys>.seg``, so other
-key versions are identifiable by name and names are reproducible.  A
-batch commits when it drains, when its executor fails, and whenever its
-records pass :data:`SEGMENT_BYTES`; a direct :meth:`ResultCache.put`
-commits a one-record segment.
+``os.replace``), as ``<VERSION_TAG>-<hash of its keys>.seg``.  A batch
+commits when it drains, when its executor fails, and whenever its rows
+pass :data:`SEGMENT_BYTES`; a direct :meth:`ResultCache.put` commits a
+one-row segment.
 
-Readers index key -> (segment, offset, length, CRC) from the footers,
-the newest segment (mtime, then name) winning a key.  A miss is a dict
-lookup, and rescans the directory only when its ``st_mtime_ns`` changed
-since the last scan, so segments other processes commit become visible
-(one committed in the same filesystem timestamp tick as that scan stays
-invisible until the directory changes again: a re-simulation, never a
-wrong result).  A hit is one ranged read.  A bad trailer or footer CRC
-makes every key of a segment miss; a bad record magic, CRC or length, a
-non-numeric dtype, or a footer entry past the records makes that key
-miss.  The re-simulated result is committed in a newer segment.
+Readers index key -> (segment, row offset, length, CRC, layout) from
+the footers and block headers, the newest segment (mtime, then name)
+winning a key.  A miss is a dict lookup, and rescans the directory only
+when its ``st_mtime_ns`` changed since the last scan (a segment
+committed in the same timestamp tick as that scan stays invisible until
+the directory changes again: a re-simulation, never a wrong result).  A
+hit is one ``pread`` of the row plus one copy, which the result's
+arrays view.  A bad trailer (or an earlier layout's magic) or footer
+CRC makes a segment's keys miss; a bad block magic, header CRC or dtype
+that block's keys; a bad row CRC or length, or an entry past the
+blocks, that key.  The re-simulated result lands in a newer segment.
 
-The disk tier has a real lifecycle:
-
-* an optional **byte cap** (``max_bytes``) enforced after every commit
-  by evicting whole segments, oldest first (file-mtime LRU, ties broken
-  by segment filename so eviction is reproducible even on filesystems
-  with coarse timestamps);
-* explicit :meth:`gc` (size-targeted collection), :meth:`gc_versions`
-  (delete every file this version cannot read) and :meth:`clear`;
-* record/segment/byte accounting surfaced through :meth:`disk_bytes`,
-  :meth:`describe` and the ``repro cache`` CLI.
+The disk tier's lifecycle: an optional byte cap (``max_bytes``) evicts
+whole segments oldest ``(mtime, filename)`` first after every commit;
+:meth:`gc`, :meth:`gc_versions` (delete every file this version cannot
+read) and :meth:`clear`; accounting via :meth:`describe`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -64,34 +64,30 @@ import numpy as np
 from repro.errors import EngineError
 from repro.engine.jobs import KEY_VERSION
 from repro.uarch.params import MachineConfig
-from repro.uarch.simulator import SimulationResult
+from repro.uarch.simulator import ResultBlock, SimulationResult
 
-#: Filesystem-safe form of the current job-key version, used as the
-#: filename prefix of every segment this cache writes.
+#: Filesystem-safe job-key version: every segment's filename prefix.
 VERSION_TAG = KEY_VERSION.replace("/", "-")
 
 #: Segment filename suffix.
 SUFFIX = ".seg"
 
-#: Suffixes of the files earlier cache layouts wrote: one record per
-#: job (``.res``) and one npz per job.  :meth:`ResultCache.gc_versions`
-#: deletes them.
+#: Suffixes of the per-job files earlier layouts wrote (one record or
+#: one npz per job); :meth:`ResultCache.gc_versions` deletes them.
 STALE_SUFFIXES = (".res", ".npz")
 
-#: First bytes of every record; bump the digit on a layout change.
-MAGIC = b"REPRORS1"
-_PREFIX = struct.Struct("<8sII")  # MAGIC, header length, CRC32 of rest
+#: First bytes of every block; bump the digit on a layout change.
+MAGIC = b"REPRORS2"
+_PREFIX = struct.Struct("<8sII")  # MAGIC, header length, header CRC32
 
 #: Last bytes of every segment; bump the digit on a layout change.
-SEGMENT_MAGIC = b"REPROSG1"
+SEGMENT_MAGIC = b"REPROSG2"
 _TRAILER = struct.Struct("<II8s")  # footer length, footer CRC32, magic
-_ENTRY = struct.Struct("<QQIH")  # record offset, length, CRC32; key length
+#: Block offset, row offset, row length, row CRC32; key length.
+_ENTRY = struct.Struct("<QQQIH")
 
-#: A batch commits its pending records once they pass this many bytes.
+#: A batch commits its pending rows once they pass this many bytes.
 SEGMENT_BYTES = 8 << 20
-
-#: Buffers per ``os.writev`` call (``IOV_MAX`` on Linux and macOS).
-_IOV_MAX = 1024
 
 #: A ``.tmp`` file older than this is a crashed writer's leftover.
 ORPHAN_TMP_SECONDS = 3600
@@ -136,31 +132,37 @@ class CacheStats:
         return text
 
 
-class PendingSegment:
-    """Records one batch has stored but not yet committed to disk.
+class _Layout(NamedTuple):
+    """A block header as stored and parsed: what each of its rows holds."""
 
-    Passed to :meth:`ResultCache.put` and :meth:`ResultCache.commit`; an
-    abandoned one loses only its records, which re-simulate next time.
-    """
+    header: bytes
+    meta: dict  # the block's benchmark, backend and n_samples
+    config: Tuple[str, ...]  # config field names, stored first as float64
+    converters: tuple  # each config name's MachineConfig type, or None
+    arrays: tuple  # (group, name, dtype, (1, *row shape), row bytes)
+    row_bytes: int
+
+
+class PendingSegment:
+    """Rows a batch stored but has not committed yet, gathered in one
+    pending block per source block; an abandoned segment loses only its
+    rows, which re-simulate."""
 
     def __init__(self):
-        # The records' pieces, back to back: prefix and header bytes,
-        # then the result's own arrays (no copy; a result mutated
-        # before the commit fails its CRC when read, a miss).
-        self.parts: list = []
+        # id(source block) -> (block, layout, keys, block rows), in
+        # first-put order; the block is referenced, not copied
+        self.blocks: Dict[int, Tuple[ResultBlock, _Layout, list, list]] = {}
         self.nbytes = 0
-        # (key, offset, length, CRC) of each record.
-        self.entries: List[Tuple[str, int, int, int]] = []
 
 
-#: Where a record lives: (segment name, offset, length, CRC).
-_Where = Tuple[str, int, int, int]
+#: Where a row lives: (segment name, row offset, length, CRC, layout).
+_Where = Tuple[str, int, int, int, _Layout]
 
 
 class _Segment(NamedTuple):
     mtime_ns: int
     size: int
-    entries: Dict[str, _Where]  # key -> its record in this segment
+    entries: Dict[str, _Where]  # key -> its row in this segment
 
 
 def _is_segment(name: str) -> bool:
@@ -208,21 +210,17 @@ class ResultCache:
     def __init__(self, cache_dir=None, memory_items: int = 512,
                  max_bytes: Optional[int] = None):
         if memory_items < 0:
-            raise EngineError(
-                f"memory_items must be >= 0, got {memory_items}"
-            )
+            raise EngineError(f"memory_items must be >= 0, got {memory_items}")
         if max_bytes is not None and max_bytes < 1:
-            raise EngineError(
-                f"max_bytes must be >= 1 or None, got {max_bytes}"
-            )
+            raise EngineError(f"max_bytes must be >= 1 or None, "
+                              f"got {max_bytes}")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.memory_items = memory_items
         self.max_bytes = max_bytes
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, SimulationResult]" = OrderedDict()
-        # Disk index: segment name -> _Segment, built lazily by a
-        # directory scan and kept up to date by this instance's commits
-        # and evictions; key -> _Where over it, newest segment winning.
+        # Disk index: segment name -> _Segment, built lazily by a scan and
+        # kept by this instance's commits and evictions; key -> _Where.
         self._segments: Optional[Dict[str, _Segment]] = None
         self._keys: Dict[str, _Where] = {}
         self._dir_mtime: Optional[int] = None  # at the last scan
@@ -231,10 +229,8 @@ class ResultCache:
     def _remember(self, key: str, result: SimulationResult) -> None:
         if self.memory_items == 0:
             return
-        # Arena-backed results are views into a whole batch's shared
-        # memory; storing them as-is would pin the arena for the LRU's
-        # lifetime.  detach() copies such results (and is a no-op for
-        # results that already own their arrays).
+        # detach(): a row of a kernel group's block or an arena-backed
+        # result stored as-is would pin its whole block or batch.
         self._memory[key] = result.detach()
         self._memory.move_to_end(key)
         while len(self._memory) > self.memory_items:
@@ -272,10 +268,9 @@ class ResultCache:
                     segment = known.get(entry.name)
                     if segment is None or (segment.mtime_ns, segment.size) \
                             != (stat.st_mtime_ns, stat.st_size):
-                        footer = _read_footer(entry.path, stat.st_size)
-                        segment = _Segment(stat.st_mtime_ns, stat.st_size, {
-                            key: (entry.name, offset, length, crc)
-                            for key, offset, length, crc in footer})
+                        segment = _Segment(
+                            stat.st_mtime_ns, stat.st_size, _read_segment(
+                                self.cache_dir, entry.name, stat.st_size))
                     segments[entry.name] = segment
         self._segments = segments
         self._keys = {}
@@ -311,41 +306,24 @@ class ResultCache:
 
     def _enforce_cap(self, max_bytes: Optional[int]) -> Tuple[int, int]:
         """Evict oldest segments until the tier fits; (segments, bytes)
-        freed.
-
-        Victims go in ``(mtime, filename)`` order: the filename
-        tie-break keeps eviction reproducible when coarse filesystem
-        timestamps give many segments one mtime.
-        """
-        freed_segments, freed_bytes = 0, 0
-        if max_bytes is None or self.cache_dir is None:
-            return freed_segments, freed_bytes
-        segments = self._index()
-        total = sum(s.size for s in segments.values())
-        for name in sorted(segments, key=self._age):
-            if total <= max_bytes:
-                break
-            size = self._evict(name)
-            total -= size
-            freed_segments += 1
-            freed_bytes += size
-        return freed_segments, freed_bytes
+        freed.  Victims go in ``(mtime, filename)`` order: the filename
+        tie-break keeps eviction reproducible under coarse timestamps."""
+        freed = []
+        if max_bytes is not None and self.cache_dir is not None:
+            segments = self._index()
+            total = sum(s.size for s in segments.values())
+            for name in sorted(segments, key=self._age):
+                if total <= max_bytes:
+                    break
+                freed.append(self._evict(name))
+                total -= freed[-1]
+        return len(freed), sum(freed)
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[SimulationResult]:
-        """The cached result for ``key``, or ``None`` on a miss.
-
-        Parameters
-        ----------
-        key:
-            A job's content-hash :meth:`~repro.engine.jobs.SimJob.key`.
-
-        Returns
-        -------
-        SimulationResult or None
-            ``None`` on a miss *and* on an unreadable/corrupt disk
-            record (a later commit of the key supersedes it).
-        """
+        """The cached result for a job's content-hash ``key``, or
+        ``None`` on a miss *and* on an unreadable or corrupt disk row (a
+        later commit of the key supersedes it)."""
         if key in self._memory:
             self.stats.memory_hits += 1
             self._memory.move_to_end(key)
@@ -364,65 +342,59 @@ class ResultCache:
         return None
 
     def _load(self, key: str) -> Optional[SimulationResult]:
-        """Read and decode ``key``'s record; ``None`` if it is not
-        indexed, has vanished or is damaged."""
-        where = self._keys.get(key)
-        if where is None:
-            return None
-        name, offset, length, crc = where
+        """Read and decode ``key``'s row; ``None`` if it is not indexed,
+        has vanished or is damaged."""
         try:
+            name, offset, length, crc, layout = self._keys[key]
             fd = os.open(os.path.join(self.cache_dir, name), os.O_RDONLY)
             try:
-                record = os.pread(fd, length, offset)
+                row = os.pread(fd, length, offset)
             finally:
                 os.close(fd)
-            return _decode(record, crc)
+            return _decode(row, crc, layout)
         except Exception:
             return None
 
     def put(self, key: str, result: SimulationResult,
             pending: Optional[PendingSegment] = None) -> None:
-        """Store ``result`` under ``key`` in every enabled tier.
+        """Store ``result`` (a row of its block; a lone result is a
+        one-row block) under ``key`` in every enabled tier.
 
-        Without ``pending`` the record is committed to disk as a
-        one-record segment before this method returns.  With it, the
-        record joins that batch's pending segment, committed once it
-        passes :data:`SEGMENT_BYTES` or by :meth:`commit`.
-
-        Parameters
-        ----------
-        key:
-            A job's content-hash key; names the result in both tiers.
-        result:
-            Serialized as-is for disk; the memory tier stores a
-            detached copy so it never pins a shared-memory arena.
-        pending:
-            The storing batch's :class:`PendingSegment`, if any.
-        """
+        Without ``pending`` the row is committed as a one-row segment
+        before this method returns; with it, it joins the pending block
+        of its source block, committed once the segment passes
+        :data:`SEGMENT_BYTES` or by :meth:`commit`.  The memory tier
+        keeps a detached copy.  A non-numeric array raises
+        :class:`~repro.errors.EngineError`."""
         self._remember(key, result)
         if self.cache_dir is not None:
             batch = pending if pending is not None else PendingSegment()
-            parts, length, crc = _encode(result)
-            batch.parts += parts
-            batch.entries.append((key, batch.nbytes, length, crc))
-            batch.nbytes += length
+            block, row = result.block, result.row
+            if block is None:
+                block = ResultBlock.lone(result)
+            stored = batch.blocks.get(id(block))
+            if stored is None:
+                stored = block, _block_layout(block), [], []
+                batch.blocks[id(block)] = stored
+            stored[2].append(key)
+            stored[3].append(row)
+            batch.nbytes += stored[1].row_bytes
             if pending is None or batch.nbytes >= SEGMENT_BYTES:
                 self.commit(batch)
         self.stats.stores += 1
 
     def commit(self, pending: PendingSegment) -> None:
-        """Write ``pending``'s records as one segment and empty it.
+        """Write ``pending``'s blocks as one segment and empty it.
 
-        The segment is atomic (tmp file + ``os.replace``) and indexed at
-        once.  With a ``max_bytes`` cap configured, the disk tier is
-        brought back under the cap before this method returns — the
-        cache never ends a batch over budget.
-        """
-        if self.cache_dir is None or not pending.entries:
+        Blocks are encoded and written one at a time (one block's rows
+        are copied at once).  The segment is atomic (tmp file +
+        ``os.replace``), indexed at once, and brought under the cap."""
+        if self.cache_dir is None or not pending.blocks:
             return
-        parts, entries = pending.parts, pending.entries
-        pending.parts, pending.nbytes, pending.entries = [], 0, []
-        keys = "\n".join(sorted(key for key, _, _, _ in entries))
+        blocks = list(pending.blocks.values())
+        pending.blocks, pending.nbytes = {}, 0
+        keys = "\n".join(sorted(key for _, _, block_keys, _ in blocks
+                                for key in block_keys))
         name = (f"{VERSION_TAG}-"
                 f"{hashlib.sha256(keys.encode('utf8')).hexdigest()[:32]}"
                 f"{SUFFIX}")
@@ -431,9 +403,19 @@ class ResultCache:
         path = self.cache_dir / name
         fd, tmp = tempfile.mkstemp(dir=str(self.cache_dir), prefix=name,
                                    suffix=".tmp")
+        entries = []  # (key, block offset, row offset, length, CRC, layout)
         try:
             try:
-                _write_all(fd, [*parts, _pack_footer(entries)])
+                offset = 0
+                for block, layout, block_keys, rows in blocks:
+                    head, data = _encode(block, layout, rows)
+                    _write_all(fd, [head, data])
+                    first, length = offset + len(head), layout.row_bytes
+                    entries += [(key, offset, first + index * length, length,
+                                 zlib.crc32(row), layout) for index, (key, row)
+                                in enumerate(zip(block_keys, data))]
+                    offset = first + data.nbytes
+                _write_all(fd, [_pack_footer(entries)])
             finally:
                 os.close(fd)
             os.replace(tmp, path)
@@ -445,8 +427,7 @@ class ResultCache:
         # A rewrite under the same name (same key set) refreshes the
         # segment's recency: its recorded mtime is the new file's.
         segments[name] = _Segment(stat.st_mtime_ns, stat.st_size, {
-            key: (name, offset, length, crc)
-            for key, offset, length, crc in entries})
+            key: (name, *where) for key, _, *where in entries})
         self._keys.update(segments[name].entries)
         self.stats.bytes_written += stat.st_size
         self._enforce_cap(self.max_bytes)
@@ -455,13 +436,11 @@ class ResultCache:
     # Lifecycle
     # ------------------------------------------------------------------
     def gc(self, max_bytes: Optional[int] = None) -> Tuple[int, int]:
-        """Collect the disk tier down to a byte target.
+        """Collect the disk tier down to ``max_bytes`` (default: the cap).
 
-        Rescans the directory first (so segments written by other
-        processes are seen), then evicts whole segments oldest-mtime
-        first until the tier fits ``max_bytes`` (defaulting to the
-        configured cap).  Returns ``(segments_removed, bytes_freed)``.
-        """
+        Rescans the directory first (so other processes' segments are
+        seen), then evicts whole segments oldest first until the tier
+        fits.  Returns ``(segments_removed, bytes_freed)``."""
         if self.cache_dir is None:
             return (0, 0)
         self._scan()
@@ -471,10 +450,10 @@ class ResultCache:
     def gc_versions(self) -> Tuple[int, int]:
         """Delete every file in the directory this version cannot read.
 
-        That is segments of other key versions
-        (:data:`repro.engine.jobs.KEY_VERSION`), files of the earlier
-        one-file-per-job layouts (:data:`STALE_SUFFIXES`, any version)
-        and ``.tmp`` files a crashed writer left behind more than
+        That is segments of other key versions, segments whose trailer
+        magic is not :data:`SEGMENT_MAGIC` (an earlier segment layout),
+        per-job files of the earlier layouts (:data:`STALE_SUFFIXES`)
+        and ``.tmp`` files a crashed writer left more than
         :data:`ORPHAN_TMP_SECONDS` ago.  Subdirectories (checkpoints,
         the numba cache) and unrelated files are never touched.
         Returns ``(files_removed, bytes_freed)``.
@@ -493,8 +472,12 @@ class ResultCache:
                     if name.endswith(".tmp"):
                         if stat.st_mtime >= cutoff:
                             continue  # possibly a live writer's
-                    elif _is_segment(name) or not name.endswith(
-                            (SUFFIX, *STALE_SUFFIXES)):
+                    elif _is_segment(name):
+                        with open(entry.path, "rb") as handle:
+                            handle.seek(max(stat.st_size - _TRAILER.size, 0))
+                            if handle.read()[8:] == SEGMENT_MAGIC:
+                                continue  # this layout: readable
+                    elif not name.endswith((SUFFIX, *STALE_SUFFIXES)):
                         continue
                     os.unlink(entry.path)
                 except OSError:
@@ -504,7 +487,7 @@ class ResultCache:
         return (removed, freed)
 
     def clear(self) -> int:
-        """Drop every entry in every tier; returns disk records removed."""
+        """Drop every entry in every tier; returns disk rows removed."""
         self._memory.clear()
         if self.cache_dir is None:
             return 0
@@ -542,144 +525,161 @@ class ResultCache:
 
 
 # ----------------------------------------------------------------------
-# Record and footer serialization
+# Block and footer serialization
 # ----------------------------------------------------------------------
-def _encode(result: SimulationResult) -> Tuple[list, int, int]:
-    """``result``'s record as ``(pieces, length, CRC32)``: the pieces
-    are the prefix, the header and the (contiguous) arrays."""
-    config = result.config
-    # Config values as one float64 block (exact below 2**53) give
-    # every record of one benchmark and layout the same size.
-    arrays = [np.array([getattr(config, name) for name in _CONFIG_TYPES],
-                       dtype="<f8")]
-    layout = {"traces": [], "components": []}
-    for group in layout:
-        for name, arr in getattr(result, group).items():
-            if arr.dtype.kind not in _NUMERIC_KINDS:
-                raise EngineError(f"cannot cache non-numeric {group} "
-                                  f"array {name!r} ({arr.dtype})")
-            # Arena-backed rows are already contiguous: no copy.
-            arrays.append(np.ascontiguousarray(arr))
-            layout[group].append([name, arr.dtype.str, arr.shape])
-    header = json.dumps(dict(
-        benchmark=result.benchmark, backend=result.backend,
-        n_samples=int(result.n_samples), config=list(_CONFIG_TYPES),
-        **layout), separators=(",", ":")).encode("utf8")
-    crc = zlib.crc32(header)
-    for arr in arrays:
-        crc = zlib.crc32(arr, crc)
-    length = _PREFIX.size + len(header) + sum(arr.nbytes for arr in arrays)
-    return ([_PREFIX.pack(MAGIC, len(header), crc), header, *arrays],
-            length, crc)
-
-
-def _write_all(fd: int, parts) -> None:
-    """Write ``parts`` back to back with ``os.writev``, resuming after
-    partial writes, without joining them into one buffer."""
-    views = [view.cast("B") for view in map(memoryview, parts)
-             if view.nbytes]
-    start = 0
-    while start < len(views):
-        written = os.writev(fd, views[start:start + _IOV_MAX])
-        while written and written >= len(views[start]):
-            written -= len(views[start])
-            start += 1
-        if written:
-            views[start] = views[start][written:]
-
-
 @functools.lru_cache(maxsize=256)
-def _layout(header: bytes):
-    """Parse a record header once per distinct layout.
-
-    Returns ``(benchmark, backend, n_samples, config names, arrays)``
-    with ``arrays`` as ``(group, name, dtype, shape, nbytes)`` tuples.
-    A non-numeric dtype raises.
-    """
+def _layout(header: bytes) -> _Layout:
+    """Parse a block header once per distinct layout; a non-numeric
+    dtype raises."""
     fields = json.loads(header)
-    arrays = []
+    config, arrays = tuple(fields["config"]), []
     for group in ("traces", "components"):
         for name, descr, shape in fields[group]:
             dtype = np.dtype(descr)
             if dtype.kind not in _NUMERIC_KINDS:
                 raise ValueError(f"refusing dtype {descr}")
-            arrays.append((group, name, dtype, tuple(shape),
+            arrays.append((group, name, dtype, (1, *shape),
                            dtype.itemsize * math.prod(shape)))
-    return (str(fields["benchmark"]), str(fields["backend"]),
-            int(fields["n_samples"]), tuple(fields["config"]),
-            tuple(arrays))
+    return _Layout(header, dict(benchmark=str(fields["benchmark"]),
+                                backend=str(fields["backend"]),
+                                n_samples=int(fields["n_samples"])),
+                   config, tuple(map(_CONFIG_TYPES.get, config)),
+                   tuple(arrays), 8 * len(config) + sum(a[4] for a in arrays))
 
 
-def _decode(record: bytes, crc: int) -> SimulationResult:
-    """Decode one record the footer lists with ``crc``; any damage
-    raises (the caller's miss)."""
-    magic, header_len, stored = _PREFIX.unpack_from(record)
-    body = memoryview(record)[_PREFIX.size:]
-    if magic != MAGIC or stored != crc or zlib.crc32(body) != crc:
-        raise ValueError("bad record magic or checksum")
-    benchmark, backend, n_samples, names, arrays = _layout(
-        bytes(body[:header_len]))
-    offset = _PREFIX.size + header_len
-    values = np.frombuffer(record, "<f8", len(names), offset).tolist()
-    offset += 8 * len(names)
+def _block_layout(block: ResultBlock) -> _Layout:
+    """The layout ``block``'s rows are stored with."""
+    layout = {"traces": [], "components": []}
+    for group in layout:
+        for name, arr in getattr(block, group).items():
+            if arr.dtype.kind not in _NUMERIC_KINDS:
+                raise EngineError(f"cannot cache non-numeric {group} "
+                                  f"array {name!r} ({arr.dtype})")
+            layout[group].append([name, arr.dtype.str, arr.shape[1:]])
+    return _layout(json.dumps(dict(
+        benchmark=block.benchmark, backend=block.backend,
+        n_samples=int(block.n_samples), config=list(_CONFIG_TYPES),
+        **layout), separators=(",", ":")).encode("utf8"))
+
+
+def _encode(block: ResultBlock, layout: _Layout,
+            rows: List[int]) -> Tuple[bytes, np.ndarray]:
+    """The block prefix and header, and ``block``'s ``rows`` as one
+    ``(len(rows), row_bytes)`` buffer: row ``j`` holds ``rows[j]``'s
+    config values, as float64, then its arrays' bytes."""
+    data = np.empty((len(rows), layout.row_bytes), np.uint8)
+    # Config values as float64 (exact below 2**53) give every row of a
+    # layout the same length; key() is the memoized tuple of every field
+    # in declaration order, the order _block_layout names.
+    start = 8 * len(layout.config)
+    data[:, :start].view("<f8")[...] = [block.configs[row].key()
+                                        for row in rows]
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        rows = slice(rows[0], rows[0] + len(rows))  # no gather copy
+    for group, name, dtype, _, nbytes in layout.arrays:
+        if nbytes:
+            data[:, start:start + nbytes].view(dtype)[...] = getattr(
+                block, group)[name][rows].reshape(len(data), -1)
+            start += nbytes
+    header = layout.header
+    return (_PREFIX.pack(MAGIC, len(header), zlib.crc32(header)) + header,
+            data)
+
+
+def _write_all(fd: int, parts) -> None:
+    """Write ``parts`` with ``os.writev``, resuming after partial writes."""
+    views = [view.cast("B") for view in map(memoryview, parts)
+             if view.nbytes]
+    while views:
+        written = os.writev(fd, views)
+        while written and written >= len(views[0]):
+            written -= len(views.pop(0))
+        if written:
+            views[0] = views[0][written:]
+
+
+def _decode(row: bytes, crc: int, layout: _Layout) -> SimulationResult:
+    """Decode a row the footer lists with ``crc`` as the row of a one-row
+    block over one writable copy; any damage raises (a miss)."""
+    if len(row) != layout.row_bytes or zlib.crc32(row) != crc:
+        raise ValueError("bad row length or checksum")
+    buffer = bytearray(row)
+    values = np.frombuffer(buffer, "<f8", len(layout.config)).tolist()
+    # Rebuilt as unpickling does, skipping the validation it passed when
+    # stored; unknown fields are dropped, newer ones keep defaults.
+    config = object.__new__(MachineConfig)
+    config.__dict__.update({
+        name: convert(value) for name, convert, value
+        in zip(layout.config, layout.converters, values) if convert})
     groups = {"traces": {}, "components": {}}
-    for group, name, dtype, shape, nbytes in arrays:
-        # A copy, so the result owns its memory; a short buffer raises.
-        groups[group][name] = np.ndarray(shape, dtype, record, offset).copy()
+    offset = 8 * len(layout.config)
+    for group, name, dtype, shape, nbytes in layout.arrays:
+        groups[group][name] = np.ndarray(shape, dtype, buffer, offset)
         offset += nbytes
-    if offset != len(record):
-        raise ValueError("record length mismatch")
-    config = MachineConfig(**{
-        name: _CONFIG_TYPES[name](value)
-        for name, value in zip(names, values)
-        if name in _CONFIG_TYPES  # forward compatibility
-    })
-    return SimulationResult(benchmark=benchmark, config=config,
-                            n_samples=n_samples, backend=backend, **groups)
+    return ResultBlock(configs=(config,), **layout.meta, **groups).row(0)
 
 
 def _pack_footer(entries) -> bytes:
-    """The footer listing ``(key, offset, length, crc)`` entries, plus
-    the trailer that ends a segment."""
+    """The footer listing ``(key, block offset, row offset, length, crc,
+    ...)`` entries, plus the trailer that ends a segment."""
     parts = []
-    for key, offset, length, crc in entries:
+    for key, block, offset, length, crc, *_ in entries:
         name = key.encode("utf8")
-        parts += [_ENTRY.pack(offset, length, crc, len(name)), name]
+        parts += [_ENTRY.pack(block, offset, length, crc, len(name)), name]
     footer = b"".join(parts)
     return footer + _TRAILER.pack(len(footer), zlib.crc32(footer),
                                   SEGMENT_MAGIC)
 
 
-def _read_footer(path, size: int) -> Tuple[Tuple[str, int, int, int], ...]:
-    """A segment's ``(key, offset, length, crc)`` entries.
+def _read_footer(fd: int, size: int) -> Tuple[tuple, ...]:
+    """A segment's ``(key, block offset, row offset, length, crc)``
+    entries: none for a short file, another trailer magic or a bad
+    footer CRC; an entry reaching past the blocks is dropped."""
+    if size < _TRAILER.size:
+        return ()
+    footer_len, crc, magic = _TRAILER.unpack(
+        os.pread(fd, _TRAILER.size, size - _TRAILER.size))
+    start = size - _TRAILER.size - footer_len
+    if magic != SEGMENT_MAGIC or start < 0:
+        return ()
+    footer = os.pread(fd, footer_len, start)
+    if zlib.crc32(footer) != crc:
+        return ()
+    entries, pos = [], 0
+    while pos < len(footer):
+        block, offset, length, entry_crc, key_len = _ENTRY.unpack_from(
+            footer, pos)
+        pos += _ENTRY.size + key_len
+        if block < offset and offset + length <= start:
+            key = footer[pos - key_len:pos].decode("utf8")
+            entries.append((key, block, offset, length, entry_crc))
+    return tuple(entries)
 
-    A short file, a wrong trailer magic or a footer CRC mismatch yields
-    none (every key of the segment misses); an entry reaching past the
-    records is dropped (its key misses).
-    """
+
+def _read_segment(directory, name: str, size: int) -> Dict[str, _Where]:
+    """Where each row of segment ``name`` lives, for every row its footer
+    lists whose block header (magic, CRC, dtypes) reads back."""
+    rows, blocks = {}, {}  # block offset -> (layout or None, rows start)
     try:
-        fd = os.open(path, os.O_RDONLY)
+        fd = os.open(os.path.join(directory, name), os.O_RDONLY)
         try:
-            if size < _TRAILER.size:
-                return ()
-            footer_len, crc, magic = _TRAILER.unpack(
-                os.pread(fd, _TRAILER.size, size - _TRAILER.size))
-            start = size - _TRAILER.size - footer_len
-            if magic != SEGMENT_MAGIC or start < 0:
-                return ()
-            footer = os.pread(fd, footer_len, start)
+            for key, block, offset, length, crc in _read_footer(fd, size):
+                if block not in blocks:
+                    blocks[block] = None, 0  # until its header reads back
+                    with contextlib.suppress(ValueError, TypeError,
+                                             KeyError, struct.error):
+                        magic, header_len, header_crc = _PREFIX.unpack(
+                            os.pread(fd, _PREFIX.size, block))
+                        first = block + _PREFIX.size + header_len
+                        header = os.pread(fd, header_len, block + _PREFIX.size
+                                          ) if first <= size else b""
+                        if magic == MAGIC and zlib.crc32(header) == header_crc:
+                            blocks[block] = _layout(header), first
+                layout, first = blocks[block]
+                if layout and offset >= first and length == layout.row_bytes:
+                    rows[key] = (name, offset, length, crc, layout)
         finally:
             os.close(fd)
-        if zlib.crc32(footer) != crc:
-            return ()
-        entries, pos = [], 0
-        while pos < len(footer):
-            offset, length, entry_crc, key_len = _ENTRY.unpack_from(
-                footer, pos)
-            pos += _ENTRY.size + key_len
-            if offset + length <= start:
-                key = footer[pos - key_len:pos].decode("utf8")
-                entries.append((key, offset, length, entry_crc))
-        return tuple(entries)
     except (OSError, ValueError, struct.error):
-        return ()
+        return {}
+    return rows

@@ -19,11 +19,12 @@ Everything around the kernel is unchanged by design:
   lookup/dedup; :attr:`~repro.engine.jobs.KEY_VERSION` and the key
   recipe are untouched, so existing cache entries stay valid
   (``tests/test_kernel_batch.py`` pins golden keys);
-* **results** — each job still materializes its own
-  :class:`~repro.uarch.simulator.SimulationResult`, bit-identical to a
-  group of one (the batch rows are views into the group's stacked
-  matrices; the shm transport copies rows into its arena and the cache
-  detaches, exactly as before);
+* **results** — a group's results are the rows of one
+  :class:`~repro.uarch.simulator.ResultBlock` holding the kernel's
+  stacked matrices uncopied; each row is bit-identical to a group of
+  one.  The result cache stores the block's rows as one block and
+  dataset assembly slices its trace columns; the shm transport copies
+  rows into its arena and the memory cache detaches them;
 * **ordering** — results align index-for-index with the submitted
   chunk, whatever the grouping.
 
@@ -92,7 +93,8 @@ def group_signature(job: SimJob) -> Tuple:
 
 
 def _run_interval_group(group: Sequence[SimJob]) -> List[SimulationResult]:
-    """One batched kernel call for jobs sharing a group signature."""
+    """One batched kernel call for jobs sharing a group signature; the
+    results are the rows of one block."""
     from repro.uarch.interval_model import simulate_interval_batch
     from repro.uarch.simulator import interval_result_to_simulation
     from repro.workloads.spec2000 import get_benchmark
@@ -104,8 +106,7 @@ def _run_interval_group(group: Sequence[SimJob]) -> List[SimulationResult]:
         workload, [job.config for job in group],
         n_samples=lead.n_samples, noise=lead.noise,
     )
-    return [interval_result_to_simulation(batch[row])
-            for row in range(len(group))]
+    return interval_result_to_simulation(batch)
 
 
 def plan_groups(jobs: Sequence[SimJob]) -> List[List[int]]:
@@ -131,9 +132,12 @@ def run_group(jobs: Sequence[SimJob], indices: Sequence[int],
               ) -> List[SimulationResult]:
     """Run one planned group; results align with ``indices``.
 
-    A group of one is the single-job path: an interval job is row 0 of a
-    one-config :func:`~repro.uarch.interval_model.simulate_interval_batch`
-    call, a detailed job a one-member
+    An interval group's results are the rows of one
+    :class:`~repro.uarch.simulator.ResultBlock`; detailed results are
+    lone results.  A group of one is the single-job path: an interval
+    job is row 0 of a one-config
+    :func:`~repro.uarch.interval_model.simulate_interval_batch` call, a
+    detailed job a one-member
     :func:`~repro.uarch.detailed.run_detailed_group`.
     """
     group = [jobs[i] for i in indices]

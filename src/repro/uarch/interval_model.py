@@ -123,10 +123,14 @@ class IntervalBatchResult:
     whose row ``i`` is bit-identical to the scalar
     :func:`simulate_interval` result for ``configs[i]``.  Indexing
     (``batch[i]``) materializes that row as an
-    :class:`IntervalSimResult` — the per-row arrays are *views* into
-    the batch matrices (copy with ``np.array`` if the batch must be
-    reclaimed independently; :meth:`~repro.uarch.simulator.\
-SimulationResult.detach` does exactly that downstream).
+    :class:`IntervalSimResult` whose arrays are *views* into the batch
+    matrices.  The engine takes the matrices over uncopied as one
+    :class:`~repro.uarch.simulator.ResultBlock`
+    (:func:`~repro.uarch.simulator.interval_result_to_simulation`): the
+    group's results are row views of it, the result cache writes its
+    rows as one buffer, and :meth:`~repro.uarch.simulator.\
+SimulationResult.detach` copies one row out where a consumer must not
+    pin the block.
     """
 
     benchmark: str

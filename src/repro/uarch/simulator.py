@@ -8,14 +8,16 @@
   (:mod:`repro.uarch.detailed`), used for mechanism studies and for
   validating the interval model.
 
-Both produce a :class:`SimulationResult` holding the per-interval
-CPI / power / AVF / IQ-AVF traces the predictive models consume.
+Both produce :class:`SimulationResult` objects holding the per-interval
+CPI / power / AVF / IQ-AVF traces the predictive models consume; the
+engine runs jobs in kernel groups whose results are the rows of one
+:class:`ResultBlock`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,9 +32,30 @@ DOMAINS = ("cpi", "power", "avf", "iq_avf")
 BACKENDS = ("interval", "detailed")
 
 
+def _trace(traces: Dict[str, np.ndarray], domain: str) -> np.ndarray:
+    """``traces[domain]``, or the derived, inf-free ``"ipc"`` domain."""
+    if domain == "ipc":
+        cpi = traces["cpi"]
+        return np.divide(1.0, cpi, out=np.zeros_like(cpi, dtype=float),
+                         where=cpi != 0)
+    if domain not in traces:
+        raise SimulationError(
+            f"unknown domain {domain!r}; have {sorted(traces)}"
+        )
+    return traces[domain]
+
+
 @dataclass(frozen=True)
 class SimulationResult:
-    """Per-interval workload dynamics for one (benchmark, config) run."""
+    """Per-interval workload dynamics for one (benchmark, config) run.
+
+    A row view of a :class:`ResultBlock`: a result the engine runs is
+    row :attr:`row` of its kernel group's :attr:`block`, and its arrays
+    are views of that block's rows.  A lone result built directly (a
+    detailed job, a shared-memory delivery, a cache test) has no block;
+    the result cache stores it as a one-row block.  Pickling drops the
+    block, so a row travels alone.
+    """
 
     benchmark: str
     config: MachineConfig
@@ -40,6 +63,14 @@ class SimulationResult:
     backend: str
     traces: Dict[str, np.ndarray]
     components: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: The block this result is a row of (``None``: a lone result).
+    block: Optional["ResultBlock"] = field(default=None, init=False,
+                                           repr=False, compare=False)
+    #: This result's row in :attr:`block`.
+    row: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "block": None, "row": 0}
 
     def trace(self, domain: str) -> np.ndarray:
         """The dynamics trace for one domain ("cpi", "power", ...).
@@ -48,58 +79,108 @@ class SimulationResult:
         (possible in artificial traces) maps to 0 IPC instead of
         overflowing to infinity.
         """
-        if domain == "ipc":
-            cpi = self.traces["cpi"]
-            return np.divide(1.0, cpi, out=np.zeros_like(cpi, dtype=float),
-                             where=cpi != 0)
-        if domain not in self.traces:
-            raise SimulationError(
-                f"unknown domain {domain!r}; have {sorted(self.traces)}"
-            )
-        return self.traces[domain]
+        return _trace(self.traces, domain)
 
     def aggregate(self, domain: str) -> float:
         """Whole-run mean of a domain (what global models predict)."""
         return float(np.mean(self.trace(domain)))
 
     def detach(self) -> "SimulationResult":
-        """A result whose arrays own their memory.
+        """A result that pins no memory beyond its own arrays.
 
-        Results delivered over the shared-memory transport
-        (:mod:`repro.engine.shm`) hold read-only views into a
-        batch-wide arena; detaching copies them into private, writable
-        arrays so the arena can be reclaimed (and so long-lived stores
-        such as the in-memory result cache never pin a whole batch).
-        Results that already own their arrays are returned unchanged.
+        A row of a multi-row :class:`ResultBlock` holds views of the
+        whole block, and a result delivered over the shared-memory
+        transport (:mod:`repro.engine.shm`) read-only views of a
+        batch-wide arena.  Detaching copies each array into private,
+        writable memory and drops the block reference, so long-lived
+        stores such as the in-memory result cache never pin a whole
+        block or arena through one row.  The row of a one-row block (a
+        cache hit, a group of one) and a lone result whose arrays own
+        their memory are returned unchanged.
         """
-        arrays = list(self.traces.values()) + list(self.components.values())
-        if all(arr.base is None for arr in arrays):
+        if self.block is not None:
+            if len(self.block) == 1:
+                return self
+        elif all(arr.base is None for arr in (*self.traces.values(),
+                                               *self.components.values())):
             return self
         return SimulationResult(
             benchmark=self.benchmark, config=self.config,
             n_samples=self.n_samples, backend=self.backend,
-            traces={d: np.array(a) for d, a in self.traces.items()},
-            components={d: np.array(a) for d, a in self.components.items()},
+            traces={d: a.copy() for d, a in self.traces.items()},
+            components={d: a.copy() for d, a in self.components.items()},
         )
 
 
-def interval_result_to_simulation(res) -> SimulationResult:
-    """Wrap one interval-kernel result as a :class:`SimulationResult`.
+@dataclass(frozen=True)
+class ResultBlock:
+    """The results of one kernel group, stacked: the unit the engine moves.
 
-    ``res`` is an :class:`~repro.uarch.interval_model.IntervalSimResult`
-    — either from a scalar :func:`~repro.uarch.interval_model.\
-simulate_interval` call or one row of a batched
-    :class:`~repro.uarch.interval_model.IntervalBatchResult` (whose
-    arrays are views into the batch matrices; :meth:`SimulationResult.\
-detach` copies them when a consumer needs owning arrays).
+    Every trace and component is one ``(len(configs), ...)`` array whose
+    row ``i`` belongs to ``configs[i]``; for an interval group these are
+    the kernel's :class:`~repro.uarch.interval_model.IntervalBatchResult`
+    matrices themselves, uncopied.  :meth:`row` views one row as a
+    :class:`SimulationResult`.  The result cache stores a block's rows
+    as one contiguous buffer under one header, and dataset assembly
+    slices a block's trace columns when a group's rows are consecutive.
+    A lone result is a one-row block (:meth:`lone`).
     """
-    return SimulationResult(
-        benchmark=res.benchmark, config=res.config,
-        n_samples=res.n_samples, backend="interval",
-        traces={"cpi": res.cpi, "power": res.power,
-                "avf": res.avf, "iq_avf": res.iq_avf},
-        components=res.components,
-    )
+
+    benchmark: str
+    backend: str
+    n_samples: int
+    configs: Tuple[MachineConfig, ...]
+    traces: Dict[str, np.ndarray]
+    components: Dict[str, np.ndarray] = field(default_factory=dict)
+
+    @classmethod
+    def lone(cls, result: SimulationResult) -> "ResultBlock":
+        """``result`` as a one-row block of views of its own arrays."""
+        return cls(benchmark=result.benchmark, backend=result.backend,
+                   n_samples=result.n_samples, configs=(result.config,),
+                   traces={d: a[None] for d, a in result.traces.items()},
+                   components={d: a[None]
+                               for d, a in result.components.items()})
+
+    def __len__(self) -> int:
+        return len(self.configs)
+
+    def trace(self, domain: str) -> np.ndarray:
+        """One domain's ``(len(self), n_samples)`` trace matrix (see
+        :meth:`SimulationResult.trace`)."""
+        return _trace(self.traces, domain)
+
+    def row(self, index: int) -> SimulationResult:
+        """Row ``index`` as a result whose arrays are views of the block."""
+        result = SimulationResult(
+            self.benchmark, self.configs[index], self.n_samples,
+            self.backend, {d: a[index] for d, a in self.traces.items()},
+            {d: a[index] for d, a in self.components.items()})
+        object.__setattr__(result, "block", self)
+        object.__setattr__(result, "row", index)
+        return result
+
+    def rows(self) -> List[SimulationResult]:
+        """Every row, in order (see :meth:`row`)."""
+        return [self.row(index) for index in range(len(self))]
+
+
+def interval_result_to_simulation(batch) -> List[SimulationResult]:
+    """The rows of an interval-kernel batch as simulation results.
+
+    ``batch`` is an :class:`~repro.uarch.interval_model.\
+IntervalBatchResult`; its matrices become one :class:`ResultBlock`
+    without a copy, and each result is a row view of that block
+    (:meth:`SimulationResult.detach` copies one out when a consumer
+    must not pin the block).
+    """
+    return ResultBlock(
+        benchmark=batch.benchmark, backend="interval",
+        n_samples=batch.n_samples, configs=batch.configs,
+        traces={"cpi": batch.cpi, "power": batch.power,
+                "avf": batch.avf, "iq_avf": batch.iq_avf},
+        components=batch.components,
+    ).rows()
 
 
 class Simulator:

@@ -1,16 +1,19 @@
-"""The result cache's on-disk format: records packed in segments.
+"""The result cache's on-disk format: blocks of rows packed in segments.
 
 Pins the layout of :mod:`repro.engine.cache`: a ``put`` read back by a
 fresh cache reproduces every array, dtype, shape and config field type
-exactly.  Every damaged record inside a multi-record segment (truncated,
-flipped byte, wrong magic, non-numeric dtype, an npz in its place) is a
-miss for that key alone, and every damaged segment (truncated footer,
-bad footer CRC, footer entry past the end, torn mid-record) a miss for
-the keys it affects; either way the engine re-simulates bit-identically
-and a fresh cache then hits.  Also pins that ``repro cache gc`` deletes
-the files this version cannot read and nothing else, and that a segment
-another process commits becomes visible without listing the directory
-on every miss.
+exactly.  A damaged row inside a multi-row block (truncated, flipped
+byte, trailing garbage, an npz in its place) is a miss for that key
+alone; a damaged block header (truncated, wrong magic, bad CRC,
+non-numeric dtype) a miss for that block's keys while the segment's
+other blocks still hit; and every damaged segment (truncated footer,
+bad footer CRC, footer entry past the end, torn mid-row, an earlier
+layout's trailer) a miss for the keys it affects.  Either way the
+engine re-simulates bit-identically into a newer segment and a fresh
+cache then hits.  Also pins that a sweep is bit-identical however warm
+the cache is, that ``repro cache gc`` deletes the files this version
+cannot read and nothing else, and that a segment another process
+commits becomes visible without listing the directory on every miss.
 """
 
 import dataclasses
@@ -23,6 +26,9 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.dse.lhs import sample_train_configs
+from repro.dse.runner import SweepRunner
+from repro.dse.space import paper_design_space
 from repro.engine import (
     VERSION_TAG,
     ExecutionEngine,
@@ -35,12 +41,15 @@ from repro.engine.cache import (
     _PREFIX,
     _TRAILER,
     MAGIC,
+    SEGMENT_MAGIC,
     SUFFIX,
     _pack_footer,
     _read_footer,
 )
+from repro.engine.kernel import run_jobs
 from repro.errors import EngineError, SimulationError
 from repro.uarch.params import baseline_config
+from repro.uarch.simulator import DOMAINS
 
 
 def _arrays(result):
@@ -101,10 +110,12 @@ class TestRoundTrip:
             value = getattr(loaded.config, field.name)
             assert type(value) is type(getattr(result.config, field.name))
         assert loaded.config.key() == result.config.key()
+        # The row of a one-row block over one private, writable copy:
+        # the memory tier keeps the loaded object itself.
+        assert len(loaded.block) == 1
         for name, arr in _arrays(loaded).items():
             assert arr.flags.writeable, name
-            assert arr.base is None, name
-        # Owning arrays: the memory tier keeps the loaded object itself.
+            assert not np.shares_memory(arr, _arrays(result)[name]), name
         assert loaded.detach() is loaded
 
     def test_entries_of_one_layout_share_a_size(self, tmp_path):
@@ -114,8 +125,7 @@ class TestRoundTrip:
             job = SimJob("gcc", config, n_samples=16)
             cache.put(job.key(), job.run())
         lengths = {length for path in tmp_path.glob(f"*{SUFFIX}")
-                   for _, _, length, _ in _read_footer(
-                       path, path.stat().st_size)}
+                   for _, _, _, length, _ in _footer(path)}
         assert len(lengths) == 1
 
     def test_empty_arrays_round_trip(self, tmp_path, interval_job,
@@ -140,25 +150,41 @@ class TestRoundTrip:
 # ----------------------------------------------------------------------
 # Building and damaging segments
 # ----------------------------------------------------------------------
-def _records(path):
-    """``[(key, record bytes)]`` of one segment, in file order."""
+def _footer(path):
+    """``[(key, block offset, row offset, length, crc)]`` of a segment."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return list(_read_footer(fd, path.stat().st_size))
+    finally:
+        os.close(fd)
+
+
+def _blocks(path):
+    """``[(block head, [(key, row bytes, crc)])]`` of one segment, in
+    file order; the head is the block's prefix and header."""
     data = path.read_bytes()
-    return [(key, data[offset:offset + length]) for key, offset, length, _
-            in _read_footer(path, len(data))]
+    blocks = {}
+    for key, block, offset, length, crc in _footer(path):
+        head_end = block + _PREFIX.size + _PREFIX.unpack_from(data, block)[1]
+        _, rows = blocks.setdefault(block, (data[block:head_end], []))
+        rows.append((key, data[offset:offset + length], crc))
+    return list(blocks.values())
 
 
-def _segment(records):
-    """A segment of ``records`` whose footer is consistent with them.
+def _segment(blocks):
+    """A segment of ``blocks``, each ``(head, [(key, row, crc)])``.
 
-    Each entry's CRC is that of the record's own body, so only the
-    record-level checks can reject a damaged record.
+    The footer lists each row where it now lies, with the CRC given:
+    pass a damaged row with its original CRC to have it caught.
     """
-    entries, offset = [], 0
-    for key, record in records:
-        entries.append((key, offset, len(record),
-                        zlib.crc32(record[_PREFIX.size:])))
-        offset += len(record)
-    return b"".join(record for _, record in records) + _pack_footer(entries)
+    data, entries = b"", []
+    for head, rows in blocks:
+        block = len(data)
+        data += head
+        for key, row, crc in rows:
+            entries.append((key, block, len(data), len(row), crc))
+            data += row
+    return data + _pack_footer(entries)
 
 
 def _age(path, seconds=3600):
@@ -175,26 +201,16 @@ def _stored_segment(tmp_path, jobs):
     return path
 
 
-def _recrc(record):
-    """``record`` with its prefix CRC recomputed over the body."""
-    magic, header_len, _ = _PREFIX.unpack_from(record)
-    body = record[_PREFIX.size:]
-    return _PREFIX.pack(magic, header_len, zlib.crc32(body)) + body
+def _retyped(head, descr):
+    """A well-formed block head whose first trace claims dtype ``descr``."""
+    fields = json.loads(head[_PREFIX.size:])
+    fields["traces"][0][1] = descr
+    header = json.dumps(fields, separators=(",", ":")).encode()
+    return _PREFIX.pack(MAGIC, len(header), zlib.crc32(header)) + header
 
 
-def _retyped(record, descr):
-    """A well-formed record whose first trace claims dtype ``descr``."""
-    _, header_len, _ = _PREFIX.unpack_from(record)
-    start = _PREFIX.size
-    header = json.loads(record[start:start + header_len])
-    header["traces"][0][1] = descr
-    text = json.dumps(header, separators=(",", ":")).encode("utf8")
-    body = text + record[start + header_len:]
-    return _recrc(_PREFIX.pack(MAGIC, len(text), 0) + body)
-
-
-def _flip_last(record):
-    return record[:-1] + bytes([record[-1] ^ 0x01])
+def _flip_last(data):
+    return data[:-1] + bytes([data[-1] ^ 0x01])
 
 
 def _legacy_npz(result):
@@ -204,32 +220,50 @@ def _legacy_npz(result):
     return buffer.getvalue()
 
 
-CORRUPTIONS = {
-    "empty": lambda record, result: b"",
-    "truncated_in_prefix": lambda record, result: record[:_PREFIX.size - 3],
-    "truncated_after_prefix": lambda record, result: record[:_PREFIX.size],
-    "truncated_in_header": lambda record, result: record[:_PREFIX.size + 20],
-    "truncated_mid_arrays": lambda record, result: record[:len(record) // 2],
-    "truncated_last_byte": lambda record, result: record[:-1],
-    "flipped_payload_byte": lambda record, result: _flip_last(record),
-    "trailing_garbage": lambda record, result: _recrc(record + b"\0" * 8),
-    "wrong_magic": lambda record, result: b"NOTREPRO" + record[8:],
-    "object_dtype": lambda record, result: _retyped(record, "|O"),
+#: Faults of one row, ``(row, crc, result) -> (row, crc)``: the row's
+#: key misses, and the rest of its block still hits.
+ROW_FAULTS = {
+    "empty": lambda row, crc, result: (b"", crc),
+    "truncated_mid_arrays": lambda row, crc, result: (row[:len(row) // 2],
+                                                      crc),
+    "truncated_last_byte": lambda row, crc, result: (row[:-1], crc),
+    "flipped_payload_byte": lambda row, crc, result: (_flip_last(row), crc),
+    # A matching CRC: only the row-length check can catch these.
+    "trailing_garbage": lambda row, crc, result: (
+        row + b"\0" * 8, zlib.crc32(row + b"\0" * 8)),
+    "legacy_npz": lambda row, crc, result: (
+        _legacy_npz(result), zlib.crc32(_legacy_npz(result))),
+}
+
+#: Faults of one block head, ``head -> head``: every key of that block
+#: misses, and the segment's other blocks still hit.
+HEADER_FAULTS = {
+    "truncated_in_prefix": lambda head: head[:_PREFIX.size - 3],
+    "truncated_after_prefix": lambda head: head[:_PREFIX.size],
+    "truncated_in_header": lambda head: head[:_PREFIX.size + 20],
+    "flipped_header_byte": lambda head: _flip_last(head),
+    "wrong_magic": lambda head: b"NOTREPRO" + head[8:],
+    "object_dtype": lambda head: _retyped(head, "|O"),
     # Same item size as float64, and np.frombuffer would accept it.
-    "bytes_dtype": lambda record, result: _retyped(record, "|S8"),
-    "legacy_npz": lambda record, result: _legacy_npz(result),
+    "bytes_dtype": lambda head: _retyped(head, "|S8"),
 }
 
 
 def _resimulated_then_hit(tmp_path, jobs, affected, expected):
-    """The engine re-simulates exactly ``affected`` bit-identically, and
-    a fresh cache then hits every job."""
+    """The engine re-simulates exactly ``affected`` bit-identically into
+    a newer segment, and a fresh cache then hits every job."""
     engine = create_engine(cache_dir=tmp_path)
     rerun = engine.run(jobs)
     assert engine.cache.stats.misses == len(affected)
     assert engine.cache.stats.disk_hits == len(jobs) - len(affected)
     for result, want in zip(rerun, expected):
         _assert_same(result, want)
+    # The damaged segment was dated back; a rewrite of the same key set
+    # replaces it under its own name.
+    newest = max(tmp_path.glob(f"*{SUFFIX}"),
+                 key=lambda path: path.stat().st_mtime_ns)
+    assert {key for key, *_ in _footer(newest)} \
+        == {job.key() for job in affected}
     reread = ResultCache(tmp_path)
     for job, want in zip(jobs, expected):
         _assert_same(reread.get(job.key()), want)
@@ -237,35 +271,48 @@ def _resimulated_then_hit(tmp_path, jobs, affected, expected):
 
 
 class TestFaultInjection:
-    @pytest.mark.parametrize("fault", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("fault", sorted({*ROW_FAULTS, *HEADER_FAULTS}))
     def test_bad_entry_is_a_miss_and_is_overwritten(
             self, tmp_path, fault, interval_job, interval_result, siblings):
+        """Block A holds ``first`` and ``interval_job``, block B holds
+        ``last``; the fault hits ``interval_job``'s row or block A's
+        head."""
         (first, first_result), (last, last_result) = siblings
         jobs = [first, interval_job, last]
         path = _stored_segment(tmp_path, jobs)
-        records = _records(path)
-        assert [key for key, _ in records] == [job.key() for job in jobs]
-        key, good = records[1]
-        bad = CORRUPTIONS[fault](good, interval_result)
-        assert bad != good
-        path.write_bytes(_segment([records[0], (key, bad), records[2]]))
+        [(head, rows)] = _blocks(path)  # one kernel group: one block
+        assert [key for key, _, _ in rows] == [job.key() for job in jobs]
+        bad_head, (key, row, crc) = head, rows[1]
+        if fault in ROW_FAULTS:
+            bad_row = (key, *ROW_FAULTS[fault](row, crc, interval_result))
+            assert bad_row != rows[1]
+            affected = [interval_job]
+        else:
+            bad_head, bad_row = HEADER_FAULTS[fault](head), rows[1]
+            assert bad_head != head
+            affected = [first, interval_job]
+        path.write_bytes(_segment([(bad_head, [rows[0], bad_row]),
+                                   (head, [rows[2]])]))
         _age(path)
 
         probe = ResultCache(tmp_path)
-        assert probe.get(interval_job.key()) is None
-        _assert_same(probe.get(first.key()), first_result)
-        _assert_same(probe.get(last.key()), last_result)
-        assert probe.stats.misses == 1 and probe.stats.disk_hits == 2
+        for job, want in zip(jobs, [first_result, interval_result,
+                                    last_result]):
+            loaded = probe.get(job.key())
+            if job in affected:
+                assert loaded is None, job
+            else:
+                _assert_same(loaded, want)
+        assert probe.stats.misses == len(affected)
+        assert probe.stats.disk_hits == len(jobs) - len(affected)
 
-        # The re-simulated record lands in a newer segment, which
-        # supersedes the damaged one.
-        _resimulated_then_hit(tmp_path, jobs, [interval_job],
+        _resimulated_then_hit(tmp_path, jobs, affected,
                               [first_result, interval_result, last_result])
 
 
 def _truncated_footer(data, entries):
-    records_end = entries[-1][1] + entries[-1][2]
-    return data[:records_end + (len(data) - records_end) // 2], [0, 1, 2]
+    rows_end = entries[-1][2] + entries[-1][3]
+    return data[:rows_end + (len(data) - rows_end) // 2], [0, 1, 2]
 
 
 def _bad_footer_crc(data, entries):
@@ -275,15 +322,23 @@ def _bad_footer_crc(data, entries):
 
 
 def _footer_offset_past_eof(data, entries):
-    records_end = entries[-1][1] + entries[-1][2]
+    rows_end = entries[-1][2] + entries[-1][3]
     moved = [list(entry) for entry in entries]
-    moved[1][1] = len(data)
-    return data[:records_end] + _pack_footer(moved), [1]
+    moved[1][2] = len(data)
+    return data[:rows_end] + _pack_footer(moved), [1]
 
 
 def _torn_mid_record(data, entries):
-    _, offset, length, _ = entries[1]
+    _, _, offset, length, _ = entries[1]
     return data[:offset + length // 2], [0, 1, 2]
+
+
+def _pre_bump_segment(data, entries):
+    """The segment as the previous layout would end it: every key
+    misses, and nothing of it is read."""
+    old_magic = SEGMENT_MAGIC[:-1] + b"1"
+    assert old_magic != SEGMENT_MAGIC
+    return data[:-len(old_magic)] + old_magic, [0, 1, 2]
 
 
 SEGMENT_FAULTS = {
@@ -291,6 +346,7 @@ SEGMENT_FAULTS = {
     "bad_footer_crc": _bad_footer_crc,
     "footer_offset_past_eof": _footer_offset_past_eof,
     "torn_mid_record": _torn_mid_record,
+    "pre_bump_segment": _pre_bump_segment,
 }
 
 
@@ -302,9 +358,8 @@ class TestSegmentFaults:
         jobs = [first, interval_job, last]
         expected = [first_result, interval_result, last_result]
         path = _stored_segment(tmp_path, jobs)
-        data = path.read_bytes()
-        bad, affected = SEGMENT_FAULTS[fault](
-            data, _read_footer(path, len(data)))
+        bad, affected = SEGMENT_FAULTS[fault](path.read_bytes(),
+                                              _footer(path))
         path.write_bytes(bad)
         _age(path)
 
@@ -327,7 +382,7 @@ class TestStaleFiles:
         key = interval_job.key()
         ResultCache(tmp_path).put(key, interval_result)
         [live] = tmp_path.glob(f"*{SUFFIX}")
-        record = _records(live)[0][1]
+        [(_, [(_, record, _)])] = _blocks(live)
         # One file per job, as the earlier layouts wrote them; a
         # segment of another key version; a crashed writer's tmp file.
         stale = [tmp_path / f"{VERSION_TAG}-{key}.res",
@@ -377,6 +432,71 @@ class TestStaleFiles:
         assert ResultCache(tmp_path).get(key) is None
 
 
+class TestEarlierLayouts:
+    def test_gc_removes_segments_of_an_earlier_layout(
+            self, tmp_path, interval_job, interval_result):
+        key = interval_job.key()
+        ResultCache(tmp_path).put(key, interval_result)
+        [live] = tmp_path.glob(f"*{SUFFIX}")
+        # This key version's name, the previous layout's trailer magic.
+        data = live.read_bytes()
+        earlier = tmp_path / f"{VERSION_TAG}-{'0' * 32}{SUFFIX}"
+        earlier.write_bytes(data[:-len(SEGMENT_MAGIC)] + b"REPROSG1")
+        short = tmp_path / f"{VERSION_TAG}-{'1' * 32}{SUFFIX}"
+        short.write_bytes(b"REPROSG2")  # shorter than any trailer
+        assert ResultCache(tmp_path).describe()["disk_segments"] == 3
+
+        removed, freed = ResultCache(tmp_path).gc_versions()
+        assert (removed, freed) == (2, len(data) + len(b"REPROSG2"))
+        assert sorted(tmp_path.iterdir()) == [live]
+        _assert_same(ResultCache(tmp_path).get(key), interval_result)
+
+
+#: ``(misses, disk hits, memory hits)`` of the final sweep over 8 configs.
+WARMTH = {
+    "cold": (8, 0, 0),
+    "memory_warm": (0, 0, 8),
+    "disk_warm": (0, 8, 0),
+    "half_warm": (4, 4, 0),  # the sweep_cache pattern: half read back
+}
+
+
+class TestWarmth:
+    """A sweep is bit-identical however warm its cache is."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        configs = sample_train_configs(paper_design_space(), 8, seed=5)
+        runner = SweepRunner(engine=ExecutionEngine(), n_samples=32)
+        results = runner.engine.run(runner.jobs_for("gcc", configs))
+        return configs, runner.run_configs("gcc", configs), results
+
+    @pytest.mark.parametrize("warmth", sorted(WARMTH))
+    def test_sweep_is_bit_identical(self, tmp_path, warmth, reference):
+        configs, want, want_results = reference
+        engine = create_engine(cache_dir=tmp_path)
+        if warmth != "cold":
+            # The warming sweep: this engine for the memory tier, an
+            # earlier process's engine on the same directory otherwise.
+            warmer = engine if warmth == "memory_warm" \
+                else create_engine(cache_dir=tmp_path)
+            SweepRunner(engine=warmer, n_samples=32).run_configs(
+                "gcc", configs[::2] if warmth == "half_warm" else configs)
+            engine.cache.stats = type(engine.cache.stats)()
+        got = SweepRunner(engine=engine, n_samples=32).run_configs(
+            "gcc", configs)
+        stats = engine.cache.stats
+        assert (stats.misses, stats.disk_hits, stats.memory_hits) \
+            == WARMTH[warmth]
+        for domain in DOMAINS:
+            assert np.array_equal(got.domain(domain), want.domain(domain))
+        # Every array of every row, read back by a fresh process.
+        fresh = ResultCache(tmp_path)
+        for config, result in zip(configs, want_results):
+            job = SimJob("gcc", config, n_samples=32)
+            _assert_same(fresh.get(job.key()), result)
+
+
 class _FailAfter:
     """Streams the first ``n`` results of a batch, then fails."""
 
@@ -405,7 +525,9 @@ class TestBatchCommits:
         assert self._segments(tmp_path) == []  # still pending
         list(stream)
         [path] = self._segments(tmp_path)
-        assert {key for key, _ in _records(path)} == {j.key() for j in jobs}
+        # One kernel group: one block holding every row.
+        [(_, rows)] = _blocks(path)
+        assert [key for key, _, _ in rows] == [job.key() for job in jobs]
 
     def test_executor_failure_commits_drained_results(self, tmp_path, jobs):
         cache = ResultCache(tmp_path)
@@ -413,7 +535,7 @@ class TestBatchCommits:
         with pytest.raises(SimulationError, match="injected"):
             handle.results()
         [path] = self._segments(tmp_path)
-        assert [key for key, _ in _records(path)] \
+        assert [key for key, *_ in _footer(path)] \
             == [job.key() for job in jobs[:2]]
         fresh = ResultCache(tmp_path)
         assert [fresh.get(job.key()) is not None for job in jobs] \
@@ -456,6 +578,23 @@ class TestBatchCommits:
         monkeypatch.setattr(cache_module, "SEGMENT_BYTES", 1)
         create_engine(cache_dir=tmp_path).run(jobs)
         assert len(self._segments(tmp_path)) == len(jobs)
+
+    def test_rows_of_one_block_in_any_order(self, tmp_path, jobs):
+        """Rows put out of order, with a gap, gather into one block."""
+        results = run_jobs(jobs)
+        assert len({id(result.block) for result in results}) == 1
+        cache = ResultCache(tmp_path, memory_items=0)
+        pending = cache_module.PendingSegment()
+        for index in (3, 0, 2):
+            cache.put(jobs[index].key(), results[index], pending)
+        cache.commit(pending)
+        [(_, rows)] = _blocks(self._segments(tmp_path)[0])
+        assert [key for key, _, _ in rows] \
+            == [jobs[index].key() for index in (3, 0, 2)]
+        fresh = ResultCache(tmp_path)
+        for index in (3, 0, 2):
+            _assert_same(fresh.get(jobs[index].key()), results[index])
+        assert fresh.get(jobs[1].key()) is None
 
 
 class TestSharedDirectory:

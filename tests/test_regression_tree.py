@@ -135,6 +135,22 @@ class TestFitting:
             fitted.predict(np.empty(shape))
         assert fitted.predict(np.empty((0, 2))).shape == (0,)
 
+    @pytest.mark.parametrize("call", [
+        lambda X, y: RegressionTree().fit(X, y),
+        lambda X, y: RegressionTree().fit_columns(X, np.column_stack([y, y])),
+        lambda X, y: RegressionTree().fit(np.ones_like(X), y).predict(X),
+        lambda X, y: RBFNetwork().fit(X, y),
+        lambda X, y: RBFNetwork().fit_columns(X, np.column_stack([y, y])),
+        lambda X, y: RBFNetwork().fit(np.ones_like(X), y).predict(X),
+    ], ids=["tree.fit", "tree.fit_columns", "tree.predict", "rbf.fit",
+            "rbf.fit_columns", "rbf.predict"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=str)
+    def test_non_finite_X_rejected(self, call, bad):
+        X, y = _step_data(d=2)
+        X[5, 1] = bad
+        with pytest.raises(ModelError, match="X contains non-finite"):
+            call(X, y)
+
     def test_predict_wrong_width_rejected(self):
         X, y = _step_data(d=3)
         tree = RegressionTree().fit(X, y)
