@@ -34,8 +34,9 @@ class DynamicsDataset:
         The sampled machine configurations.
     traces:
         Domain name -> array of shape ``(n_configs, n_samples)``.
-        Datasets assembled from a parallel sweep may hold **read-only
-        zero-copy views** into the engine's shared-memory arena (see
+        Datasets assembled from a sweep may hold **read-only zero-copy
+        views** into a kernel group's matrices or, from a parallel
+        sweep, the engine's shared-memory arena (see
         :mod:`repro.engine.shm`); call :meth:`materialize` for private
         writable copies.
     """

@@ -108,23 +108,14 @@ class SweepRunner:
     def _assemble(self, benchmark: str, configs: Sequence[MachineConfig],
                   results: Sequence[SimulationResult],
                   space: DesignSpace) -> DynamicsDataset:
-        # A group whose results are consecutive rows of one block (a
-        # cold in-process sweep) takes zero-copy slices of the block's
-        # trace columns; stack_rows slices the shared-memory arena
-        # when pool rows landed contiguously, and otherwise stacks.
-        block = results[0].block if results else None
-        start = results[0].row if results else 0
-        if block is not None and all(
-                result.block is block and result.row == start + offset
-                for offset, result in enumerate(results)):
-            stop = start + len(results)
-            traces = {d: block.trace(d)[start:stop] for d in self.domains}
-        else:
-            traces = {
-                d: (stack_rows([result.trace(d) for result in results])
-                    if results else np.empty((0, self.n_samples)))
-                for d in self.domains
-            }
+        # stack_rows returns zero-copy slices of the batch's
+        # shared-memory arena whenever a group's trace rows landed
+        # contiguously (every cold-cache sweep); otherwise it stacks.
+        traces = {
+            d: (stack_rows([result.trace(d) for result in results])
+                if results else np.empty((0, self.n_samples)))
+            for d in self.domains
+        }
         return DynamicsDataset(
             benchmark=benchmark, space=space,
             configs=list(configs), traces=traces,

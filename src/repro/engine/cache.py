@@ -35,10 +35,16 @@ CRC makes a segment's keys miss; a bad block magic, header CRC or dtype
 that block's keys; a bad row CRC or length, or an entry past the
 blocks, that key.  The re-simulated result lands in a newer segment.
 
-The disk tier's lifecycle: an optional byte cap (``max_bytes``) evicts
-whole segments oldest ``(mtime, filename)`` first after every commit;
-:meth:`gc`, :meth:`gc_versions` (delete every file this version cannot
-read) and :meth:`clear`; accounting via :meth:`describe`.
+The disk tier has a real lifecycle:
+
+* an optional **byte cap** (``max_bytes``) enforced after every commit
+  by evicting whole segments, oldest first (file-mtime LRU, ties broken
+  by segment filename so eviction is reproducible even on filesystems
+  with coarse timestamps);
+* explicit :meth:`gc` (size-targeted collection), :meth:`gc_versions`
+  (delete every file this version cannot read) and :meth:`clear`;
+* row/segment/byte accounting surfaced through :meth:`disk_bytes`,
+  :meth:`describe` and the ``repro cache`` CLI.
 """
 
 from __future__ import annotations
@@ -66,14 +72,16 @@ from repro.engine.jobs import KEY_VERSION
 from repro.uarch.params import MachineConfig
 from repro.uarch.simulator import ResultBlock, SimulationResult
 
-#: Filesystem-safe job-key version: every segment's filename prefix.
+#: Filesystem-safe form of the current job-key version, used as the
+#: filename prefix of every segment this cache writes.
 VERSION_TAG = KEY_VERSION.replace("/", "-")
 
 #: Segment filename suffix.
 SUFFIX = ".seg"
 
-#: Suffixes of the per-job files earlier layouts wrote (one record or
-#: one npz per job); :meth:`ResultCache.gc_versions` deletes them.
+#: Suffixes of the files earlier cache layouts wrote: one record per
+#: job (``.res``) and one npz per job.  :meth:`ResultCache.gc_versions`
+#: deletes them.
 STALE_SUFFIXES = (".res", ".npz")
 
 #: First bytes of every block; bump the digit on a layout change.
@@ -144,14 +152,20 @@ class _Layout(NamedTuple):
 
 
 class PendingSegment:
-    """Rows a batch stored but has not committed yet, gathered in one
-    pending block per source block; an abandoned segment loses only its
-    rows, which re-simulate."""
+    """Rows one batch has stored but not yet committed to disk.
+
+    Passed to :meth:`ResultCache.put` and :meth:`ResultCache.commit`; an
+    abandoned one loses only its rows, which re-simulate next time.
+    """
 
     def __init__(self):
-        # id(source block) -> (block, layout, keys, block rows), in
-        # first-put order; the block is referenced, not copied
-        self.blocks: Dict[int, Tuple[ResultBlock, _Layout, list, list]] = {}
+        # id(source block) -> (block, layout, keys, block rows, row
+        # CRCs), in first-put order.  The block is referenced, not
+        # copied.  A writable block's row CRCs are taken at put, so a
+        # row changed before the commit fails its CRC when read, a
+        # miss; a read-only block's (None) from its encoded rows.
+        self.blocks: Dict[int, Tuple[ResultBlock, _Layout, list, list,
+                                     list]] = {}
         self.nbytes = 0
 
 
@@ -210,17 +224,21 @@ class ResultCache:
     def __init__(self, cache_dir=None, memory_items: int = 512,
                  max_bytes: Optional[int] = None):
         if memory_items < 0:
-            raise EngineError(f"memory_items must be >= 0, got {memory_items}")
+            raise EngineError(
+                f"memory_items must be >= 0, got {memory_items}"
+            )
         if max_bytes is not None and max_bytes < 1:
-            raise EngineError(f"max_bytes must be >= 1 or None, "
-                              f"got {max_bytes}")
+            raise EngineError(
+                f"max_bytes must be >= 1 or None, got {max_bytes}"
+            )
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.memory_items = memory_items
         self.max_bytes = max_bytes
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, SimulationResult]" = OrderedDict()
-        # Disk index: segment name -> _Segment, built lazily by a scan and
-        # kept by this instance's commits and evictions; key -> _Where.
+        # Disk index: segment name -> _Segment, built lazily by a
+        # directory scan and kept up to date by this instance's commits
+        # and evictions; key -> _Where over it, newest segment winning.
         self._segments: Optional[Dict[str, _Segment]] = None
         self._keys: Dict[str, _Where] = {}
         self._dir_mtime: Optional[int] = None  # at the last scan
@@ -229,8 +247,11 @@ class ResultCache:
     def _remember(self, key: str, result: SimulationResult) -> None:
         if self.memory_items == 0:
             return
-        # detach(): a row of a kernel group's block or an arena-backed
-        # result stored as-is would pin its whole block or batch.
+        # Block rows and arena-backed results are views into a whole
+        # kernel group's matrices or a batch's shared memory; storing
+        # them as-is would pin those for the LRU's lifetime.  detach()
+        # copies such results (and is a no-op for results that already
+        # own their arrays).
         self._memory[key] = result.detach()
         self._memory.move_to_end(key)
         while len(self._memory) > self.memory_items:
@@ -306,24 +327,41 @@ class ResultCache:
 
     def _enforce_cap(self, max_bytes: Optional[int]) -> Tuple[int, int]:
         """Evict oldest segments until the tier fits; (segments, bytes)
-        freed.  Victims go in ``(mtime, filename)`` order: the filename
-        tie-break keeps eviction reproducible under coarse timestamps."""
-        freed = []
-        if max_bytes is not None and self.cache_dir is not None:
-            segments = self._index()
-            total = sum(s.size for s in segments.values())
-            for name in sorted(segments, key=self._age):
-                if total <= max_bytes:
-                    break
-                freed.append(self._evict(name))
-                total -= freed[-1]
-        return len(freed), sum(freed)
+        freed.
+
+        Victims go in ``(mtime, filename)`` order: the filename
+        tie-break keeps eviction reproducible when coarse filesystem
+        timestamps give many segments one mtime.
+        """
+        freed_segments, freed_bytes = 0, 0
+        if max_bytes is None or self.cache_dir is None:
+            return freed_segments, freed_bytes
+        segments = self._index()
+        total = sum(s.size for s in segments.values())
+        for name in sorted(segments, key=self._age):
+            if total <= max_bytes:
+                break
+            size = self._evict(name)
+            total -= size
+            freed_segments += 1
+            freed_bytes += size
+        return freed_segments, freed_bytes
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[SimulationResult]:
-        """The cached result for a job's content-hash ``key``, or
-        ``None`` on a miss *and* on an unreadable or corrupt disk row (a
-        later commit of the key supersedes it)."""
+        """The cached result for ``key``, or ``None`` on a miss.
+
+        Parameters
+        ----------
+        key:
+            A job's content-hash :meth:`~repro.engine.jobs.SimJob.key`.
+
+        Returns
+        -------
+        SimulationResult or None
+            ``None`` on a miss *and* on an unreadable/corrupt disk
+            row (a later commit of the key supersedes it).
+        """
         if key in self._memory:
             self.stats.memory_hits += 1
             self._memory.move_to_end(key)
@@ -342,10 +380,13 @@ class ResultCache:
         return None
 
     def _load(self, key: str) -> Optional[SimulationResult]:
-        """Read and decode ``key``'s row; ``None`` if it is not indexed,
-        has vanished or is damaged."""
+        """Read and decode ``key``'s row; ``None`` if it is not
+        indexed, has vanished or is damaged."""
+        where = self._keys.get(key)
+        if where is None:
+            return None
+        name, offset, length, crc, layout = where
         try:
-            name, offset, length, crc, layout = self._keys[key]
             fd = os.open(os.path.join(self.cache_dir, name), os.O_RDONLY)
             try:
                 row = os.pread(fd, length, offset)
@@ -357,15 +398,27 @@ class ResultCache:
 
     def put(self, key: str, result: SimulationResult,
             pending: Optional[PendingSegment] = None) -> None:
-        """Store ``result`` (a row of its block; a lone result is a
-        one-row block) under ``key`` in every enabled tier.
+        """Store ``result`` under ``key`` in every enabled tier.
 
-        Without ``pending`` the row is committed as a one-row segment
-        before this method returns; with it, it joins the pending block
-        of its source block, committed once the segment passes
-        :data:`SEGMENT_BYTES` or by :meth:`commit`.  The memory tier
-        keeps a detached copy.  A non-numeric array raises
-        :class:`~repro.errors.EngineError`."""
+        Without ``pending`` the row is committed to disk as a one-row
+        segment before this method returns.  With it, the row joins the
+        pending block of its source block in that batch's pending
+        segment, committed once it passes :data:`SEGMENT_BYTES` or by
+        :meth:`commit`.
+
+        Parameters
+        ----------
+        key:
+            A job's content-hash key; names the result in both tiers.
+        result:
+            A row of its :class:`~repro.uarch.simulator.ResultBlock` (a
+            lone result is a one-row block), serialized from the block
+            as-is for disk; the memory tier stores a detached copy so it
+            never pins a block or a shared-memory arena.  A non-numeric
+            array raises :class:`~repro.errors.EngineError`.
+        pending:
+            The storing batch's :class:`PendingSegment`, if any.
+        """
         self._remember(key, result)
         if self.cache_dir is not None:
             batch = pending if pending is not None else PendingSegment()
@@ -374,10 +427,15 @@ class ResultCache:
                 block = ResultBlock.lone(result)
             stored = batch.blocks.get(id(block))
             if stored is None:
-                stored = block, _block_layout(block), [], []
+                writable = any(arr.flags.writeable for arr in (
+                    *block.traces.values(), *block.components.values()))
+                stored = (block, _block_layout(block), [], [],
+                          [] if writable else None)
                 batch.blocks[id(block)] = stored
             stored[2].append(key)
             stored[3].append(row)
+            if stored[4] is not None:
+                stored[4].append(_row_crc(block, stored[1], row))
             batch.nbytes += stored[1].row_bytes
             if pending is None or batch.nbytes >= SEGMENT_BYTES:
                 self.commit(batch)
@@ -388,12 +446,15 @@ class ResultCache:
 
         Blocks are encoded and written one at a time (one block's rows
         are copied at once).  The segment is atomic (tmp file +
-        ``os.replace``), indexed at once, and brought under the cap."""
+        ``os.replace``) and indexed at once.  With a ``max_bytes`` cap
+        configured, the disk tier is brought back under the cap before
+        this method returns — the cache never ends a batch over budget.
+        """
         if self.cache_dir is None or not pending.blocks:
             return
         blocks = list(pending.blocks.values())
         pending.blocks, pending.nbytes = {}, 0
-        keys = "\n".join(sorted(key for _, _, block_keys, _ in blocks
+        keys = "\n".join(sorted(key for _, _, block_keys, _, _ in blocks
                                 for key in block_keys))
         name = (f"{VERSION_TAG}-"
                 f"{hashlib.sha256(keys.encode('utf8')).hexdigest()[:32]}"
@@ -407,13 +468,15 @@ class ResultCache:
         try:
             try:
                 offset = 0
-                for block, layout, block_keys, rows in blocks:
+                for block, layout, block_keys, rows, crcs in blocks:
                     head, data = _encode(block, layout, rows)
                     _write_all(fd, [head, data])
                     first, length = offset + len(head), layout.row_bytes
+                    if crcs is None:
+                        crcs = map(zlib.crc32, data)
                     entries += [(key, offset, first + index * length, length,
-                                 zlib.crc32(row), layout) for index, (key, row)
-                                in enumerate(zip(block_keys, data))]
+                                 crc, layout) for index, (key, crc)
+                                in enumerate(zip(block_keys, crcs))]
                     offset = first + data.nbytes
                 _write_all(fd, [_pack_footer(entries)])
             finally:
@@ -436,11 +499,13 @@ class ResultCache:
     # Lifecycle
     # ------------------------------------------------------------------
     def gc(self, max_bytes: Optional[int] = None) -> Tuple[int, int]:
-        """Collect the disk tier down to ``max_bytes`` (default: the cap).
+        """Collect the disk tier down to a byte target.
 
-        Rescans the directory first (so other processes' segments are
-        seen), then evicts whole segments oldest first until the tier
-        fits.  Returns ``(segments_removed, bytes_freed)``."""
+        Rescans the directory first (so segments written by other
+        processes are seen), then evicts whole segments oldest-mtime
+        first until the tier fits ``max_bytes`` (defaulting to the
+        configured cap).  Returns ``(segments_removed, bytes_freed)``.
+        """
         if self.cache_dir is None:
             return (0, 0)
         self._scan()
@@ -450,10 +515,12 @@ class ResultCache:
     def gc_versions(self) -> Tuple[int, int]:
         """Delete every file in the directory this version cannot read.
 
-        That is segments of other key versions, segments whose trailer
-        magic is not :data:`SEGMENT_MAGIC` (an earlier segment layout),
-        per-job files of the earlier layouts (:data:`STALE_SUFFIXES`)
-        and ``.tmp`` files a crashed writer left more than
+        That is segments of other key versions
+        (:data:`repro.engine.jobs.KEY_VERSION`), segments of this
+        version whose trailer magic is not :data:`SEGMENT_MAGIC` (an
+        earlier segment layout), files of the earlier one-file-per-job
+        layouts (:data:`STALE_SUFFIXES`, any version) and ``.tmp``
+        files a crashed writer left behind more than
         :data:`ORPHAN_TMP_SECONDS` ago.  Subdirectories (checkpoints,
         the numba cache) and unrelated files are never touched.
         Returns ``(files_removed, bytes_freed)``.
@@ -562,6 +629,16 @@ def _block_layout(block: ResultBlock) -> _Layout:
         **layout), separators=(",", ":")).encode("utf8"))
 
 
+def _row_crc(block: ResultBlock, layout: _Layout, row: int) -> int:
+    """The CRC32 of ``block``'s ``row`` as :func:`_encode` lays it out."""
+    crc = zlib.crc32(struct.pack(f"<{len(layout.config)}d",
+                                 *block.configs[row].key()))
+    for group, name, *_ in layout.arrays:
+        arr = getattr(block, group)[name][row]
+        crc = zlib.crc32(arr if arr.flags.c_contiguous else arr.copy(), crc)
+    return crc
+
+
 def _encode(block: ResultBlock, layout: _Layout,
             rows: List[int]) -> Tuple[bytes, np.ndarray]:
     """The block prefix and header, and ``block``'s ``rows`` as one
@@ -587,7 +664,8 @@ def _encode(block: ResultBlock, layout: _Layout,
 
 
 def _write_all(fd: int, parts) -> None:
-    """Write ``parts`` with ``os.writev``, resuming after partial writes."""
+    """Write ``parts`` back to back with ``os.writev``, resuming after
+    partial writes, without joining them into one buffer."""
     views = [view.cast("B") for view in map(memoryview, parts)
              if view.nbytes]
     while views:
@@ -605,18 +683,18 @@ def _decode(row: bytes, crc: int, layout: _Layout) -> SimulationResult:
         raise ValueError("bad row length or checksum")
     buffer = bytearray(row)
     values = np.frombuffer(buffer, "<f8", len(layout.config)).tolist()
-    # Rebuilt as unpickling does, skipping the validation it passed when
-    # stored; unknown fields are dropped, newer ones keep defaults.
-    config = object.__new__(MachineConfig)
-    config.__dict__.update({
+    config = MachineConfig(**{
         name: convert(value) for name, convert, value
-        in zip(layout.config, layout.converters, values) if convert})
+        in zip(layout.config, layout.converters, values)
+        if convert  # forward compatibility
+    })
     groups = {"traces": {}, "components": {}}
     offset = 8 * len(layout.config)
     for group, name, dtype, shape, nbytes in layout.arrays:
         groups[group][name] = np.ndarray(shape, dtype, buffer, offset)
         offset += nbytes
-    return ResultBlock(configs=(config,), **layout.meta, **groups).row(0)
+    return ResultBlock(configs=(config,), buffer=buffer, **layout.meta,
+                       **groups).row(0)
 
 
 def _pack_footer(entries) -> bytes:

@@ -22,9 +22,9 @@ Everything around the kernel is unchanged by design:
 * **results** — a group's results are the rows of one
   :class:`~repro.uarch.simulator.ResultBlock` holding the kernel's
   stacked matrices uncopied; each row is bit-identical to a group of
-  one.  The result cache stores the block's rows as one block and
-  dataset assembly slices its trace columns; the shm transport copies
-  rows into its arena and the memory cache detaches them;
+  one.  The result cache stores the block's rows as one block; the
+  shm transport copies rows into its arena and the memory cache
+  detaches them;
 * **ordering** — results align index-for-index with the submitted
   chunk, whatever the grouping.
 

@@ -32,19 +32,6 @@ DOMAINS = ("cpi", "power", "avf", "iq_avf")
 BACKENDS = ("interval", "detailed")
 
 
-def _trace(traces: Dict[str, np.ndarray], domain: str) -> np.ndarray:
-    """``traces[domain]``, or the derived, inf-free ``"ipc"`` domain."""
-    if domain == "ipc":
-        cpi = traces["cpi"]
-        return np.divide(1.0, cpi, out=np.zeros_like(cpi, dtype=float),
-                         where=cpi != 0)
-    if domain not in traces:
-        raise SimulationError(
-            f"unknown domain {domain!r}; have {sorted(traces)}"
-        )
-    return traces[domain]
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     """Per-interval workload dynamics for one (benchmark, config) run.
@@ -79,7 +66,15 @@ class SimulationResult:
         (possible in artificial traces) maps to 0 IPC instead of
         overflowing to infinity.
         """
-        return _trace(self.traces, domain)
+        if domain == "ipc":
+            cpi = self.traces["cpi"]
+            return np.divide(1.0, cpi, out=np.zeros_like(cpi, dtype=float),
+                             where=cpi != 0)
+        if domain not in self.traces:
+            raise SimulationError(
+                f"unknown domain {domain!r}; have {sorted(self.traces)}"
+            )
+        return self.traces[domain]
 
     def aggregate(self, domain: str) -> float:
         """Whole-run mean of a domain (what global models predict)."""
@@ -88,18 +83,19 @@ class SimulationResult:
     def detach(self) -> "SimulationResult":
         """A result that pins no memory beyond its own arrays.
 
-        A row of a multi-row :class:`ResultBlock` holds views of the
-        whole block, and a result delivered over the shared-memory
+        A row of a :class:`ResultBlock` holds views of the whole block
+        (for a kernel group, even of one, possibly of larger kernel
+        intermediates), and a result delivered over the shared-memory
         transport (:mod:`repro.engine.shm`) read-only views of a
         batch-wide arena.  Detaching copies each array into private,
         writable memory and drops the block reference, so long-lived
         stores such as the in-memory result cache never pin a whole
-        block or arena through one row.  The row of a one-row block (a
-        cache hit, a group of one) and a lone result whose arrays own
-        their memory are returned unchanged.
+        block or arena through one row.  The row of a block over its own
+        private :attr:`ResultBlock.buffer` (a cache hit) and a lone
+        result whose arrays own their memory are returned unchanged.
         """
         if self.block is not None:
-            if len(self.block) == 1:
+            if self.block.buffer is not None:
                 return self
         elif all(arr.base is None for arr in (*self.traces.values(),
                                                *self.components.values())):
@@ -121,9 +117,8 @@ class ResultBlock:
     the kernel's :class:`~repro.uarch.interval_model.IntervalBatchResult`
     matrices themselves, uncopied.  :meth:`row` views one row as a
     :class:`SimulationResult`.  The result cache stores a block's rows
-    as one contiguous buffer under one header, and dataset assembly
-    slices a block's trace columns when a group's rows are consecutive.
-    A lone result is a one-row block (:meth:`lone`).
+    as one contiguous buffer under one header.  A lone result is a
+    one-row block (:meth:`lone`).
     """
 
     benchmark: str
@@ -132,6 +127,10 @@ class ResultBlock:
     configs: Tuple[MachineConfig, ...]
     traces: Dict[str, np.ndarray]
     components: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: The private buffer every array of a one-row block views, when the
+    #: block holds nothing else (a decoded cache row); else ``None``.
+    buffer: Optional[bytearray] = field(default=None, repr=False,
+                                        compare=False)
 
     @classmethod
     def lone(cls, result: SimulationResult) -> "ResultBlock":
@@ -144,11 +143,6 @@ class ResultBlock:
 
     def __len__(self) -> int:
         return len(self.configs)
-
-    def trace(self, domain: str) -> np.ndarray:
-        """One domain's ``(len(self), n_samples)`` trace matrix (see
-        :meth:`SimulationResult.trace`)."""
-        return _trace(self.traces, domain)
 
     def row(self, index: int) -> SimulationResult:
         """Row ``index`` as a result whose arrays are views of the block."""
@@ -172,14 +166,18 @@ def interval_result_to_simulation(batch) -> List[SimulationResult]:
 IntervalBatchResult`; its matrices become one :class:`ResultBlock`
     without a copy, and each result is a row view of that block
     (:meth:`SimulationResult.detach` copies one out when a consumer
-    must not pin the block).
+    must not pin the block).  The matrices are made read-only, as
+    shared-memory deliveries are, so no row changes between its store
+    and the result cache's commit.
     """
+    traces = {"cpi": batch.cpi, "power": batch.power,
+              "avf": batch.avf, "iq_avf": batch.iq_avf}
+    for arr in (*traces.values(), *batch.components.values()):
+        arr.flags.writeable = False
     return ResultBlock(
         benchmark=batch.benchmark, backend="interval",
         n_samples=batch.n_samples, configs=batch.configs,
-        traces={"cpi": batch.cpi, "power": batch.power,
-                "avf": batch.avf, "iq_avf": batch.iq_avf},
-        components=batch.components,
+        traces=traces, components=batch.components,
     ).rows()
 
 

@@ -118,6 +118,31 @@ class TestRoundTrip:
             assert not np.shares_memory(arr, _arrays(result)[name]), name
         assert loaded.detach() is loaded
 
+    def test_group_of_one_is_detached_as_a_copy(self, interval_job):
+        """A group of one's arrays may view larger kernel intermediates:
+        the memory tier keeps an owning copy, not the row itself."""
+        [result] = run_jobs([interval_job])
+        kept = result.detach()
+        assert kept is not result and kept.block is None
+        _assert_same(kept, result)
+        for name, arr in _arrays(kept).items():
+            assert arr.base is None, name
+
+    def test_row_with_an_invalid_config_is_a_miss(self, tmp_path,
+                                                  interval_job,
+                                                  interval_result):
+        """A row whose CRC holds but whose config fails validation (a
+        dvm_threshold outside (0, 1)) reads back as a miss."""
+        ResultCache(tmp_path).put(interval_job.key(), interval_result)
+        [path] = tmp_path.glob(f"*{SUFFIX}")
+        [(head, [(key, row, _)])] = _blocks(path)
+        names = json.loads(head[_PREFIX.size:])["config"]
+        values = np.frombuffer(row, "<f8", len(names)).copy()
+        values[names.index("dvm_threshold")] = 2.0
+        row = values.tobytes() + row[values.nbytes:]
+        path.write_bytes(_segment([(head, [(key, row, zlib.crc32(row))])]))
+        assert ResultCache(tmp_path).get(key) is None
+
     def test_entries_of_one_layout_share_a_size(self, tmp_path):
         cache = ResultCache(tmp_path)
         for config in (baseline_config(), baseline_config(
@@ -509,6 +534,15 @@ class _FailAfter:
         raise SimulationError("injected executor failure")
 
 
+class _Owning:
+    """Streams each result as a lone, writable copy, as a result
+    unpickled from a pool worker arrives."""
+
+    def submit_batch(self, jobs):
+        for index, job in enumerate(jobs):
+            yield index, job.run().detach()
+
+
 class TestBatchCommits:
     @pytest.fixture
     def jobs(self):
@@ -553,6 +587,31 @@ class TestBatchCommits:
         assert engine.cache.stats.misses == 3
         for job, result in zip(jobs, rerun):
             _assert_same(result, job.run())
+
+    def test_kernel_rows_are_read_only(self, tmp_path, jobs):
+        """A streamed kernel row cannot change before the batch drains."""
+        stream = create_engine(cache_dir=tmp_path).submit(jobs).as_completed()
+        _, result = next(stream)
+        with pytest.raises(ValueError, match="read-only"):
+            result.traces["cpi"] *= 2.0
+        list(stream)
+        fresh = ResultCache(tmp_path)
+        for job in jobs:
+            _assert_same(fresh.get(job.key()), job.run())
+
+    def test_row_changed_before_the_commit_is_a_miss(self, tmp_path, jobs):
+        """A writable streamed result changed in place before the batch
+        drains keeps the CRC taken when it was stored: that key misses,
+        the others hit."""
+        handle = ExecutionEngine(_Owning(), cache=ResultCache(tmp_path)
+                                 ).submit(jobs)
+        stream = handle.as_completed()
+        index, result = next(stream)
+        result.traces["cpi"] *= 2.0
+        list(stream)
+        fresh = ResultCache(tmp_path)
+        assert [fresh.get(job.key()) is None for job in jobs] \
+            == [i == index for i in range(len(jobs))]
 
     def test_partial_writes_resume(self, tmp_path, jobs, monkeypatch):
         writev = os.writev
