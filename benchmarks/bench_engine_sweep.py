@@ -18,8 +18,14 @@ the engine's two wins on a quick-scale sweep:
 * the **parallel executor** must produce bit-identical datasets (its
   wall-clock win is reported informationally — it depends on the
   machine's core count).
+
+The four sweep times and the disk-vs-batched ratio land in
+``BENCH_engine_sweep.json`` (a CI artifact); ``tools/bench_report.py``
+collates it without a gate, so the disk-warm ratio has a record across
+changes.
 """
 
+import json
 import time
 
 import numpy as np
@@ -88,6 +94,19 @@ def test_cached_rerun_5x_faster_than_cold_sequential(tmp_path, monkeypatch):
     print(f"  disk vs batched : {cold_batched / disk:8.1f}x "
           f"(memory-warm {cold_batched / warm:.1f}x)")
     print(f"  cache stats     : {engine.cache.stats.describe()}")
+    record = {
+        "bench": "engine_sweep",
+        "benchmarks": list(BENCHMARKS),
+        "n_runs": n_runs,
+        "n_samples": N_SAMPLES,
+        "cold_sequential_seconds": round(cold, 4),
+        "cold_batched_seconds": round(cold_batched, 4),
+        "memory_warm_seconds": round(warm, 4),
+        "disk_warm_seconds": round(disk, 4),
+        "disk_vs_batched": round(cold_batched / disk, 2),
+    }
+    with open("BENCH_engine_sweep.json", "w") as handle:
+        json.dump(record, handle, indent=2)
 
     # Identical contents, much faster.
     for bench in BENCHMARKS:

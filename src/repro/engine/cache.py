@@ -25,15 +25,23 @@ one-row segment.
 
 Readers index key -> (segment, row offset, length, CRC, layout) from
 the footers and block headers, the newest segment (mtime, then name)
-winning a key.  A miss is a dict lookup, and rescans the directory only
-when its ``st_mtime_ns`` changed since the last scan (a segment
-committed in the same timestamp tick as that scan stays invisible until
-the directory changes again: a re-simulation, never a wrong result).  A
-hit is one ``pread`` of the row plus one copy, which the result's
-arrays view.  A bad trailer (or an earlier layout's magic) or footer
-CRC makes a segment's keys miss; a bad block magic, header CRC or dtype
-that block's keys; a bad row CRC or length, or an entry past the
-blocks, that key.  The re-simulated result lands in a newer segment.
+winning a key.  A lookup takes a batch of keys
+(:meth:`ResultCache.get_many`).  A miss is a dict lookup; a batch with
+misses stats the directory once and rescans it only when its
+``st_mtime_ns`` changed since the last scan.  A commit records the
+mtime it leaves when the directory was unchanged since the last scan,
+so a cache's own commits cost no rescan.  Two windows leave another
+process's segment invisible until the directory changes again (a
+re-simulation, never a wrong result): a commit in the same timestamp
+tick as the last scan, and a commit made while this cache commits.
+The hits of one stored block are read with one ``preadv`` per run of
+nearby rows into one private buffer, checked row by row, and returned
+as the rows of one block whose arrays view that buffer; a row whose
+stored config values differ from the requesting job's config misses.
+A bad trailer (or an earlier layout's magic) or footer CRC makes a
+segment's keys miss; a bad block magic, header CRC or dtype that
+block's keys; a bad row CRC or length, or an entry past the blocks,
+that key.  The re-simulated result lands in a newer segment.
 
 The disk tier has a real lifecycle:
 
@@ -63,11 +71,11 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import EngineError
+from repro.errors import EngineError, ReproError
 from repro.engine.jobs import KEY_VERSION
 from repro.uarch.params import MachineConfig
 from repro.uarch.simulator import ResultBlock, SimulationResult
@@ -106,6 +114,13 @@ _NUMERIC_KINDS = "biufc"
 #: MachineConfig field -> the declared type its value is rebuilt with.
 _CONFIG_TYPES = {f.name: {"bool": bool, "int": int}.get(f.type, float)
                  for f in dataclasses.fields(MachineConfig)}
+_CONFIG_NAMES = tuple(_CONFIG_TYPES)
+
+#: A lookup reads rows of one block at most this many bytes apart with
+#: one ``preadv``, reading the bytes between them too.
+GAP_BYTES = 1 << 20
+#: Rows per ``preadv``: each takes at most two of its 1,024 iovecs.
+_RUN_ROWS = 500
 
 
 @dataclass
@@ -147,7 +162,7 @@ class _Layout(NamedTuple):
     meta: dict  # the block's benchmark, backend and n_samples
     config: Tuple[str, ...]  # config field names, stored first as float64
     converters: tuple  # each config name's MachineConfig type, or None
-    arrays: tuple  # (group, name, dtype, (1, *row shape), row bytes)
+    arrays: tuple  # (group, name, dtype, row shape, row strides, bytes)
     row_bytes: int
 
 
@@ -351,6 +366,8 @@ class ResultCache:
     def get(self, key: str) -> Optional[SimulationResult]:
         """The cached result for ``key``, or ``None`` on a miss.
 
+        ``get_many([key])[0]``: see :meth:`get_many`.
+
         Parameters
         ----------
         key:
@@ -362,39 +379,93 @@ class ResultCache:
             ``None`` on a miss *and* on an unreadable/corrupt disk
             row (a later commit of the key supersedes it).
         """
-        if key in self._memory:
-            self.stats.memory_hits += 1
-            self._memory.move_to_end(key)
-            return self._memory[key]
-        if self.cache_dir is not None:
-            self._index()
-            result = self._load(key)
-            if result is None and self._mtime_now() != self._dir_mtime:
-                self._scan()  # a commit since the last scan: look again
-                result = self._load(key)
-            if result is not None:
-                self.stats.disk_hits += 1
-                self._remember(key, result)
-                return result
-        self.stats.misses += 1
-        return None
+        return self.get_many([key])[0]
 
-    def _load(self, key: str) -> Optional[SimulationResult]:
-        """Read and decode ``key``'s row; ``None`` if it is not
-        indexed, has vanished or is damaged."""
-        where = self._keys.get(key)
-        if where is None:
-            return None
-        name, offset, length, crc, layout = where
-        try:
-            fd = os.open(os.path.join(self.cache_dir, name), os.O_RDONLY)
-            try:
-                row = os.pread(fd, length, offset)
-            finally:
-                os.close(fd)
-            return _decode(row, crc, layout)
-        except Exception:
-            return None
+    def get_many(self, keys: Sequence[str],
+                 configs: Optional[Sequence[MachineConfig]] = None,
+                 ) -> List[Optional[SimulationResult]]:
+        """The cached result for each of ``keys``, ``None`` for a miss.
+
+        One lookup for a batch.  The memory tier answers first; the
+        keys it lacks are looked up on disk, where the directory is
+        stat'ed at most once (after a miss, to rescan it if it changed
+        since the last scan).  Rows stored in one block are read with
+        one ``preadv`` per run of nearby rows into one private buffer,
+        checked row by row, and returned as rows of one
+        :class:`~repro.uarch.simulator.ResultBlock` over that buffer.
+        A key repeated in ``keys`` counts as a memory hit after its
+        first disk hit (a disk hit again with the memory tier off), as
+        one :meth:`get` per key would.
+
+        Parameters
+        ----------
+        keys:
+            Jobs' content-hash keys.
+        configs:
+            Each key's job config, if known.  A disk row then hits only
+            if its stored config values equal ``config.key()``, and its
+            result carries that config; without it, the config is
+            rebuilt (and validated) from the stored values.
+
+        Returns
+        -------
+        list of SimulationResult or None
+            Index-aligned with ``keys``; ``None`` on a miss and on an
+            unreadable or damaged disk row.
+        """
+        results: List[Optional[SimulationResult]] = [None] * len(keys)
+        wanted: Dict[str, List[int]] = {}  # key -> its indices in keys
+        for index, key in enumerate(keys):
+            result = self._memory.get(key)
+            if result is not None:
+                self.stats.memory_hits += 1
+                self._memory.move_to_end(key)
+                results[index] = result
+            else:
+                wanted.setdefault(key, []).append(index)
+        if wanted and self.cache_dir is not None:
+            known = {key: configs[indices[0]] if configs is not None
+                     else None for key, indices in wanted.items()}
+            self._index()
+            found = self._load(known)
+            if len(found) < len(known) and \
+                    self._mtime_now() != self._dir_mtime:
+                self._scan()  # a commit since the last scan: look again
+                found.update(self._load({key: config for key, config
+                                         in known.items()
+                                         if key not in found}))
+            for key, result in found.items():
+                indices = wanted.pop(key)
+                self.stats.disk_hits += 1
+                if self.memory_items:
+                    self.stats.memory_hits += len(indices) - 1
+                else:
+                    self.stats.disk_hits += len(indices) - 1
+                self._remember(key, result)
+                for index in indices:
+                    results[index] = result
+        self.stats.misses += sum(map(len, wanted.values()))
+        return results
+
+    def _load(self, configs: Dict[str, Optional[MachineConfig]],
+              ) -> Dict[str, SimulationResult]:
+        """Read and decode the rows of ``configs``' keys (key -> config
+        or ``None``), one buffer per segment and layout; a key that is
+        not indexed, has vanished or is damaged is left out."""
+        groups: Dict[Tuple[str, bytes], list] = {}
+        for key, config in configs.items():
+            where = self._keys.get(key)
+            if where is not None:
+                name, offset, _, crc, layout = where
+                groups.setdefault((name, layout.header), []).append(
+                    (offset, crc, key, config, layout))
+        found: Dict[str, SimulationResult] = {}
+        for (name, _), rows in groups.items():
+            rows.sort(key=lambda row: row[0])
+            with contextlib.suppress(OSError, ValueError):
+                found.update(_read_rows(os.path.join(self.cache_dir, name),
+                                        rows[0][4], rows))
+        return found
 
     def put(self, key: str, result: SimulationResult,
             pending: Optional[PendingSegment] = None) -> None:
@@ -461,6 +532,9 @@ class ResultCache:
                 f"{SUFFIX}")
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         segments = self._index()
+        # Unchanged since the last scan: this commit's own change to the
+        # directory needs no rescan (see the module docstring).
+        unchanged = self._mtime_now() == self._dir_mtime
         path = self.cache_dir / name
         fd, tmp = tempfile.mkstemp(dir=str(self.cache_dir), prefix=name,
                                    suffix=".tmp")
@@ -494,6 +568,8 @@ class ResultCache:
         self._keys.update(segments[name].entries)
         self.stats.bytes_written += stat.st_size
         self._enforce_cap(self.max_bytes)
+        if unchanged:
+            self._dir_mtime = self._mtime_now()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -605,13 +681,15 @@ def _layout(header: bytes) -> _Layout:
             dtype = np.dtype(descr)
             if dtype.kind not in _NUMERIC_KINDS:
                 raise ValueError(f"refusing dtype {descr}")
-            arrays.append((group, name, dtype, (1, *shape),
+            arrays.append((group, name, dtype, tuple(shape),
+                           tuple(dtype.itemsize * math.prod(shape[i + 1:])
+                                 for i in range(len(shape))),
                            dtype.itemsize * math.prod(shape)))
     return _Layout(header, dict(benchmark=str(fields["benchmark"]),
                                 backend=str(fields["backend"]),
                                 n_samples=int(fields["n_samples"])),
                    config, tuple(map(_CONFIG_TYPES.get, config)),
-                   tuple(arrays), 8 * len(config) + sum(a[4] for a in arrays))
+                   tuple(arrays), 8 * len(config) + sum(a[-1] for a in arrays))
 
 
 def _block_layout(block: ResultBlock) -> _Layout:
@@ -625,7 +703,7 @@ def _block_layout(block: ResultBlock) -> _Layout:
             layout[group].append([name, arr.dtype.str, arr.shape[1:]])
     return _layout(json.dumps(dict(
         benchmark=block.benchmark, backend=block.backend,
-        n_samples=int(block.n_samples), config=list(_CONFIG_TYPES),
+        n_samples=int(block.n_samples), config=list(_CONFIG_NAMES),
         **layout), separators=(",", ":")).encode("utf8"))
 
 
@@ -653,7 +731,7 @@ def _encode(block: ResultBlock, layout: _Layout,
                                         for row in rows]
     if rows == list(range(rows[0], rows[0] + len(rows))):
         rows = slice(rows[0], rows[0] + len(rows))  # no gather copy
-    for group, name, dtype, _, nbytes in layout.arrays:
+    for group, name, dtype, _, _, nbytes in layout.arrays:
         if nbytes:
             data[:, start:start + nbytes].view(dtype)[...] = getattr(
                 block, group)[name][rows].reshape(len(data), -1)
@@ -676,25 +754,83 @@ def _write_all(fd: int, parts) -> None:
             views[0] = views[0][written:]
 
 
-def _decode(row: bytes, crc: int, layout: _Layout) -> SimulationResult:
-    """Decode a row the footer lists with ``crc`` as the row of a one-row
-    block over one writable copy; any damage raises (a miss)."""
-    if len(row) != layout.row_bytes or zlib.crc32(row) != crc:
-        raise ValueError("bad row length or checksum")
-    buffer = bytearray(row)
-    values = np.frombuffer(buffer, "<f8", len(layout.config)).tolist()
-    config = MachineConfig(**{
-        name: convert(value) for name, convert, value
-        in zip(layout.config, layout.converters, values)
-        if convert  # forward compatibility
-    })
+def _read_rows(path: str, layout: _Layout, rows: list,
+               ) -> Dict[str, SimulationResult]:
+    """Read ``rows`` of one ``layout`` from the segment at ``path`` into
+    one private buffer; every row that checks out becomes a row of one
+    block over it.
+
+    ``rows`` are ``(offset, crc, key, config or None, layout)``, by
+    offset.  Rows at most :data:`GAP_BYTES` apart are read with one
+    ``preadv``, the bytes between them into a scratch buffer.  A row
+    misses if it is short, fails its CRC, or has stored config values
+    unequal to its known config's or, with none known, that do not
+    rebuild a valid :class:`MachineConfig`.  The buffer is compacted
+    to the rows that hit when some miss.
+    """
+    length = layout.row_bytes
+    runs: List[List[int]] = []
+    for index, row in enumerate(rows):
+        if not runs or len(runs[-1]) == _RUN_ROWS or not 0 <= (
+                row[0] - rows[runs[-1][-1]][0] - length) <= GAP_BYTES:
+            runs.append([])
+        runs[-1].append(index)
+    buffer = bytearray(len(rows) * length)
+    view = memoryview(buffer)
+    scratch = memoryview(bytearray(max(
+        (rows[i][0] - rows[i - 1][0] - length for run in runs
+         for i in run[1:]), default=0)))
+    ok = np.zeros(len(rows), bool)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        for run in runs:
+            start = end = rows[run[0]][0]
+            parts = []
+            for index in run:
+                if rows[index][0] > end:
+                    parts.append(scratch[:rows[index][0] - end])
+                parts.append(view[index * length:(index + 1) * length])
+                end = rows[index][0] + length
+            read = os.preadv(fd, parts, start)
+            for index in run:
+                ok[index] = rows[index][0] + length - start <= read and \
+                    zlib.crc32(view[index * length:(index + 1) * length]) \
+                    == rows[index][1]
+    finally:
+        os.close(fd)
+    configs = [row[3] for row in rows]
+    values = np.ndarray((len(rows), len(layout.config)), "<f8", buffer,
+                        strides=(length, 8))
+    if layout.config == _CONFIG_NAMES and None not in configs:
+        ok &= (values == np.array([config.key() for config in configs],
+                                  float)).all(axis=1)
+    else:
+        for index in np.flatnonzero(ok):
+            try:
+                configs[index] = MachineConfig(**{
+                    name: convert(value) for name, convert, value
+                    in zip(layout.config, layout.converters,
+                           values[index].tolist())
+                    if convert  # forward compatibility
+                })
+            except (ReproError, TypeError, ValueError, OverflowError):
+                ok[index] = False
+    hits = np.flatnonzero(ok).tolist()
+    if not hits:
+        return {}
+    if len(hits) < len(rows):
+        buffer = bytearray().join(view[index * length:(index + 1) * length]
+                                  for index in hits)
     groups = {"traces": {}, "components": {}}
     offset = 8 * len(layout.config)
-    for group, name, dtype, shape, nbytes in layout.arrays:
-        groups[group][name] = np.ndarray(shape, dtype, buffer, offset)
+    for group, name, dtype, shape, strides, nbytes in layout.arrays:
+        groups[group][name] = np.ndarray((len(hits), *shape), dtype, buffer,
+                                         offset, (length, *strides))
         offset += nbytes
-    return ResultBlock(configs=(config,), buffer=buffer, **layout.meta,
-                       **groups).row(0)
+    block = ResultBlock(configs=tuple(configs[index] for index in hits),
+                        buffer=buffer, **layout.meta, **groups)
+    return {rows[index][2]: block.row(position)
+            for position, index in enumerate(hits)}
 
 
 def _pack_footer(entries) -> bytes:

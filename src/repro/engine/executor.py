@@ -678,7 +678,8 @@ class ExecutionEngine:
         unique misses are dispatched to the executor eagerly, so a
         process pool starts simulating before the handle is consumed.
         Each job is hashed once: its key serves the dedup, the cache
-        lookup and the store.  The handle commits its stored results
+        lookup (one :meth:`~repro.engine.cache.ResultCache.get_many`
+        call for the batch's distinct keys) and the store.  The handle commits its stored results
         to the disk tier as one segment when the batch drains.
 
         Parameters
@@ -709,16 +710,27 @@ class ExecutionEngine:
         if on_result is not None:
             callbacks.append(on_result)
 
+        keys = [job.key() for job in jobs]
+        hits: List[Optional[SimulationResult]] = [None] * len(jobs)
+        if self.cache is not None:
+            first: Dict[str, int] = {}
+            for i, key in enumerate(keys):
+                first.setdefault(key, i)
+            self._lookup(jobs, keys, list(first.values()), hits)
+            # A duplicate of a hit is looked up as its own job (a memory
+            # hit while the memory tier holds the first); one of a miss
+            # is not looked up, it shares the miss's run.
+            self._lookup(jobs, keys, [
+                i for i, key in enumerate(keys)
+                if first[key] != i and hits[first[key]] is not None], hits)
+
         pending: Dict[str, int] = {}  # job key -> unique-miss index
         fanout: Dict[int, List[int]] = {}
         unique_jobs: List[SimJob] = []
-        for i, job in enumerate(jobs):
-            key = job.key()
+        for i, (job, key, cached) in enumerate(zip(jobs, keys, hits)):
             if key in pending:
                 fanout[pending[key]].append(i)
-                continue
-            cached = self.cache.get(key) if self.cache is not None else None
-            if cached is not None:
+            elif cached is not None:
                 results[i] = cached
                 resolved[i] = True
                 ready.append((i, cached))
@@ -733,6 +745,17 @@ class ExecutionEngine:
         return BatchHandle(jobs, results, resolved, ready, stream,
                            unique_jobs, list(pending), fanout, self.cache,
                            callbacks)
+
+    def _lookup(self, jobs: List[SimJob], keys: List[str],
+                indices: List[int],
+                hits: List[Optional[SimulationResult]]) -> None:
+        """Look ``indices``' jobs up in the cache as one batch, filling
+        ``hits`` at those indices."""
+        if indices:
+            found = self.cache.get_many([keys[i] for i in indices],
+                                        [jobs[i].config for i in indices])
+            for i, result in zip(indices, found):
+                hits[i] = result
 
     def _dispatch(self, unique_jobs: List[SimJob],
                   ) -> Iterator[Tuple[int, SimulationResult]]:

@@ -52,16 +52,18 @@ def _canonical(obj):
     return obj
 
 
-def _canonical_config(config: MachineConfig):
-    """:func:`_canonical` of a config, memoized on the frozen instance.
+def _config_repr(config: MachineConfig) -> str:
+    """``repr`` of :func:`_canonical` of a config, memoized on the frozen
+    instance.
 
     A sweep builds one job per (benchmark, config) pair, so every config
-    is keyed once per benchmark; the field walk runs only the first time.
+    is keyed once per benchmark; the field walk and its ``repr`` run only
+    the first time.
     """
-    cached = config.__dict__.get("_canonical")
+    cached = config.__dict__.get("_canonical_repr")
     if cached is None:
-        cached = _canonical(config)
-        object.__setattr__(config, "_canonical", cached)
+        cached = repr(_canonical(config))
+        object.__setattr__(config, "_canonical_repr", cached)
     return cached
 
 
@@ -159,20 +161,21 @@ class SimJob:
         cached = self.__dict__.get("_key")
         if cached is not None:
             return cached
+        # The repr of the tuple of these parts, built from their reprs
+        # so the config's (the bulk of it) is memoized.
         parts = [
-            KEY_VERSION,
-            self.benchmark,
-            self.backend,
-            self.n_samples,
-            _canonical_config(self.config),
+            repr(KEY_VERSION),
+            repr(self.benchmark),
+            repr(self.backend),
+            repr(self.n_samples),
+            _config_repr(self.config),
+            repr(("noise", self.noise) if self.backend == "interval"
+                 else ("ips", self.instructions_per_sample)),
         ]
-        if self.backend == "interval":
-            parts.append(("noise", self.noise))
-        else:
-            parts.append(("ips", self.instructions_per_sample))
         if self.workload is not None:
-            parts.append(("workload", _canonical(self.workload)))
-        key = hashlib.sha256(repr(tuple(parts)).encode("utf8")).hexdigest()
+            parts.append(repr(("workload", _canonical(self.workload))))
+        text = "(" + ", ".join(parts) + ")"
+        key = hashlib.sha256(text.encode("utf8")).hexdigest()
         object.__setattr__(self, "_key", key)
         return key
 

@@ -45,7 +45,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._validation import stable_hash
+from repro._validation import stable_hash_rows
 from repro.errors import SimulationError
 from repro.power.wattch import power_trace_batch
 from repro.reliability.avf import AVFModel, structure_capacity_bits
@@ -324,19 +324,9 @@ def _persistence_smooth_rows(traces: np.ndarray,
             + 0.25 * padded[:, 2:])
 
 
-def _noise(trace: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
-    """Deterministic texture: Gaussian at ``level`` x the trace's std."""
-    if level <= 0.0:
-        return trace
-    scale = level * float(np.std(trace))
-    if scale == 0.0:
-        scale = level * max(abs(float(np.mean(trace))), 1e-12) * 0.1
-    return trace + rng.normal(scale=scale, size=trace.shape)
-
-
 def _noise_scales(traces: np.ndarray, level: float) -> np.ndarray:
-    """Per-row noise scales, vectorized: ``level * std`` with the
-    near-constant-trace fallback of :func:`_noise`.
+    """Per-row noise scales, vectorized: ``level * std``, or for a flat
+    row ``level * max(|mean|, 1e-12) * 0.1``.
 
     ``np.std`` over the last axis of a C-contiguous matrix reduces each
     row with the same pairwise order as a standalone per-row call, so
@@ -443,23 +433,29 @@ def simulate_interval_batch(workload: WorkloadModel,
         # Per-config streams: each row's generator is seeded from that
         # config's content and drawn in the scalar path's exact order
         # (cpi, power, avf, iq_avf) — batching a job next to others
-        # never changes its texture.  Everything except the ordered
-        # draws themselves is vectorized: noise scales row-wise up
-        # front, floor/ceiling clamps matrix-wide afterwards.
+        # never changes its texture.  A row's draws for its k noisy
+        # traces are one standard_normal(k * n_samples) call, the same
+        # stream as k normal(size=n_samples) calls; everything else is
+        # matrix-wide: scales up front, then ``0.0 + scale * z`` (what
+        # normal(scale=...) computes per sample) and the clamps.
         levels = workload.noise
         planned = [
-            (traces, _noise_scales(traces, level) if level > 0.0 else None)
+            (traces, _noise_scales(traces, level))
             for traces, level in ((cpi, levels.cpi), (power, levels.power),
                                   (processor_avf, levels.avf),
-                                  (iq_avf, levels.avf))
+                                  (iq_avf, levels.avf)) if level > 0.0
         ]
-        for row, config in enumerate(batch.configs):
-            rng = np.random.default_rng(
-                stable_hash(workload.name, config.key(), n_samples))
-            for traces, scales in planned:
-                if scales is not None:
-                    traces[row] += rng.normal(scale=scales[row],
-                                              size=n_samples)
+        if planned:
+            seeds = stable_hash_rows([(workload.name, config.key(),
+                                       n_samples)
+                                      for config in batch.configs])
+            draws = np.stack([
+                np.random.default_rng(seed).standard_normal(
+                    len(planned) * n_samples)
+                for seed in seeds
+            ]).reshape(n_configs, len(planned), n_samples)
+            for index, (traces, scales) in enumerate(planned):
+                traces += 0.0 + scales[:, None] * draws[:, index]
         cpi = np.maximum(cpi, 0.05)
         power = np.maximum(power, 1.0)
         processor_avf = np.clip(processor_avf, 0.0, 1.0)

@@ -118,11 +118,11 @@ class MachineConfig:
         return cached
 
     def __getstate__(self):
-        # SimJob.key() memoizes the config's canonical form on the
-        # instance; it is larger than the config itself and workers
-        # receive jobs already keyed, so it stays out of pickles.
+        # SimJob.key() memoizes the repr of the config's canonical form
+        # on the instance; it is larger than the config itself and
+        # workers receive jobs already keyed, so it stays out of pickles.
         state = dict(self.__dict__)
-        state.pop("_canonical", None)
+        state.pop("_canonical_repr", None)
         return state
 
     def with_dvm(self, enabled: bool = True, threshold: float = None) -> "MachineConfig":

@@ -90,9 +90,10 @@ class SimulationResult:
         batch-wide arena.  Detaching copies each array into private,
         writable memory and drops the block reference, so long-lived
         stores such as the in-memory result cache never pin a whole
-        block or arena through one row.  The row of a block over its own
-        private :attr:`ResultBlock.buffer` (a cache hit) and a lone
-        result whose arrays own their memory are returned unchanged.
+        block or arena through one row.  A row of a block over its own
+        private :attr:`ResultBlock.buffer` (a disk-cache hit: that buffer
+        holds just the rows one lookup read from one stored block) and a
+        lone result whose arrays own their memory are returned unchanged.
         """
         if self.block is not None:
             if self.block.buffer is not None:
@@ -127,8 +128,8 @@ class ResultBlock:
     configs: Tuple[MachineConfig, ...]
     traces: Dict[str, np.ndarray]
     components: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: The private buffer every array of a one-row block views, when the
-    #: block holds nothing else (a decoded cache row); else ``None``.
+    #: The private buffer every array of the block views, when it holds
+    #: nothing else (the rows one cache lookup read); else ``None``.
     buffer: Optional[bytearray] = field(default=None, repr=False,
                                         compare=False)
 

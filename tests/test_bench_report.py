@@ -130,6 +130,8 @@ _RECORDS_AT_PINNED_GATES = {
     "predictor_fit": {"tree_speedup": 2.0, "forest_speedup": 4.0,
                       "trees_bit_identical": True,
                       "predict_bit_identical": True},
+    "engine_sweep": {"cold_batched_seconds": 0.2, "disk_warm_seconds": 0.1,
+                     "disk_vs_batched": 2.0},
 }
 
 
@@ -149,3 +151,16 @@ def test_records_at_pinned_gates_pass(tmp_path):
     assert summary["failures"] == 0
     assert summary["checks_run"] == 19
     assert summary["skipped"] == []
+
+
+def test_engine_sweep_record_is_read_not_gated(tmp_path):
+    """The disk-warm ratio is recorded across changes, never a failure."""
+    _write(tmp_path, "BENCH_engine_sweep.json",
+           {"bench": "engine_sweep", "cold_batched_seconds": 0.2,
+            "disk_warm_seconds": 0.4, "disk_vs_batched": 0.5})
+    summary = bench_report.build_summary(tmp_path)
+    assert (summary["checks_run"], summary["failures"]) == (0, 0)
+    [info] = summary["info"]
+    assert info["file"] == "BENCH_engine_sweep.json"
+    assert "0.5x" in info["detail"] and "not gated" in info["detail"]
+    assert "BENCH_engine_sweep.json" in summary["benches"]

@@ -50,6 +50,7 @@ from repro.engine.kernel import run_jobs
 from repro.errors import EngineError, SimulationError
 from repro.uarch.params import baseline_config
 from repro.uarch.simulator import DOMAINS
+from repro.workloads.spec2000 import BENCHMARK_NAMES
 
 
 def _arrays(result):
@@ -333,6 +334,70 @@ class TestFaultInjection:
 
         _resimulated_then_hit(tmp_path, jobs, affected,
                               [first_result, interval_result, last_result])
+
+
+class TestBatchLookup:
+    """Hits of one stored block read back as rows of one block over one
+    private buffer holding just the rows that lookup read."""
+
+    @pytest.fixture
+    def stored(self, tmp_path, interval_job, interval_result, siblings):
+        (first, first_result), (last, last_result) = siblings
+        jobs = [first, interval_job, last]
+        return (jobs, [first_result, interval_result, last_result],
+                _stored_segment(tmp_path, jobs))
+
+    @pytest.mark.parametrize("known", [False, True])
+    def test_damaged_row_misses_alone(self, tmp_path, stored, known):
+        jobs, expected, path = stored
+        [(head, rows)] = _blocks(path)
+        key, row, crc = rows[1]
+        path.write_bytes(_segment([(head, [rows[0], (key, _flip_last(row),
+                                                     crc), rows[2]])]))
+        probe = ResultCache(tmp_path)
+        got = probe.get_many([job.key() for job in jobs],
+                             [job.config for job in jobs] if known else None)
+        assert got[1] is None
+        assert (probe.stats.misses, probe.stats.disk_hits) == (1, 2)
+        for index in (0, 2):
+            _assert_same(got[index], expected[index])
+        # The blockmates share one buffer, compacted to the rows that hit.
+        assert got[0].block is got[2].block
+        assert [got[0].row, got[2].row] == [0, 1]
+        assert len(got[0].block.buffer) == 2 * len(row)
+        if known:
+            assert got[0].config is jobs[0].config
+
+    def test_row_of_another_config_is_a_miss(self, tmp_path, interval_job,
+                                             siblings):
+        (other, other_result), _ = siblings
+        ResultCache(tmp_path).put(interval_job.key(), other_result)
+        probe = ResultCache(tmp_path)
+        assert probe.get_many([interval_job.key()],
+                              [interval_job.config]) == [None]
+        assert probe.stats.misses == 1
+        # Without a config to compare, the stored one is rebuilt.
+        [loaded] = probe.get_many([interval_job.key()])
+        assert loaded.config == other.config != interval_job.config
+
+    def test_memory_tier_pins_only_the_lookups_buffer(self, tmp_path,
+                                                      stored):
+        jobs, expected, path = stored
+        [(_, rows)] = _blocks(path)
+        probe = ResultCache(tmp_path)
+        picked = [jobs[0], jobs[2]]
+        got = probe.get_many([job.key() for job in picked],
+                             [job.config for job in picked])
+        buffer = got[0].block.buffer
+        assert len(got[0].block) == 2
+        assert len(buffer) == 2 * len(rows[0][1])  # not the stored block
+        for job, result, want in zip(picked, got, expected[::2]):
+            _assert_same(result, want)
+            kept = probe._memory[job.key()]
+            assert kept is result and kept.block.buffer is buffer
+            for name, arr in _arrays(kept).items():
+                assert np.shares_memory(arr, np.frombuffer(buffer, np.uint8)
+                                        ), name
 
 
 def _truncated_footer(data, entries):
@@ -657,6 +722,25 @@ class TestBatchCommits:
 
 
 class TestSharedDirectory:
+    def test_own_commits_need_no_rescan(self, tmp_path, monkeypatch):
+        """A cache that saw the directory last indexes its own commits:
+        twelve one-benchmark batches list the directory once."""
+        scans = []
+        scan = ResultCache._scan
+
+        def counting_scan(cache):
+            scans.append(cache)
+            return scan(cache)
+
+        monkeypatch.setattr(ResultCache, "_scan", counting_scan)
+        runner = SweepRunner(engine=create_engine(cache_dir=tmp_path),
+                             n_samples=16)
+        configs = sample_train_configs(paper_design_space(), 4, seed=2)
+        for benchmark in BENCHMARK_NAMES:
+            runner.run_configs(benchmark, configs)
+        assert len(list(tmp_path.glob(f"*{SUFFIX}"))) == len(BENCHMARK_NAMES)
+        assert len(scans) == 1
+
     def test_other_process_commit_becomes_visible(
             self, tmp_path, monkeypatch, interval_job, interval_result,
             siblings):

@@ -254,6 +254,36 @@ class TestExecutionEngine:
         assert np.array_equal(results[0].trace("cpi"), results[2].trace("cpi"))
         assert results[1].config == jobs[1].config
 
+    @pytest.mark.parametrize("memory_items,want", [
+        (512, (2, 2, 3)),  # a hit's duplicates hit the memory tier
+        (0, (2, 5, 0)),    # without one, the disk again
+    ])
+    def test_half_warm_batch_with_duplicates(self, tmp_path, jobs,
+                                             memory_items, want):
+        """``(misses, disk hits, memory hits)`` and the order hits are
+        called back and yielded in, as one lookup per job gives them."""
+        create_engine(cache_dir=tmp_path).run([jobs[0], jobs[2]])
+        engine = ExecutionEngine(
+            cache=ResultCache(tmp_path, memory_items=memory_items))
+        batch = [jobs[i] for i in (1, 0, 2, 0, 1, 3, 2, 0)]
+        called = []
+        handle = engine.submit(batch, on_result=lambda i, job, result,
+                               cached: called.append((i, cached)))
+        hits = [1, 2, 3, 6, 7]
+        assert called == [(i, True) for i in hits]
+        assert handle.cache_hits == len(hits)
+        stats = engine.cache.stats
+        assert (stats.misses, stats.disk_hits, stats.memory_hits) == want
+        order = [index for index, _ in handle.as_completed()]
+        assert order[:len(hits)] == hits
+        assert sorted(order[len(hits):]) == [0, 4, 5]
+        results = handle.results()
+        if memory_items:
+            assert results[3] is results[1] and results[6] is results[2]
+        for job, result in zip(batch, results):
+            assert np.array_equal(result.trace("cpi"), job.run().trace("cpi"))
+            assert result.config == job.config
+
     def test_run_one(self, jobs):
         result = ExecutionEngine().run_one(jobs[0])
         assert isinstance(result, SimulationResult)

@@ -118,6 +118,49 @@ def test_key_unchanged_by_key_memoization():
     assert a == b and hash(a) == hash(b)
 
 
+def _recipe_key(job):
+    """The key as ``sha256(repr(tuple(parts)))``, built from scratch: no
+    memoized repr of the config."""
+    from repro.engine.jobs import KEY_VERSION, _canonical
+
+    parts = [KEY_VERSION, job.benchmark, job.backend, job.n_samples,
+             _canonical(job.config)]
+    if job.backend == "interval":
+        parts.append(("noise", job.noise))
+    else:
+        parts.append(("ips", job.instructions_per_sample))
+    if job.workload is not None:
+        parts.append(("workload", _canonical(job.workload)))
+    return hashlib.sha256(repr(tuple(parts)).encode("utf8")).hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["interval", "detailed", "workload",
+                                  "pickled_config"])
+def test_memoized_key_equals_the_repr_recipe(kind):
+    import pickle
+
+    config = baseline_config(rob_size=128, dl1_latency=2, dvm_enabled=True,
+                             dvm_threshold=0.125)
+    if kind == "pickled_config":
+        SimJob("gcc", config).key()  # memoize, then round-trip
+        assert "_canonical_repr" in config.__dict__
+        config = pickle.loads(pickle.dumps(config))
+        assert "_canonical_repr" not in config.__dict__
+    job = {
+        "interval": SimJob("gcc", config, n_samples=64, noise=False),
+        "detailed": SimJob("mcf", config, backend="detailed", n_samples=16,
+                           instructions_per_sample=200),
+        "workload": SimJob("swim", config, workload=get_benchmark("swim")),
+        "pickled_config": SimJob("gcc", config, n_samples=64),
+    }[kind]
+    want = _recipe_key(job)
+    assert job.key() == want
+    # A second job over the now-memoized config keys the same.
+    assert SimJob(job.benchmark, config, job.backend, job.n_samples,
+                  job.instructions_per_sample, job.noise,
+                  job.workload).key() == want
+
+
 # ----------------------------------------------------------------------
 # Batch == scalar, bit for bit
 # ----------------------------------------------------------------------

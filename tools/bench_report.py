@@ -12,7 +12,8 @@ Conditional floors stay conditional: speedup floors gated on numba in
 the benchmark (``min_speedup_enforced`` / ``numba_available``) are only
 enforced here when the record says the floor applied.  Missing files
 are reported as skipped, not failed — every CI leg runs a subset of the
-benchmarks.
+benchmarks.  Some records are read, not gated: the summary's ``info``
+lines carry one reading each (the engine sweep's disk-warm ratio).
 
 Usage::
 
@@ -26,11 +27,12 @@ import json
 import sys
 from pathlib import Path
 
-#: Benchmark records the report knows how to gate, by their ``bench``
-#: field.  Records without an entry are collated but not checked.
+#: Benchmark records the report expects, by their ``bench`` field: a
+#: missing one is reported.  Records without a checker are collated but
+#: not checked.
 KNOWN_BENCHES = (
     "kernel", "detailed_kernel", "detailed_backend", "shm_transport",
-    "streaming_sweep", "active_dse", "predictor_fit",
+    "streaming_sweep", "active_dse", "predictor_fit", "engine_sweep",
 )
 
 
@@ -142,11 +144,25 @@ _CHECKERS = {
 }
 
 
+def _info_engine_sweep(record):
+    ratio = record.get("disk_vs_batched")
+    return (f"disk-warm re-run {ratio}x faster than cold batched "
+            f"({record.get('disk_warm_seconds')} s vs "
+            f"{record.get('cold_batched_seconds')} s; not gated)")
+
+
+#: Records collated with a one-line reading but no gate, by ``bench``.
+_READERS = {
+    "engine_sweep": _info_engine_sweep,
+}
+
+
 def build_summary(directory: Path) -> dict:
     """Collate + check every ``BENCH_*.json`` under ``directory``."""
     benches = {}
     checks = []
     skipped = []
+    info = []
     for path in sorted(directory.glob("BENCH_*.json")):
         if path.name == "BENCH_SUMMARY.json":
             continue
@@ -163,6 +179,9 @@ def build_summary(directory: Path) -> dict:
             benches[path.name] = record
             continue
         benches[path.name] = record
+        if name in _READERS:
+            info.append({"file": path.name, "detail": _READERS[name](record)})
+            continue
         checker = _CHECKERS.get(name)
         if checker is None:
             skipped.append({"file": path.name,
@@ -181,6 +200,7 @@ def build_summary(directory: Path) -> dict:
         "failed_checks": failures,
         "checks": checks,
         "skipped": skipped,
+        "info": info,
         "benches": benches,
     }
 
@@ -199,6 +219,8 @@ def main(argv=None) -> int:
     for entry in summary["checks"]:
         mark = "ok  " if entry["ok"] else "FAIL"
         print(f"{mark} {entry['check']}: {entry['detail']}")
+    for entry in summary["info"]:
+        print(f"info {entry['file']}: {entry['detail']}")
     for entry in summary["skipped"]:
         print(f"skip {entry['file']}: {entry['reason']}")
     print(f"{summary['checks_run']} checks, {summary['failures']} failures "
