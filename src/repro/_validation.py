@@ -85,6 +85,11 @@ def rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+#: FNV-1a's 64-bit offset basis and prime.
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+
+
 def stable_hash(*parts) -> int:
     """Deterministic 64-bit hash of a tuple of primitives.
 
@@ -112,13 +117,14 @@ def stable_hash_rows(rows: Sequence[tuple]) -> List[int]:
     data = [b"".join(repr(part).encode("utf8") for part in row)
             for row in rows]
     order = sorted(range(len(data)), key=lambda i: -len(data[i]))
-    width = len(data[order[0]]) if data else 0
+    lengths = np.array([len(data[i]) for i in order], int)
+    width = int(lengths.max(initial=0))
     columns = np.frombuffer(b"".join(data[i].ljust(width, b"\0")
                                      for i in order), np.uint8)
     columns = np.ascontiguousarray(columns.reshape(len(data), width).T,
                                    np.uint64)
-    active = np.searchsorted(-np.array([len(data[i]) for i in order]),
-                             -np.arange(width), side="left")
+    # Per byte column, how many (of the longest-first) rows reach it.
+    active = (lengths[:, None] > np.arange(width)).sum(axis=0)
     acc = np.full(len(data), _FNV_OFFSET, np.uint64)
     prime = np.uint64(_FNV_PRIME)
     for column, count in zip(columns, active.tolist()):
@@ -129,7 +135,3 @@ def stable_hash_rows(rows: Sequence[tuple]) -> List[int]:
     for i, value in zip(order, acc.tolist()):
         hashes[i] = value
     return hashes
-
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3

@@ -92,11 +92,14 @@ def _gather(results: Sequence[SimulationResult], domain: str,
             id(block), (block.traces[domain], [], []))
         positions.append(position)
         rows.append(result.row)
-    if len(blocks) == 1 and matrix.flags.c_contiguous \
-            and rows == list(range(rows[0], rows[0] + len(rows))):
-        return matrix[rows[0]:rows[0] + len(rows)]
-    out = np.empty((len(results), *matrix.shape[1:]), np.result_type(
-        *(matrix for matrix, _, _ in blocks.values())))
+    if len(blocks) == 1:
+        [(matrix, _, rows)] = blocks.values()
+        if matrix.flags.c_contiguous \
+                and rows == list(range(rows[0], rows[0] + len(rows))):
+            return matrix[rows[0]:rows[0] + len(rows)]
+    matrices = [matrix for matrix, _, _ in blocks.values()]
+    out = np.empty((len(results), *matrices[0].shape[1:]),
+                   np.result_type(*matrices))
     for matrix, positions, rows in blocks.values():
         out[positions] = matrix[rows]
     return out

@@ -452,19 +452,19 @@ class ResultCache:
         """Read and decode the rows of ``configs``' keys (key -> config
         or ``None``), one buffer per segment and layout; a key that is
         not indexed, has vanished or is damaged is left out."""
-        groups: Dict[Tuple[str, bytes], list] = {}
+        groups: Dict[Tuple[str, bytes], Tuple[_Layout, list]] = {}
         for key, config in configs.items():
             where = self._keys.get(key)
             if where is not None:
                 name, offset, _, crc, layout = where
-                groups.setdefault((name, layout.header), []).append(
-                    (offset, crc, key, config, layout))
+                groups.setdefault((name, layout.header), (layout, []))[
+                    1].append((offset, crc, key, config))
         found: Dict[str, SimulationResult] = {}
-        for (name, _), rows in groups.items():
+        for (name, _), (layout, rows) in groups.items():
             rows.sort(key=lambda row: row[0])
             with contextlib.suppress(OSError, ValueError):
                 found.update(_read_rows(os.path.join(self.cache_dir, name),
-                                        rows[0][4], rows))
+                                        layout, rows))
         return found
 
     def put(self, key: str, result: SimulationResult,
@@ -760,8 +760,7 @@ def _read_rows(path: str, layout: _Layout, rows: list,
     one private buffer; every row that checks out becomes a row of one
     block over it.
 
-    ``rows`` are ``(offset, crc, key, config or None, layout)``, by
-    offset.  Rows at most :data:`GAP_BYTES` apart are read with one
+    ``rows`` are ``(offset, crc, key, config or None)``, by offset.  Rows at most :data:`GAP_BYTES` apart are read with one
     ``preadv``, the bytes between them into a scratch buffer.  A row
     misses if it is short, fails its CRC, or has stored config values
     unequal to its known config's or, with none known, that do not
@@ -769,10 +768,10 @@ def _read_rows(path: str, layout: _Layout, rows: list,
     to the rows that hit when some miss.
     """
     length = layout.row_bytes
-    runs: List[List[int]] = []
+    runs: List[List[int]] = []  # row indices read by one preadv each
     for index, row in enumerate(rows):
-        if not runs or len(runs[-1]) == _RUN_ROWS or not 0 <= (
-                row[0] - rows[runs[-1][-1]][0] - length) <= GAP_BYTES:
+        gap = row[0] - rows[index - 1][0] - length if index else -1
+        if not 0 <= gap <= GAP_BYTES or len(runs[-1]) == _RUN_ROWS:
             runs.append([])
         runs[-1].append(index)
     buffer = bytearray(len(rows) * length)

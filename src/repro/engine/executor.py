@@ -679,8 +679,9 @@ class ExecutionEngine:
         process pool starts simulating before the handle is consumed.
         Each job is hashed once: its key serves the dedup, the cache
         lookup (one :meth:`~repro.engine.cache.ResultCache.get_many`
-        call for the batch's distinct keys) and the store.  The handle commits its stored results
-        to the disk tier as one segment when the batch drains.
+        call for the batch's distinct keys) and the store.  The handle
+        commits its stored results to the disk tier as one segment when
+        the batch drains.
 
         Parameters
         ----------

@@ -368,6 +368,44 @@ class TestBatchLookup:
         if known:
             assert got[0].config is jobs[0].config
 
+    @pytest.mark.parametrize("gap,per_read,reads", [
+        (cache_module.GAP_BYTES, cache_module._RUN_ROWS, 1),
+        (0, cache_module._RUN_ROWS, 2),  # rows 0 and 2: not adjacent
+        (cache_module.GAP_BYTES, 1, 2),
+    ])
+    def test_rows_read_in_runs(self, tmp_path, stored, monkeypatch, gap,
+                               per_read, reads):
+        jobs, expected, _ = stored
+        calls = []
+        preadv = os.preadv
+
+        def counting_preadv(fd, buffers, offset):
+            calls.append(len(buffers))
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(cache_module, "GAP_BYTES", gap)
+        monkeypatch.setattr(cache_module, "_RUN_ROWS", per_read)
+        monkeypatch.setattr(cache_module.os, "preadv", counting_preadv)
+        picked = [jobs[2], jobs[0]]
+        got = ResultCache(tmp_path).get_many([job.key() for job in picked])
+        assert len(calls) == reads
+        assert [result.row for result in got] == [1, 0]  # by file offset
+        for result, want in zip(got, [expected[2], expected[0]]):
+            _assert_same(result, want)
+
+    def test_rows_cut_off_after_indexing_miss(self, tmp_path, stored):
+        """A segment truncated under an open index: the rows past the
+        end read short and miss; the rows before still hit."""
+        jobs, expected, path = stored
+        probe = ResultCache(tmp_path)
+        assert len(probe) == 3  # indexed
+        entries = _footer(path)
+        with open(path, "r+b") as handle:
+            handle.truncate(entries[1][2] + entries[1][3] // 2)
+        got = probe.get_many([job.key() for job in jobs])
+        assert [result is None for result in got] == [False, True, True]
+        _assert_same(got[0], expected[0])
+
     def test_row_of_another_config_is_a_miss(self, tmp_path, interval_job,
                                              siblings):
         (other, other_result), _ = siblings
