@@ -35,7 +35,7 @@ process's segment invisible until the directory changes again (a
 re-simulation, never a wrong result): a commit in the same timestamp
 tick as the last scan, and a commit made while this cache commits.
 The hits of one stored block are read with one ``preadv`` per run of
-nearby rows into one private buffer, checked row by row, and returned
+adjacent rows into one private buffer, checked row by row, and returned
 as the rows of one block whose arrays view that buffer; a row whose
 stored config values differ from the requesting job's config misses.
 A bad trailer (or an earlier layout's magic) or footer CRC makes a
@@ -115,12 +115,6 @@ _NUMERIC_KINDS = "biufc"
 _CONFIG_TYPES = {f.name: {"bool": bool, "int": int}.get(f.type, float)
                  for f in dataclasses.fields(MachineConfig)}
 _CONFIG_NAMES = tuple(_CONFIG_TYPES)
-
-#: A lookup reads rows of one block at most this many bytes apart with
-#: one ``preadv``, reading the bytes between them too.
-GAP_BYTES = 1 << 20
-#: Rows per ``preadv``: each takes at most two of its 1,024 iovecs.
-_RUN_ROWS = 500
 
 
 @dataclass
@@ -390,7 +384,7 @@ class ResultCache:
         keys it lacks are looked up on disk, where the directory is
         stat'ed at most once (after a miss, to rescan it if it changed
         since the last scan).  Rows stored in one block are read with
-        one ``preadv`` per run of nearby rows into one private buffer,
+        one ``preadv`` per run of adjacent rows into one private buffer,
         checked row by row, and returned as rows of one
         :class:`~repro.uarch.simulator.ResultBlock` over that buffer.
         A key repeated in ``keys`` counts as a memory hit after its
@@ -760,41 +754,30 @@ def _read_rows(path: str, layout: _Layout, rows: list,
     one private buffer; every row that checks out becomes a row of one
     block over it.
 
-    ``rows`` are ``(offset, crc, key, config or None)``, by offset.  Rows at most :data:`GAP_BYTES` apart are read with one
-    ``preadv``, the bytes between them into a scratch buffer.  A row
-    misses if it is short, fails its CRC, or has stored config values
-    unequal to its known config's or, with none known, that do not
-    rebuild a valid :class:`MachineConfig`.  The buffer is compacted
-    to the rows that hit when some miss.
+    ``rows`` are ``(offset, crc, key, config or None)``, by offset.  Each
+    run of adjacent rows is read with one ``preadv`` straight into its
+    part of the buffer.  A row misses if it is short, fails its CRC, or
+    has stored config values unequal to its known config's or, with
+    none known, that do not rebuild a valid :class:`MachineConfig`.
+    The buffer is compacted to the rows that hit when some miss.
     """
     length = layout.row_bytes
-    runs: List[List[int]] = []  # row indices read by one preadv each
-    for index, row in enumerate(rows):
-        gap = row[0] - rows[index - 1][0] - length if index else -1
-        if not 0 <= gap <= GAP_BYTES or len(runs[-1]) == _RUN_ROWS:
-            runs.append([])
-        runs[-1].append(index)
     buffer = bytearray(len(rows) * length)
     view = memoryview(buffer)
-    scratch = memoryview(bytearray(max(
-        (rows[i][0] - rows[i - 1][0] - length for run in runs
-         for i in run[1:]), default=0)))
     ok = np.zeros(len(rows), bool)
     fd = os.open(path, os.O_RDONLY)
     try:
-        for run in runs:
-            start = end = rows[run[0]][0]
-            parts = []
-            for index in run:
-                if rows[index][0] > end:
-                    parts.append(scratch[:rows[index][0] - end])
-                parts.append(view[index * length:(index + 1) * length])
-                end = rows[index][0] + length
-            read = os.preadv(fd, parts, start)
-            for index in run:
-                ok[index] = rows[index][0] + length - start <= read and \
+        first = 0  # the current run's first row
+        for end in range(1, len(rows) + 1):
+            if end < len(rows) and rows[end][0] == rows[end - 1][0] + length:
+                continue
+            read = os.preadv(fd, [view[first * length:end * length]],
+                             rows[first][0])
+            for index in range(first, end):
+                ok[index] = (index + 1 - first) * length <= read and \
                     zlib.crc32(view[index * length:(index + 1) * length]) \
                     == rows[index][1]
+            first = end
     finally:
         os.close(fd)
     configs = [row[3] for row in rows]

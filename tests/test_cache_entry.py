@@ -368,13 +368,12 @@ class TestBatchLookup:
         if known:
             assert got[0].config is jobs[0].config
 
-    @pytest.mark.parametrize("gap,per_read,reads", [
-        (cache_module.GAP_BYTES, cache_module._RUN_ROWS, 1),
-        (0, cache_module._RUN_ROWS, 2),  # rows 0 and 2: not adjacent
-        (cache_module.GAP_BYTES, 1, 2),
+    @pytest.mark.parametrize("picked,reads", [
+        ([2, 0, 1], 1),  # all adjacent in the file: one read
+        ([2, 0], 2),     # rows 0 and 2: two runs
     ])
-    def test_rows_read_in_runs(self, tmp_path, stored, monkeypatch, gap,
-                               per_read, reads):
+    def test_one_read_per_run_of_adjacent_rows(self, tmp_path, stored,
+                                               monkeypatch, picked, reads):
         jobs, expected, _ = stored
         calls = []
         preadv = os.preadv
@@ -383,15 +382,16 @@ class TestBatchLookup:
             calls.append(len(buffers))
             return preadv(fd, buffers, offset)
 
-        monkeypatch.setattr(cache_module, "GAP_BYTES", gap)
-        monkeypatch.setattr(cache_module, "_RUN_ROWS", per_read)
         monkeypatch.setattr(cache_module.os, "preadv", counting_preadv)
-        picked = [jobs[2], jobs[0]]
-        got = ResultCache(tmp_path).get_many([job.key() for job in picked])
+        got = ResultCache(tmp_path).get_many(
+            [jobs[index].key() for index in picked])
         assert len(calls) == reads
-        assert [result.row for result in got] == [1, 0]  # by file offset
-        for result, want in zip(got, [expected[2], expected[0]]):
-            _assert_same(result, want)
+        # Rows of the one block, in file order.
+        assert [result.row for result in got] == [
+            sorted(picked).index(index) for index in picked]
+        assert len({id(result.block) for result in got}) == 1
+        for result, index in zip(got, picked):
+            _assert_same(result, expected[index])
 
     def test_rows_cut_off_after_indexing_miss(self, tmp_path, stored):
         """A segment truncated under an open index: the rows past the
