@@ -88,6 +88,9 @@ def rng_from_seed(seed) -> np.random.Generator:
 #: FNV-1a's 64-bit offset basis and prime.
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+#: Below this many rows the scalar loop beats one pass per byte column
+#: (about 18 us per ~140-byte config row against ~200 us per batch).
+_COLUMN_ROWS = 16
 
 
 def stable_hash(*parts) -> int:
@@ -112,8 +115,11 @@ def stable_hash_rows(rows: Sequence[tuple]) -> List[int]:
     so each row is one byte string.  Rows are sorted longest first, so
     the rows still hashing at byte ``j`` are a prefix of them: each
     column is one XOR and one multiply over that prefix, in ``uint64``
-    (which wraps mod 2**64 like the scalar mask).
+    (which wraps mod 2**64 like the scalar mask).  Fewer rows than
+    :data:`_COLUMN_ROWS` take the scalar loop.
     """
+    if len(rows) < _COLUMN_ROWS:
+        return [stable_hash(*row) for row in rows]
     data = [b"".join(repr(part).encode("utf8") for part in row)
             for row in rows]
     order = sorted(range(len(data)), key=lambda i: -len(data[i]))

@@ -13,7 +13,11 @@ engine re-simulates bit-identically into a newer segment and a fresh
 cache then hits.  Also pins that a sweep is bit-identical however warm
 the cache is, that ``repro cache gc`` deletes the files this version
 cannot read and nothing else, and that a segment another process
-commits becomes visible without listing the directory on every miss.
+commits becomes visible without listing the directory on every miss
+(and a cache's own commits without listing it at all).  A batch lookup
+returns the hits of one stored block as rows of one block over one
+buffer holding just the rows it read; a damaged, short or
+other-config row among them misses alone.
 """
 
 import dataclasses
