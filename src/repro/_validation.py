@@ -124,7 +124,7 @@ def stable_hash_rows(rows: Sequence[tuple]) -> List[int]:
             for row in rows]
     order = sorted(range(len(data)), key=lambda i: -len(data[i]))
     lengths = np.array([len(data[i]) for i in order], int)
-    width = int(lengths.max(initial=0))
+    width = int(lengths[0])
     columns = np.frombuffer(b"".join(data[i].ljust(width, b"\0")
                                      for i in order), np.uint8)
     columns = np.ascontiguousarray(columns.reshape(len(data), width).T,
