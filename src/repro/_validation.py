@@ -7,7 +7,7 @@ malformed input instead of producing silently wrong results.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -85,14 +85,6 @@ def rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-#: FNV-1a's 64-bit offset basis and prime.
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-#: Below this many rows the scalar loop beats one pass per byte column
-#: (about 18 us per ~140-byte config row against ~200 us per batch).
-_COLUMN_ROWS = 16
-
-
 def stable_hash(*parts) -> int:
     """Deterministic 64-bit hash of a tuple of primitives.
 
@@ -100,44 +92,9 @@ def stable_hash(*parts) -> int:
     used to derive reproducible simulation seeds.  This helper implements a
     small FNV-1a over the ``repr`` of the parts instead.
     """
-    acc = _FNV_OFFSET
+    acc = 0xCBF29CE484222325
     for part in parts:
         for byte in repr(part).encode("utf8"):
             acc ^= byte
-            acc = (acc * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+            acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return acc
-
-
-def stable_hash_rows(rows: Sequence[tuple]) -> List[int]:
-    """``[stable_hash(*row) for row in rows]``, one byte column at a time.
-
-    The hash runs over the concatenated ``repr`` bytes of a row's parts,
-    so each row is one byte string.  Rows are sorted longest first, so
-    the rows still hashing at byte ``j`` are a prefix of them: each
-    column is one XOR and one multiply over that prefix, in ``uint64``
-    (which wraps mod 2**64 like the scalar mask).  Fewer rows than
-    :data:`_COLUMN_ROWS` take the scalar loop.
-    """
-    if len(rows) < _COLUMN_ROWS:
-        return [stable_hash(*row) for row in rows]
-    data = [b"".join(repr(part).encode("utf8") for part in row)
-            for row in rows]
-    order = sorted(range(len(data)), key=lambda i: -len(data[i]))
-    lengths = np.array([len(data[i]) for i in order], int)
-    width = int(lengths[0])
-    columns = np.frombuffer(b"".join(data[i].ljust(width, b"\0")
-                                     for i in order), np.uint8)
-    columns = np.ascontiguousarray(columns.reshape(len(data), width).T,
-                                   np.uint64)
-    # Per byte column, how many (of the longest-first) rows reach it.
-    active = (lengths[:, None] > np.arange(width)).sum(axis=0)
-    acc = np.full(len(data), _FNV_OFFSET, np.uint64)
-    prime = np.uint64(_FNV_PRIME)
-    for column, count in zip(columns, active.tolist()):
-        head = acc[:count]
-        np.bitwise_xor(head, column[:count], out=head)
-        np.multiply(head, prime, out=head)
-    hashes = [0] * len(data)
-    for i, value in zip(order, acc.tolist()):
-        hashes[i] = value
-    return hashes

@@ -70,39 +70,13 @@ def _benchmark_name(workload: Union[str, WorkloadModel]) -> str:
     return get_benchmark(workload).name
 
 
-def _gather(results: Sequence[SimulationResult], domain: str,
-            n_samples: int) -> np.ndarray:
-    """One domain's traces of ``results`` as a matrix, block by block.
-
-    Rows of one C-contiguous block that are consecutive and in order
-    (a cold sweep's kernel group) are a zero-copy slice of it; anything
-    else is one fancy-index gather per block (a warm sweep's hits are
-    rows of the blocks its lookups read) into a fresh matrix.  Results
-    without a block (pool deliveries) and derived domains go through
-    :func:`~repro.engine.shm.stack_rows`.
-    """
-    if not results:
-        return np.empty((0, n_samples))
-    blocks = {}  # id(block) -> (domain matrix, positions, block rows)
-    for position, result in enumerate(results):
-        block = result.block
-        if block is None or domain not in block.traces:
-            return stack_rows([result.trace(domain) for result in results])
-        matrix, positions, rows = blocks.setdefault(
-            id(block), (block.traces[domain], [], []))
-        positions.append(position)
-        rows.append(result.row)
-    if len(blocks) == 1:
-        [(matrix, _, rows)] = blocks.values()
-        if matrix.flags.c_contiguous \
-                and rows == list(range(rows[0], rows[0] + len(rows))):
-            return matrix[rows[0]:rows[0] + len(rows)]
-    matrices = [matrix for matrix, _, _ in blocks.values()]
-    out = np.empty((len(results), *matrices[0].shape[1:]),
-                   np.result_type(*matrices))
-    for matrix, positions, rows in blocks.values():
-        out[positions] = matrix[rows]
-    return out
+def _block_row(result: SimulationResult, domain: str):
+    """``(matrix, row)`` locating ``result``'s ``domain`` trace in its
+    block, or ``None`` (no block, or a derived domain)."""
+    block = result.block
+    if block is None or domain not in block.traces:
+        return None
+    return block.traces[domain], result.row
 
 
 class SweepRunner:
@@ -143,8 +117,17 @@ class SweepRunner:
     def _assemble(self, benchmark: str, configs: Sequence[MachineConfig],
                   results: Sequence[SimulationResult],
                   space: DesignSpace) -> DynamicsDataset:
-        traces = {d: _gather(results, d, self.n_samples)
-                  for d in self.domains}
+        # stack_rows gathers each domain block by block: a zero-copy
+        # slice of a kernel group's matrix (or the batch's shared-memory
+        # arena) when its rows are consecutive (a cold sweep), else one
+        # gather per block (a warm sweep's hits are rows of the blocks
+        # its lookups read).
+        traces = {
+            d: (stack_rows([result.trace(d) for result in results],
+                           [_block_row(result, d) for result in results])
+                if results else np.empty((0, self.n_samples)))
+            for d in self.domains
+        }
         return DynamicsDataset(
             benchmark=benchmark, space=space,
             configs=list(configs), traces=traces,

@@ -39,8 +39,8 @@ adjacent rows into one private buffer, checked row by row, and returned
 as the rows of one block whose arrays view that buffer; a row whose
 stored config values differ from the requesting job's config misses.
 A bad trailer (or an earlier layout's magic) or footer CRC makes a
-segment's keys miss; a bad block magic, header CRC or dtype that
-block's keys; a bad row CRC or length, or an entry past the blocks,
+segment's keys miss; a bad block magic, header CRC, dtype or shape
+that block's keys; a bad row CRC or length, or an entry past the blocks,
 that key.  The re-simulated result lands in a newer segment.
 
 The disk tier has a real lifecycle:
@@ -667,7 +667,7 @@ class ResultCache:
 @functools.lru_cache(maxsize=256)
 def _layout(header: bytes) -> _Layout:
     """Parse a block header once per distinct layout; a non-numeric
-    dtype raises."""
+    dtype or a shape that is not non-negative integers raises."""
     fields = json.loads(header)
     config, arrays = tuple(fields["config"]), []
     for group in ("traces", "components"):
@@ -675,6 +675,8 @@ def _layout(header: bytes) -> _Layout:
             dtype = np.dtype(descr)
             if dtype.kind not in _NUMERIC_KINDS:
                 raise ValueError(f"refusing dtype {descr}")
+            if not all(type(dim) is int and dim >= 0 for dim in shape):
+                raise ValueError(f"refusing shape {shape}")
             arrays.append((group, name, dtype, tuple(shape),
                            tuple(dtype.itemsize * math.prod(shape[i + 1:])
                                  for i in range(len(shape))),

@@ -436,49 +436,70 @@ def write_results(spec: ArenaSpec, rows: Sequence[int],
         arena.release()
 
 
-def stack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+def stack_rows(arrays: Sequence[np.ndarray],
+               rows: Optional[Sequence[Optional[Tuple[np.ndarray, int]]]]
+               = None) -> np.ndarray:
     """Stack equal-length 1-D arrays into a matrix, zero-copy when possible.
 
-    When every array is a full-row view of one shared 2-D base (the
-    shared-memory arena) and the rows are consecutive and in order —
-    the layout a cold-cache sweep produces — the stacked matrix is a
-    **slice of the base**, not a copy.  Anything else (cache hits,
-    pickle-path results, reordered rows) falls back to ``np.vstack``.
+    Each array is located as one row of a 2-D matrix: by ``rows[i]``,
+    ``(matrix, index)``, where the caller knows it (a result's block and
+    row), else by the array's own base and address (a shared-memory
+    arena row).  When every array is a row of one C-contiguous matrix
+    and the rows are consecutive and in order — the layout a cold sweep
+    produces — the stacked matrix is a **slice of that matrix**, not a
+    copy.  Otherwise located rows are one fancy-index gather per matrix
+    into a fresh matrix, and anything else (owning arrays, pickle-path
+    results) falls back to ``np.vstack``.
     """
     arrays = list(arrays)
     if not arrays:
         raise ValueError("stack_rows needs at least one array")
-    view = _common_base_slice(arrays)
-    if view is not None:
-        if not all(arr.flags.writeable for arr in arrays):
-            view.flags.writeable = False
-        return view
-    return np.vstack(arrays)
+    groups: Dict[int, Tuple[np.ndarray, List[int], List[int]]] = {}
+    addresses: Dict[int, int] = {}  # id(base) -> its data address
+    for position, arr in enumerate(arrays):
+        where = rows[position] if rows is not None else None
+        if where is None:
+            where = _row_of(arr, addresses)
+            if where is None:
+                return np.vstack(arrays)
+        matrix, index = where
+        group = groups.get(id(matrix))
+        if group is None:
+            group = groups[id(matrix)] = (matrix, [], [])
+        group[1].append(position)
+        group[2].append(index)
+    if len(groups) == 1:
+        [(matrix, _, indices)] = groups.values()
+        first = indices[0]
+        if matrix.flags.c_contiguous \
+                and indices == list(range(first, first + len(indices))):
+            view = matrix[first:first + len(indices)]
+            if view.flags.writeable \
+                    and not all(arr.flags.writeable for arr in arrays):
+                view.flags.writeable = False
+            return view
+    matrices = [matrix for matrix, _, _ in groups.values()]
+    out = np.empty((len(arrays), *matrices[0].shape[1:]),
+                   np.result_type(*matrices))
+    for matrix, positions, indices in groups.values():
+        out[positions] = matrix[indices]
+    return out
 
 
-def _common_base_slice(arrays: List[np.ndarray]) -> Optional[np.ndarray]:
-    base = arrays[0].base
-    if base is None or getattr(base, "ndim", 0) != 2:
-        return None
-    if base.shape[0] < len(arrays):
+def _row_of(arr: np.ndarray, addresses: Dict[int, int],
+            ) -> Optional[Tuple[np.ndarray, int]]:
+    """``(base, index)`` when ``arr`` is the whole row ``index`` of its
+    2-D base, else ``None``; ``addresses`` caches each base's address."""
+    base = arr.base
+    if base is None or getattr(base, "ndim", 0) != 2 or arr.ndim != 1 \
+            or arr.shape[0] != base.shape[1] or arr.dtype != base.dtype:
         return None
     row_stride, item_stride = base.strides
-    if row_stride <= 0:
+    if row_stride <= 0 or arr.strides != (item_stride,):
         return None
-    base_addr = base.__array_interface__["data"][0]
-    first_row = None
-    for offset, arr in enumerate(arrays):
-        if (arr.base is not base or arr.ndim != 1
-                or arr.shape[0] != base.shape[1]
-                or arr.strides != (item_stride,)
-                or arr.dtype != base.dtype):
-            return None
-        delta = arr.__array_interface__["data"][0] - base_addr
-        if delta % row_stride:
-            return None
-        row = delta // row_stride
-        if first_row is None:
-            first_row = row
-        elif row != first_row + offset:
-            return None
-    return base[first_row:first_row + len(arrays)]
+    address = addresses.get(id(base))
+    if address is None:
+        address = addresses[id(base)] = base.__array_interface__["data"][0]
+    row, rest = divmod(arr.__array_interface__["data"][0] - address,
+                       row_stride)
+    return None if rest else (base, row)

@@ -45,7 +45,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._validation import stable_hash_rows
+from repro._validation import stable_hash
 from repro.errors import SimulationError
 from repro.power.wattch import power_trace_batch
 from repro.reliability.avf import AVFModel, structure_capacity_bits
@@ -446,13 +446,11 @@ def simulate_interval_batch(workload: WorkloadModel,
                                   (iq_avf, levels.avf)) if level > 0.0
         ]
         if planned:
-            seeds = stable_hash_rows([(workload.name, config.key(),
-                                       n_samples)
-                                      for config in batch.configs])
             draws = np.stack([
-                np.random.default_rng(seed).standard_normal(
-                    len(planned) * n_samples)
-                for seed in seeds
+                np.random.default_rng(stable_hash(
+                    workload.name, config.key(), n_samples,
+                )).standard_normal(len(planned) * n_samples)
+                for config in batch.configs
             ]).reshape(n_configs, len(planned), n_samples)
             for index, (traces, scales) in enumerate(planned):
                 traces += 0.0 + scales[:, None] * draws[:, index]

@@ -91,9 +91,11 @@ class SimulationResult:
         writable memory and drops the block reference, so long-lived
         stores such as the in-memory result cache never pin a whole
         block or arena through one row.  A row of a block over its own
-        private :attr:`ResultBlock.buffer` (a disk-cache hit: that buffer
-        holds just the rows one lookup read from one stored block) and a
-        lone result whose arrays own their memory are returned unchanged.
+        private :attr:`ResultBlock.buffer` (a disk-cache hit) and a lone
+        result whose arrays own their memory are returned unchanged.  A
+        hit's buffer holds every row that one lookup read from one
+        stored block, so a kept hit pins those rows even after its
+        blockmates are gone: at most one lookup's rows of one block.
         """
         if self.block is not None:
             if self.block.buffer is not None:

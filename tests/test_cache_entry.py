@@ -231,10 +231,11 @@ def _stored_segment(tmp_path, jobs):
     return path
 
 
-def _retyped(head, descr):
-    """A well-formed block head whose first trace claims dtype ``descr``."""
+def _retyped(head, descr, column=1):
+    """A well-formed block head whose first trace claims dtype ``descr``
+    (``column`` 2: shape ``descr``)."""
     fields = json.loads(head[_PREFIX.size:])
-    fields["traces"][0][1] = descr
+    fields["traces"][0][column] = descr
     header = json.dumps(fields, separators=(",", ":")).encode()
     return _PREFIX.pack(MAGIC, len(header), zlib.crc32(header)) + header
 
@@ -276,6 +277,10 @@ HEADER_FAULTS = {
     "object_dtype": lambda head: _retyped(head, "|O"),
     # Same item size as float64, and np.frombuffer would accept it.
     "bytes_dtype": lambda head: _retyped(head, "|S8"),
+    # The same row length, but a shape numpy cannot build an array of.
+    "float_shape": lambda head: _retyped(
+        head, [float(n) for n in json.loads(head[_PREFIX.size:])[
+            "traces"][0][2]], column=2),
 }
 
 
@@ -440,6 +445,20 @@ class TestBatchLookup:
             for name, arr in _arrays(kept).items():
                 assert np.shares_memory(arr, np.frombuffer(buffer, np.uint8)
                                         ), name
+
+    def test_kept_hit_pins_at_most_its_lookups_rows(self, tmp_path, stored):
+        """Once its blockmate is evicted, a kept hit still pins the
+        lookup's buffer: the rows that lookup read, never more."""
+        jobs, expected, path = stored
+        [(_, rows)] = _blocks(path)
+        probe = ResultCache(tmp_path, memory_items=1)
+        picked = [jobs[0], jobs[1]]
+        got = probe.get_many([job.key() for job in picked])
+        assert list(probe._memory) == [picked[1].key()]  # jobs[0] evicted
+        kept = probe._memory[picked[1].key()]
+        assert kept is got[1]
+        assert len(kept.block.buffer) == len(picked) * len(rows[0][1])
+        _assert_same(kept, expected[1])
 
 
 def _truncated_footer(data, entries):

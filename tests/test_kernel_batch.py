@@ -161,22 +161,6 @@ def test_memoized_key_equals_the_repr_recipe(kind):
                   job.workload).key() == want
 
 
-def test_batch_seed_hashes_equal_the_scalar_hash():
-    """The kernel hashes its noise seeds for a whole batch at once."""
-    from repro._validation import _COLUMN_ROWS, stable_hash, stable_hash_rows
-
-    configs = _lhs_configs(12, seed=4) + [baseline_config(
-        dvm_enabled=True, dvm_threshold=0.123456789)]
-    rows = [(bench, config.key(), n) for bench in ("gcc", "bzip2")
-            for config in configs for n in (16, 128)]
-    rows += [(), ("",), ("é", None, 1.5), ("x" * 300,)]
-    assert len(rows) >= _COLUMN_ROWS  # the column-wise path
-    assert stable_hash_rows(rows) == [stable_hash(*row) for row in rows]
-    assert stable_hash_rows(rows[:3]) == [stable_hash(*row)
-                                          for row in rows[:3]]
-    assert stable_hash_rows([]) == []
-
-
 # ----------------------------------------------------------------------
 # Batch == scalar, bit for bit
 # ----------------------------------------------------------------------

@@ -209,6 +209,21 @@ class TestStackRows:
         assert not np.shares_memory(stacked, base)
         assert np.array_equal(stacked, np.vstack([base[2], base[0]]))
 
+    def test_rows_given_by_the_caller(self):
+        """``rows`` locates each array (a result's block and row): one
+        matrix's consecutive rows slice it, anything else gathers."""
+        a = np.arange(24, dtype=float).reshape(4, 6)
+        b = a + 100.0
+        where = [(a, 1), (a, 2)]
+        sliced = stack_rows([a[1], a[2]], where)
+        assert np.shares_memory(sliced, a)
+        assert np.array_equal(sliced, a[1:3])
+        where = [(b, 3), (a, 0), (b, 1), None]
+        gathered = stack_rows([b[3], a[0], b[1], a[2]], where)
+        assert gathered.flags.c_contiguous
+        assert not np.shares_memory(gathered, a)
+        assert np.array_equal(gathered, np.vstack([b[3], a[0], b[1], a[2]]))
+
     def test_owning_arrays_copy(self):
         rows = [np.arange(6, dtype=float), np.arange(6, dtype=float) + 1]
         stacked = stack_rows(rows)
