@@ -100,7 +100,6 @@ class InstructionTrace:
 
     def mix_fractions(self) -> dict:
         """Observed dynamic instruction-mix fractions."""
-        n = max(len(self), 1)
         return {
             "f_load": float(np.mean(self.op == OpClass.LOAD)),
             "f_store": float(np.mean(self.op == OpClass.STORE)),

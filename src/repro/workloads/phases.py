@@ -125,6 +125,10 @@ class PhaseProfile:
                 f"phase {self.name}: ilp_limit/ilp_halfwindow must be positive "
                 f"and mlp >= 1"
             )
+        if any(w < 0.0 for _, w in self.data_footprints):
+            raise WorkloadError(
+                f"phase {self.name}: data footprint weights must be >= 0"
+            )
         total_w = sum(w for _, w in self.data_footprints)
         if total_w > 1.0 + 1e-9:
             raise WorkloadError(

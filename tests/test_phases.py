@@ -41,6 +41,7 @@ class TestPhaseProfile:
         {"mlp": 0.5},
         {"f_load": 0.5, "f_store": 0.4, "f_branch": 0.2},
         {"data_footprints": ((4.0, 0.8), (8.0, 0.4))},
+        {"data_footprints": ((4.0, 0.6), (8.0, -0.1))},
     ])
     def test_invalid_profiles_rejected(self, kwargs):
         with pytest.raises(WorkloadError):
