@@ -276,38 +276,35 @@ _DRAWS = st.lists(st.one_of(
 ), max_size=60)
 
 
+def _play(draws, random, integers, doubles):
+    out = []
+    for kind, *args in draws:
+        if kind == "random":
+            out.append(random())
+        elif kind == "integers":
+            out.append(integers(*args))
+        else:
+            out.append(doubles(*args).tolist())
+    return out
+
+
 class TestRawStream:
     """The reader against the generator calls it stands in for."""
 
     @given(seed=st.integers(0, 2**64 - 1), carried=st.booleans(),
-           size=st.integers(1, 80), draws=_DRAWS)
+           size=st.integers(0, 80), draws=_DRAWS)
     @settings(max_examples=200, deadline=None)
     def test_matches_generator(self, seed, carried, size, draws):
-        rng = np.random.default_rng(seed)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         if carried:
             # A 32-bit draw leaves the high half-word carried.
             rng.integers(5)
-            assert rng.bit_generator.state["has_uint32"]
-        expected = []
-        twin = np.random.default_rng(seed)
-        if carried:
             twin.integers(5)
-        for draw in draws:
-            if draw[0] == "random":
-                expected.append(twin.random())
-            elif draw[0] == "integers":
-                expected.append(int(twin.integers(draw[1])))
-            else:
-                expected.append(twin.random(draw[1]).tolist())
+            assert rng.bit_generator.state["has_uint32"]
         stream = RawStream(rng, size)
-        got = []
-        for draw in draws:
-            if draw[0] == "random":
-                got.append(stream.random())
-            elif draw[0] == "integers":
-                got.append(stream.integers(draw[1]))
-            else:
-                got.append(stream.doubles(draw[1]).tolist())
+        got = _play(draws, stream.random, stream.integers, stream.doubles)
+        expected = _play(draws, twin.random, lambda n: int(twin.integers(n)),
+                         twin.random)
         assert got == expected
 
     def test_lemire_rejection_extends_block(self):
