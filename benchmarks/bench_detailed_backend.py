@@ -13,15 +13,6 @@ matter most.  This bench pins the two PR-3 behaviours:
   its per-interval checkpoint and produces bit-identical traces while
   re-simulating only the intervals after the snapshot.
 
-The bench also re-baselines the backend **per stepper**: the same job
-is timed with JIT off (the object-model interpreter) and on (the
-compiled array kernel where numba is present, the interpreter again
-where it is not — ``numba_available`` in the record says which), with
-bit-identical traces asserted before either wall is recorded.  The
-kernel-vs-interpreter speedup floor itself is pinned by
-``bench_detailed_kernel.py``; here the two walls are simply reported
-side by side so backend regressions are attributable to a stepper.
-
 Results land in ``BENCH_detailed_backend.json`` (CI artifact).
 """
 
@@ -46,42 +37,6 @@ KILL_AFTER = 13  # warmup + 12 measured intervals (checkpoint lands at 12)
 CHECKPOINT_EVERY = 4
 
 _AUTOTUNE_RECORD = {}  # filled by the autotune test, merged into the JSON
-_ENGINE_RECORD = {}    # filled by the engine side-by-side test
-
-
-def test_engines_side_by_side():
-    from repro.uarch import jit
-
-    job = SimJob("gcc", baseline_config(), backend="detailed",
-                 n_samples=N_SAMPLES, instructions_per_sample=IPS)
-    walls = {}
-    traces = {}
-    for compiled in (False, True):
-        jit.set_jit(compiled)
-        try:
-            job.run()  # warm the trace memo / compile before timing
-            start = time.perf_counter()
-            result = job.run()
-            walls[compiled] = time.perf_counter() - start
-        finally:
-            jit.set_jit(None)
-        traces[compiled] = {**result.traces, **result.components}
-
-    for name, arr in traces[False].items():
-        assert np.array_equal(arr, traces[True][name]), (
-            f"steppers diverged on the {name} trace")
-
-    interp, kernel = walls[False], walls[True]
-    print(f"\nstepper walls for a {N_SAMPLES}x{IPS} detailed job: "
-          f"interpreter {interp * 1e3:.0f} ms, "
-          f"JIT on {kernel * 1e3:.0f} ms "
-          f"({interp / kernel:.1f}x), traces bit-identical")
-    _ENGINE_RECORD.update({
-        "numba_available": jit.jit_available(),
-        "engine_wall_seconds_interpreter": round(interp, 4),
-        "engine_wall_seconds_kernel": round(kernel, 4),
-        "engine_speedup": round(interp / kernel, 2),
-    })
 
 
 def test_autotuner_chunks_detailed_fine_interval_coarse():
@@ -143,7 +98,7 @@ job = SimJob("swim", baseline_config(), backend="detailed",
              n_samples={N_SAMPLES}, instructions_per_sample={IPS})
 """
     # The hooks count the intervals the detailed loop synthesizes,
-    # warmup included, so they fire on either stepper.
+    # warmup included.
     killed = common + f"""
 import os, signal
 import repro.uarch.detailed as detailed
@@ -212,7 +167,6 @@ np.savez({str(out_npz)!r}, intervals=np.array(calls[0]),
         "resume_wall_seconds": round(resume_wall, 3),
         "bit_identical": True,
         **_AUTOTUNE_RECORD,
-        **_ENGINE_RECORD,
     }
     with open("BENCH_detailed_backend.json", "w") as handle:
         json.dump(record, handle, indent=2)

@@ -28,6 +28,8 @@ Commands
 ``config``
     Print every run setting of :mod:`repro.settings`, resolved, with its
     source (``flag``, ``env`` or ``default``); takes the engine flags.
+    A set ``REPRO_*`` variable that names no setting is listed after
+    them as ``ignored``.
 
 Each engine flag of ``run-experiment``, ``sweep``, ``dse`` and
 ``config`` sets one row of :mod:`repro.settings`, beating its
@@ -39,6 +41,7 @@ run never mutates ``os.environ``, so embedding callers that invoke
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -189,14 +192,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     setting("checkpoint_every", "detailed backend: snapshot simulation "
                                 "state every N intervals so killed sweeps "
                                 "resume mid-benchmark", "N")
-    setting("jit", "numba-compile the hot loops: the interval kernel's "
-                   "persistence scan and the detailed pipeline kernel "
+    setting("jit", "numba-compile the interval kernel's persistence scan "
                    "(default: off; silently falls back to the "
-                   "bit-identical pure-Python engines when numba is "
-                   "unavailable)")
-    setting("jit_threads", "threads the batched detailed kernel prange-s "
-                           "across (default: 1; bit-identical at any "
-                           "count, so this is a speed knob only)", "N")
+                   "bit-identical NumPy scan when numba is unavailable)")
 
 
 def _cmd_list_benchmarks(out) -> int:
@@ -263,11 +261,10 @@ def _make_engine(args, out=None):
     from repro.engine import create_engine
 
     flags = _engine_flags(args)
-    # The kernels read the JIT rows deep in the call stack, so those
-    # flags become process-wide overrides (forked workers inherit them).
-    for name in ("jit", "jit_threads"):
-        if flags.get(name) is not None:
-            settings.set_override(name, flags[name])
+    # The scan reads the JIT row deep in the call stack, so that flag
+    # becomes a process-wide override (forked workers inherit it).
+    if flags.get("jit") is not None:
+        settings.set_override("jit", flags["jit"])
     on_result = None
     if getattr(args, "progress", False):
         on_result = _progress_printer(out or sys.stdout)
@@ -283,6 +280,12 @@ def _cmd_config(args, out) -> int:
         value, source = settings.lookup(knob.name, flags)
         shown = "-" if value is None else str(value)
         out.write(f"{knob.variable:24s} {shown:28s} {source}\n")
+    # A set REPRO_* variable that names no setting (a typo, or a knob
+    # since removed) would otherwise be dropped without a word.
+    known = {knob.variable for knob in settings.KNOBS}
+    for name, value in sorted(os.environ.items()):
+        if name.startswith("REPRO_") and name not in known and value.strip():
+            out.write(f"{name:24s} {value:28s} ignored\n")
     return 0
 
 

@@ -125,49 +125,27 @@ class ChunkTuner:
         old = self._tuned.get(key)
         self._tuned[key] = per_job if old is None else 0.5 * (old + per_job)
 
-    def plan(self, key: Hashable, n_jobs: int, workers: int,
-             group_size: int = 1) -> int:
+    def plan(self, key: Hashable, n_jobs: int, workers: int) -> int:
         """Jobs per chunk for the tuned ``key`` in a batch of ``n_jobs``.
 
         Targets ``target_seconds`` of measured work per chunk (capped so
         every one of ``workers`` still gets a chunk).  Only a
         :meth:`known` key has a plan; an untimed backend is sized by
         :meth:`ParallelExecutor.submit_batch`'s probe wave.
-
-        ``group_size > 1`` plans in whole-group units: batched detailed
-        dispatch advances a kernel group as one stacked call, so a
-        chunk is sized by per-*group* cost (the recorded per-job time
-        times the group run length) and always returned as a multiple
-        of ``group_size`` — a chunk boundary never shears a group.
         """
-        group_size = max(1, int(group_size))
-        n_units = -(-n_jobs // group_size)
-        per_job = self._tuned[key]
-        per_unit = max(per_job * group_size, 1e-7)
-        upper = max(1, -(-n_units // max(workers, 1)))
-        units = max(1, min(int(self.target_seconds / per_unit), upper))
-        return units * group_size
+        per_job = max(self._tuned[key], 1e-7)
+        upper = max(1, -(-n_jobs // max(workers, 1)))
+        return max(1, min(int(self.target_seconds / per_job), upper))
 
 
 def batch_group_run(jobs: Sequence[SimJob], start: int) -> int:
-    """Length of the contiguous batched-group run at ``start``.
+    """Always ``1``: chunk planning has no unit larger than a job.
 
-    The number of consecutive jobs from ``start`` sharing one detailed
-    group signature, when batched detailed dispatch is on — the unit
-    chunk planning must not shear (the run advances as one stacked
-    kernel call).  ``1`` whenever batching is off, the job is not
-    detailed, or it has no groupmate at ``start``.
+    Kept only because ``perfbench/tracing.py`` binds it by name (pinned
+    by ``tests/test_perfbench_bindings.py``); it goes at the next
+    benchmark change (ROADMAP item 2).
     """
-    from repro.engine.kernel import detailed_batch_enabled, group_signature
-
-    job = jobs[start]
-    if job.backend != "detailed" or not detailed_batch_enabled():
-        return 1
-    signature = group_signature(job)
-    stop = start + 1
-    while stop < len(jobs) and group_signature(jobs[stop]) == signature:
-        stop += 1
-    return stop - start
+    return 1
 
 
 def carve_chunk(jobs: Sequence[SimJob], start: int, size: int) -> int:
@@ -176,35 +154,15 @@ def carve_chunk(jobs: Sequence[SimJob], start: int, size: int) -> int:
     Chunks are kept backend-homogeneous — a chunk's wall time feeds a
     per-backend tuning estimate, and mixing sub-millisecond interval
     jobs with seconds-long detailed jobs in one measurement would
-    poison it.  When batched detailed dispatch is on, boundaries also
-    snap to group boundaries: a contiguous run of one detailed group
-    signature advances as a single stacked kernel call, so shearing it
-    across chunks would defeat the batching.  The boundary rounds down
-    to the run's first job when the chunk holds anything else, and
-    extends to the run's end when the run *is* the chunk.
+    poison it.  A chunk boundary may split a detailed group: each chunk
+    groups its own share in the worker, so a detailed sweep spreads
+    over every worker.
     """
     stop = min(len(jobs), start + size)
     backend = jobs[start].backend
     for j in range(start + 1, stop):
         if jobs[j].backend != backend:
-            stop = j
-            break
-    if stop < len(jobs) and backend == "detailed":
-        from repro.engine.kernel import (detailed_batch_enabled,
-                                         group_signature)
-
-        if detailed_batch_enabled():
-            signature = group_signature(jobs[stop])
-            if group_signature(jobs[stop - 1]) == signature:
-                run_start = stop - 1
-                while (run_start > start
-                       and group_signature(jobs[run_start - 1]) == signature):
-                    run_start -= 1
-                if run_start > start:
-                    return run_start  # round down to the group boundary
-                while (stop < len(jobs)
-                       and group_signature(jobs[stop]) == signature):
-                    stop += 1  # the run is the whole chunk: take it whole
+            return j
     return stop
 
 
@@ -357,9 +315,7 @@ class ParallelExecutor:
             start = cursor
             backend = jobs[start].backend
             if self.tuner.known(backend):
-                size = self.tuner.plan(
-                    backend, n, self.max_workers,
-                    group_size=batch_group_run(jobs, start))
+                size = self.tuner.plan(backend, n, self.max_workers)
             elif len(futures) < self.max_workers:
                 size = min(default_size, PROBE_CHUNK_SIZE)  # probe wave
             else:

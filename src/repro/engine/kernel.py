@@ -32,11 +32,8 @@ Interval groups run as one
 :func:`~repro.uarch.interval_model.simulate_interval_batch` call.
 Detailed groups — same benchmark/workload/resolution — run through
 :func:`~repro.uarch.detailed.run_detailed_group`: one synthesized trace
-per interval feeds the whole group, stepped by one of two
-bit-identical steppers.  With ``REPRO_JIT`` on and numba importable
-(:func:`detailed_batch_enabled`) that is one compiled ``prange`` batch
-kernel call per interval over config-stacked state; otherwise it is
-the interpreter, member by member.
+per interval feeds the whole group, stepped by the interpreter member
+by member.
 ``REPRO_BATCH_KERNEL=0`` disables grouping entirely (the escape hatch;
 every job then runs as a group of one, so this only changes speed, not
 bits).
@@ -54,20 +51,6 @@ from repro.uarch.simulator import SimulationResult
 def batch_kernel_enabled() -> bool:
     """Whether grouped kernel dispatch is on (``REPRO_BATCH_KERNEL``)."""
     return settings.get("batch_kernel")
-
-
-def detailed_batch_enabled() -> bool:
-    """Whether detailed runs step with the compiled batch kernel.
-
-    Requires grouped dispatch (``REPRO_BATCH_KERNEL``) *and* an enabled
-    JIT (``REPRO_JIT`` plus numba importable); otherwise the detailed
-    interval loop steps with the interpreter.  The choice only changes
-    speed, never bits — both steppers are pinned to the same golden
-    digests.
-    """
-    from repro.uarch.jit import jit_enabled
-
-    return batch_kernel_enabled() and jit_enabled()
 
 
 def group_signature(job: SimJob) -> Tuple:

@@ -11,7 +11,7 @@ field; it reads ``os.environ`` (never writes it) on each call.
 >>> s = resolve(environ={}, jobs=2, cache_dir="/tmp/rc")
 >>> s.jobs, s.checkpoint_every, s.checkpoint_dir
 (2, 0, '/tmp/rc/checkpoints')
->>> lookup("jit_threads", environ={"REPRO_JIT_THREADS": "4"})
+>>> lookup("checkpoint_every", environ={"REPRO_CHECKPOINT_EVERY": "4"})
 (4, 'env')
 >>> lookup("shm", environ={"REPRO_SHM": "flase"})
 Traceback (most recent call last):
@@ -87,7 +87,6 @@ KNOBS: Tuple[Knob, ...] = (
     Knob("shm", "REPRO_SHM", _bool, True),
     Knob("batch_kernel", "REPRO_BATCH_KERNEL", _bool, True),
     Knob("jit", "REPRO_JIT", _bool, False),
-    Knob("jit_threads", "REPRO_JIT_THREADS", _int_at_least(1), 1),
     Knob("jit_cache_dir", "REPRO_JIT_CACHE_DIR", str,
          lambda get: (str(Path(get("cache_dir")) / "numba-cache")
                       if get("cache_dir") else None)),
@@ -114,7 +113,6 @@ class Settings:
     shm: bool
     batch_kernel: bool
     jit: bool
-    jit_threads: int
     jit_cache_dir: Optional[str]
     trace_memo: bool
 

@@ -113,7 +113,7 @@ class SetAssociativeCache:
 
         Each row lists the set's resident lines in LRU order (oldest
         first), ``-1``-padded at the end — the canonical snapshot form
-        shared with the array kernel's tag/stamp representation.
+        (:meth:`repro.uarch.pipeline.OutOfOrderCore.snapshot_state`).
         """
         table = np.full((self.n_sets, self.assoc), -1, dtype=np.int64)
         for index, ways in enumerate(self._sets):

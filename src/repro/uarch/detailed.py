@@ -10,12 +10,8 @@ One private interval loop drives every detailed run: a single
 :meth:`DetailedSimulator.run` is a one-member call into it, and
 :func:`run_detailed_group` drives a group of jobs sharing a workload
 through it, one synthesized trace per interval for the whole group.
-Each interval the loop steps its cores with the compiled ``prange``
-batch kernel (:mod:`repro.uarch.pipeline_kernel`) when
-:func:`repro.engine.kernel.detailed_batch_enabled` holds (``REPRO_JIT``
-on and numba importable), and otherwise with the interpreter,
-:meth:`~repro.uarch.pipeline.OutOfOrderCore.run_interval`, per member.
-Both steppers are bit-identical.
+Each interval the loop steps every active member's core with
+:meth:`~repro.uarch.pipeline.OutOfOrderCore.run_interval`.
 
 Detailed jobs cost seconds each (the engine's dominant expense), so
 the loop supports **per-interval checkpointing**: every
@@ -53,11 +49,11 @@ from repro.workloads.spec2000 import get_benchmark
 
 #: Bump when checkpoint contents change incompatibly: old snapshots are
 #: then ignored (and deleted) instead of mis-resumed.  v2 replaced the
-#: pickled core blob with the engine-independent array snapshot
+#: pickled core blob with the canonical array snapshot
 #: (:meth:`repro.uarch.pipeline.OutOfOrderCore.snapshot_state`) stored
-#: as plain ``state_*`` arrays — no pickling on either side, and either
-#: stepper can resume it.  v1 files fail the meta digest (the
-#: version participates) and are deleted, never mis-resumed.
+#: as plain ``state_*`` arrays — no pickling on either side.  v1 files
+#: fail the meta digest (the version participates) and are deleted,
+#: never mis-resumed.
 CHECKPOINT_VERSION = "ckpt/v2"
 
 #: Trace arrays a snapshot carries, in a fixed order.
@@ -278,12 +274,11 @@ def run_detailed_group(jobs):
     <repro.engine.jobs.SimJob.run>` runs a detailed job).
 
     Each interval is synthesized once for the whole group and stepped
-    for every member (through the compiled batch kernel when
-    :func:`repro.engine.kernel.detailed_batch_enabled` holds).
-    Checkpoint resolution, resume and save use each job's own settings
-    and content-hash path in the unchanged ``ckpt/v2`` format, so
-    ragged groups (some members resuming, some fresh) are the normal
-    case after a partial crash.  Results align with ``jobs``.
+    for every member.  Checkpoint resolution, resume and save use each
+    job's own settings and content-hash path in the unchanged
+    ``ckpt/v2`` format, so ragged groups (some members resuming, some
+    fresh) are the normal case after a partial crash.  Results align
+    with ``jobs``.
     """
     jobs = list(jobs)
     if not jobs:
@@ -321,10 +316,9 @@ def _simulate(workload: WorkloadModel, n_samples: int, ips: int,
     snapshot resumes from it; every other member starts fresh after an
     unmeasured warmup interval (resumed cores warmed before their
     snapshot was taken).  Members sit out the intervals before their
-    start through the ``active`` mask.  Power, AVF, mispredict and
-    throttle post-processing calls the scalar model code per member.
+    start.  Power, AVF, mispredict and throttle post-processing calls
+    the scalar model code per member.
     """
-    from repro.engine.kernel import detailed_batch_enabled
     from repro.uarch.pipeline import OutOfOrderCore
     from repro.uarch.simulator import SimulationResult
 
@@ -350,37 +344,18 @@ def _simulate(workload: WorkloadModel, n_samples: int, ips: int,
             "power": WattchModel(config), "avf": AVFModel(config),
         })
 
-    cores = [member["core"] for member in members]
-    batch = None
-    if detailed_batch_enabled():
-        # Imported here so interpreter-only processes never load it.
-        from repro.uarch import pipeline_kernel
-
-        if pipeline_kernel.compiled_batch_step():
-            batch = pipeline_kernel.BatchKernelState(
-                [core._enter_kernel_mode() for core in cores])
-
-    def step(trace, active):
-        """One interval for the active members: stats per member, or
-        ``None`` where inactive."""
-        if batch is not None:
-            return pipeline_kernel.run_interval_on_batch(cores, batch, trace,
-                                                         active)
-        return [core.run_interval(trace) if on else None
-                for core, on in zip(cores, active)]
-
-    fresh = np.array([member["start"] == 0 for member in members],
-                     dtype=np.uint8)
-    if fresh.any():
-        step(synthesize_interval(workload, 0, n_samples, ips, seed=1), fresh)
+    fresh = [member for member in members if member["start"] == 0]
+    if fresh:
+        warmup = synthesize_interval(workload, 0, n_samples, ips, seed=1)
+        for member in fresh:
+            member["core"].run_interval(warmup)
 
     for i in range(min(member["start"] for member in members), n_samples):
         trace = synthesize_interval(workload, i, n_samples, ips)
-        active = np.array([member["start"] <= i for member in members],
-                          dtype=np.uint8)
-        for member, stats in zip(members, step(trace, active)):
-            if stats is None:
+        for member in members:
+            if member["start"] > i:
                 continue
+            stats = member["core"].run_interval(trace)
             cpi, power, avf, iq_avf, mispredicts, throttled = member["traces"]
             cpi[i] = stats.cpi
             power[i] = member["power"].power_from_counters(stats.counters,

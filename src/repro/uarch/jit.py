@@ -34,12 +34,6 @@ import numpy as np
 
 from repro import settings
 
-#: Lazily-resolved compiled scan: ``None`` = not attempted yet,
-#: ``False`` = numba unavailable (or compilation failed), otherwise the
-#: dispatcher-wrapped function.
-_NUMBA_SCAN = None
-
-
 def set_jit(enabled: Optional[bool]) -> None:
     """Set the process-wide JIT override (``None`` restores env lookup).
 
@@ -55,78 +49,37 @@ def jit_requested() -> bool:
     return settings.get("jit")
 
 
-def set_jit_threads(n: Optional[int]) -> None:
-    """Set the process-wide kernel thread count (``None`` restores env
-    lookup; below 1 raises :class:`~repro.errors.ConfigurationError`).
-
-    The CLI's ``--jit-threads`` flag uses this, like :func:`set_jit`.
-    """
-    settings.set_override("jit_threads", n)
-
-
-def jit_threads() -> int:
-    """Threads the batched detailed kernel may ``prange`` across.
-
-    The conservative default of **1** matters: executors already run one worker per CPU, so a
-    worker quietly spawning a thread team would oversubscribe the
-    machine — multi-threaded stepping is for single-process batched
-    runs that ask for it.  Thread count never changes results: batch
-    rows are fully independent (see
-    :mod:`repro.uarch.pipeline_kernel`), so this is a speed knob only.
-    """
-    return settings.get("jit_threads")
-
-
-def apply_jit_threads() -> int:
-    """Apply :func:`jit_threads` to numba's runtime; returns the count
-    actually in force (clamped to numba's launch-time maximum, 1 when
-    numba is absent)."""
-    n = jit_threads()
-    try:
-        import numba
-
-        n = max(1, min(n, int(numba.config.NUMBA_NUM_THREADS)))
-        numba.set_num_threads(n)
-        return n
-    except Exception:
-        return 1
-
-
 def jit_cache_dir() -> Optional[str]:
     """Directory for numba's persistent on-disk compilation cache, or
     ``None`` to compile in memory only.  With a directory pinned, every
-    process —
-    including forked pool workers — loads the detailed-pipeline
-    mega-function from disk instead of recompiling it, which is the
-    difference between milliseconds and tens of seconds of warm-up per
-    worker.
+    process — including forked pool workers — loads the compiled scan
+    from disk instead of recompiling it.
     """
     return settings.get("jit_cache_dir")
 
 
 #: Compiled-dispatcher cache for :func:`compile_njit`, keyed by
-#: ``(function, jit flags)`` — one compilation per distinct signature,
-#: however often :func:`set_jit` toggles.
+#: function — one compilation each, however often :func:`set_jit`
+#: toggles.
 _NJIT_CACHE: dict = {}
 
 
-def compile_njit(fn, parallel: bool = False):
-    """``numba.njit(fn)``, compiled lazily once per ``(fn, flags)``.
+def compile_njit(fn):
+    """``numba.njit(fn)``, compiled lazily once per function.
 
     Returns the dispatcher-wrapped function, or ``False`` when numba is
     not importable (or compilation fails) — callers then fall back to
     their pure-Python path, which is the same arithmetic.  Compiled
     without ``fastmath`` so IEEE ordering (and therefore bit-identical
-    output) is preserved; shared by the EWMA scan and the detailed
-    pipeline kernel (:mod:`repro.uarch.pipeline_kernel`).
+    output) is preserved.
 
-    The dispatcher is memoized under ``(fn, parallel)``: :func:`set_jit`
-    toggling only changes *dispatch*, never re-triggers compilation.  When :func:`jit_cache_dir` resolves
-    a directory, compilation also lands in numba's on-disk cache there
-    (``cache=True``), so fresh processes skip the compile entirely.
+    The dispatcher is memoized: :func:`set_jit` toggling only changes
+    *dispatch*, never re-triggers compilation.  When
+    :func:`jit_cache_dir` resolves a directory, compilation also lands
+    in numba's on-disk cache there (``cache=True``), so fresh processes
+    skip the compile entirely.
     """
-    key = (fn, parallel)
-    cached = _NJIT_CACHE.get(key)
+    cached = _NJIT_CACHE.get(fn)
     if cached is None:
         try:
             import numba
@@ -142,21 +95,19 @@ def compile_njit(fn, parallel: bool = False):
                     use_cache = True
                 except OSError:
                     pass  # unwritable cache root: compile in memory
-            cached = numba.njit(cache=use_cache, parallel=parallel)(fn)
+            cached = numba.njit(cache=use_cache)(fn)
         except Exception:
             cached = False
-        _NJIT_CACHE[key] = cached
+        _NJIT_CACHE[fn] = cached
     return cached
 
 
 def _resolve_numba_scan():
-    """Compile the scan once through :func:`compile_njit`."""
-    global _NUMBA_SCAN
-    if _NUMBA_SCAN is None:
-        # No fastmath: the compiled loop must keep strict IEEE
-        # ordering so its output is bit-identical to the NumPy scan.
-        _NUMBA_SCAN = compile_njit(_ewma_scan_loop)
-    return _NUMBA_SCAN
+    """The compiled scan through :func:`compile_njit` (memoized there),
+    or ``False`` when numba is unavailable."""
+    # No fastmath: the compiled loop must keep strict IEEE ordering so
+    # its output is bit-identical to the NumPy scan.
+    return compile_njit(_ewma_scan_loop)
 
 
 def jit_available() -> bool:

@@ -17,30 +17,19 @@ methodology exactly; per-structure event counters feed the Wattch power
 model.  The optional :class:`~repro.reliability.dvm.DVMController`
 gates dispatch per the paper's Figure 16 pseudocode.
 
-Two bit-identical steppers advance an interval, chosen per run by
-``REPRO_JIT`` (or ``--jit`` / :func:`repro.uarch.jit.set_jit`) plus
-numba being importable:
-
-* the interpreter below, :meth:`OutOfOrderCore.run_interval` — object
-  caches (:class:`~repro.uarch.caches.CacheHierarchy`,
-  :class:`~repro.uarch.branch.FrontEnd`) plus a :class:`deque` ROB and
-  a min-heap of outstanding L2 misses.  Always available;
-* the struct-of-arrays kernel (:mod:`repro.uarch.pipeline_kernel`),
-  numba-compiled and stepped as a ``prange`` batch over a group's
-  cores by the detailed interval loop (:mod:`repro.uarch.detailed`).
-
-Both produce identical cycle / counter / ACE / mispredict / throttle
-streams (``tests/test_detailed_kernel.py`` pins golden sha256 digests
-for each stepper; the kernel cells run where numba is installed).  The
-core converts its microarchitectural state between the two
-representations through one canonical snapshot format
-(:meth:`OutOfOrderCore.snapshot_state`), which is also what detailed
+One stepper advances an interval: :meth:`OutOfOrderCore.run_interval`,
+an interpreter over object caches
+(:class:`~repro.uarch.caches.CacheHierarchy`,
+:class:`~repro.uarch.branch.FrontEnd`) plus a :class:`deque` ROB and a
+min-heap of outstanding L2 misses.  Its microarchitectural state
+round-trips through one canonical snapshot format
+(:meth:`OutOfOrderCore.snapshot_state`), which is what detailed
 checkpointing persists.
 
-The interpreter is event-driven; the kernel steps every cycle.  A
-*dead* cycle commits, issues, dispatches and fetches nothing, and
-until the next event every following cycle repeats it exactly.  The
-interpreter therefore jumps to the cycle before the earliest of:
+The interpreter is event-driven.  A *dead* cycle commits, issues,
+dispatches and fetches nothing, and until the next event every
+following cycle repeats it exactly.  The interpreter therefore jumps to
+the cycle before the earliest of:
 
 * the ROB head's ``ready_cycle`` (commit);
 * the earliest completion of an issued producer that blocked an issue
@@ -58,9 +47,8 @@ same integer each cycle and stay far below 2**53, so one ``k * x``
 multiply-add equals ``k`` adds.  The register-file term is not an
 integer, and float addition does not associate, so it repeats the
 per-cycle add ``k`` times.  ``tests/test_detailed_kernel.py``
-(``TestDeadCycleSkip``) checks the two steppers against each other to
-the bit: live where numba is installed, and against digests recorded
-from the kernel everywhere else.
+(``TestDeadCycleSkip``) checks every statistic and the final snapshot
+to the bit against digests recorded from an every-cycle stepper.
 """
 
 from __future__ import annotations
@@ -170,23 +158,6 @@ class OutOfOrderCore:
         self._dvm_sample_period = 200
         self._last_waiting = 0
         self._last_ready = 0
-        # Array-kernel mirror of the microarchitectural state; ``None``
-        # while the object representation (hierarchy/front_end) is
-        # authoritative.  Set by _enter_kernel_mode for the compiled
-        # batch stepper; restore_state clears it.
-        self._kernel_state = None
-
-    # ------------------------------------------------------------------
-    # State representation conversion
-    # ------------------------------------------------------------------
-    def _enter_kernel_mode(self):
-        """Build the array mirror from the object state (idempotent)."""
-        if self._kernel_state is None:
-            from repro.uarch import pipeline_kernel
-
-            self._kernel_state = pipeline_kernel.KernelState(
-                self.config, self.snapshot_state())
-        return self._kernel_state
 
     # ------------------------------------------------------------------
     # Canonical state snapshot (checkpoint format v2)
@@ -194,41 +165,36 @@ class OutOfOrderCore:
     def snapshot_state(self) -> Dict[str, np.ndarray]:
         """The core's microarchitectural state as plain numpy arrays.
 
-        The canonical, stepper-independent representation: every cache /
+        The canonical representation: every cache /
         BTB set as its way tags in LRU order (oldest first, ``-1``
         padding), TLBs as resident pages in LRU order, the gshare
         counter table, and two scalar vectors (``ints`` ordered per
         :data:`SNAPSHOT_INT_FIELDS`, ``floats`` per
         :data:`SNAPSHOT_FLOAT_FIELDS`).  Checkpoint format v2 stores
-        exactly these arrays (no pickling); both steppers can export and
-        import it, which is what proves snapshot round-trips are
-        bit-identical (``tests/test_detailed_kernel.py``).
+        exactly these arrays (no pickling); ``tests/test_detailed_kernel.py``
+        pins that a restored snapshot resumes bit-identically.
         """
-        if self._kernel_state is not None:
-            snap = self._kernel_state.export_structures()
-            scalars = self._kernel_state.export_scalars()
-        else:
-            hier, fe = self.hierarchy, self.front_end
-            snap = {
-                "il1_lru": hier.il1.lru_table(),
-                "dl1_lru": hier.dl1.lru_table(),
-                "l2_lru": hier.l2.lru_table(),
-                "btb_lru": fe.btb.lru_table(),
-                "itlb_lru": hier.itlb.lru_pages(),
-                "dtlb_lru": hier.dtlb.lru_pages(),
-                "gshare_counters": fe.gshare._counters.copy(),
-            }
-            scalars = {
-                "il1_hits": hier.il1.hits, "il1_misses": hier.il1.misses,
-                "dl1_hits": hier.dl1.hits, "dl1_misses": hier.dl1.misses,
-                "l2_hits": hier.l2.hits, "l2_misses": hier.l2.misses,
-                "itlb_hits": hier.itlb.hits, "itlb_misses": hier.itlb.misses,
-                "dtlb_hits": hier.dtlb.hits, "dtlb_misses": hier.dtlb.misses,
-                "btb_hits": fe.btb.hits, "btb_misses": fe.btb.misses,
-                "gshare_history": fe.gshare._history,
-                "gshare_lookups": fe.gshare.lookups,
-                "gshare_mispredicts": fe.gshare.mispredicts,
-            }
+        hier, fe = self.hierarchy, self.front_end
+        snap = {
+            "il1_lru": hier.il1.lru_table(),
+            "dl1_lru": hier.dl1.lru_table(),
+            "l2_lru": hier.l2.lru_table(),
+            "btb_lru": fe.btb.lru_table(),
+            "itlb_lru": hier.itlb.lru_pages(),
+            "dtlb_lru": hier.dtlb.lru_pages(),
+            "gshare_counters": fe.gshare._counters.copy(),
+        }
+        scalars = {
+            "il1_hits": hier.il1.hits, "il1_misses": hier.il1.misses,
+            "dl1_hits": hier.dl1.hits, "dl1_misses": hier.dl1.misses,
+            "l2_hits": hier.l2.hits, "l2_misses": hier.l2.misses,
+            "itlb_hits": hier.itlb.hits, "itlb_misses": hier.itlb.misses,
+            "dtlb_hits": hier.dtlb.hits, "dtlb_misses": hier.dtlb.misses,
+            "btb_hits": fe.btb.hits, "btb_misses": fe.btb.misses,
+            "gshare_history": fe.gshare._history,
+            "gshare_lookups": fe.gshare.lookups,
+            "gshare_mispredicts": fe.gshare.mispredicts,
+        }
         scalars.update({
             "global_index": self._global_index,
             "cycle": self._cycle,
@@ -248,8 +214,7 @@ class OutOfOrderCore:
         return snap
 
     def restore_state(self, snapshot: Dict[str, np.ndarray]) -> None:
-        """Load a :meth:`snapshot_state` dict (object mode authoritative)."""
-        self._kernel_state = None
+        """Load a :meth:`snapshot_state` dict."""
         hier, fe = self.hierarchy, self.front_end
         hier.il1.load_lru_table(snapshot["il1_lru"])
         hier.dl1.load_lru_table(snapshot["dl1_lru"])
@@ -291,18 +256,7 @@ class OutOfOrderCore:
     # Interpreter
     # ------------------------------------------------------------------
     def run_interval(self, trace: InstructionTrace) -> IntervalStats:
-        """Simulate one interval with the interpreter; returns its raw
-        statistics.
-
-        A core whose state lives in the array kernel (see
-        :meth:`_enter_kernel_mode`) is stepped by
-        :func:`~repro.uarch.pipeline_kernel.run_interval_on_batch`
-        instead; ``restore_state(snapshot_state())`` hands it back.
-        """
-        if self._kernel_state is not None:
-            raise SimulationError(
-                "core state lives in the array kernel; restore a "
-                "snapshot before running the interpreter")
+        """Simulate one interval; returns its raw statistics."""
         cfg = self.config
         stats = IntervalStats(instructions=len(trace))
         # Counters and ACE accumulators as locals (dicts are assembled

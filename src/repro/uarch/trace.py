@@ -99,10 +99,12 @@ class InstructionTrace:
         )
 
     def mix_fractions(self) -> dict:
-        """Observed dynamic instruction-mix fractions."""
+        """Observed dynamic instruction-mix fractions (all 0.0 for an
+        empty trace)."""
+        n = max(len(self), 1)
         return {
-            "f_load": float(np.mean(self.op == OpClass.LOAD)),
-            "f_store": float(np.mean(self.op == OpClass.STORE)),
-            "f_branch": float(np.mean(self.op == OpClass.BRANCH)),
-            "f_fp": float(np.mean(self.op == OpClass.FP_ALU)),
+            "f_load": int(np.count_nonzero(self.op == OpClass.LOAD)) / n,
+            "f_store": int(np.count_nonzero(self.op == OpClass.STORE)) / n,
+            "f_branch": int(np.count_nonzero(self.op == OpClass.BRANCH)) / n,
+            "f_fp": int(np.count_nonzero(self.op == OpClass.FP_ALU)) / n,
         }

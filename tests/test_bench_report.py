@@ -35,24 +35,6 @@ def test_regressed_speedup_fails(tmp_path):
     assert summary["failed_checks"][0]["check"] == "kernel.speedup"
 
 
-def test_batched_floor_gated_on_enforcement_flag(tmp_path):
-    record = {
-        "bench": "detailed_kernel", "bit_identical_fresh": True,
-        "bit_identical_resumed": True, "min_speedup_enforced": None,
-        "batched": {"bit_identical": True, "speedup": 0.9,
-                    "resumed_speedup": 0.8, "min_speedup_enforced": None},
-    }
-    _write(tmp_path, "BENCH_detailed_kernel.json", record)
-    assert bench_report.build_summary(tmp_path)["failures"] == 0
-
-    record["batched"]["min_speedup_enforced"] = 3.0
-    _write(tmp_path, "BENCH_detailed_kernel.json", record)
-    summary = bench_report.build_summary(tmp_path)
-    failed = {c["check"] for c in summary["failed_checks"]}
-    assert failed == {"detailed_kernel.batched.speedup",
-                      "detailed_kernel.batched.resumed_speedup"}
-
-
 def test_chunk_ratio_reports_missing_fields(tmp_path):
     record = {"bench": "detailed_backend", "bit_identical": True}
     _write(tmp_path, "BENCH_detailed_backend.json", record)
@@ -117,11 +99,6 @@ _RECORDS_AT_PINNED_GATES = {
     "kernel": {"speedup": 10.0, "min_speedup": 10.0,
                "rows_bit_identical": True, "jit_available": True,
                "jit_bit_identical": True},
-    "detailed_kernel": {
-        "speedup": 5.0, "min_speedup_enforced": 5.0,
-        "bit_identical_fresh": True, "bit_identical_resumed": True,
-        "batched": {"bit_identical": True, "speedup": 3.0,
-                    "resumed_speedup": 3.0, "min_speedup_enforced": 3.0}},
     "detailed_backend": {"bit_identical": True, "chunk_interval": 8,
                          "chunk_detailed": 1},
     "shm_transport": {"transport_speedup": 2.0, "bit_identical": True},
@@ -149,7 +126,7 @@ def test_records_at_pinned_gates_pass(tmp_path):
     assert bench_report.main(["--dir", str(tmp_path), "--out", str(out)]) == 0
     summary = json.loads(out.read_text())
     assert summary["failures"] == 0
-    assert summary["checks_run"] == 19
+    assert summary["checks_run"] == 13
     assert summary["skipped"] == []
 
 

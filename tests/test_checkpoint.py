@@ -50,7 +50,7 @@ def _assert_results_equal(a, b):
 
 def _count_intervals(monkeypatch, die_after=None):
     """Count the intervals the detailed loop simulates, warmup included
-    (and optionally fail before one), on either stepper."""
+    (and optionally fail before one)."""
     calls = {"n": 0}
     original = detailed.synthesize_interval
 

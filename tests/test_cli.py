@@ -158,8 +158,9 @@ class TestConfig:
 
         from repro import settings
 
-        for knob in settings.KNOBS:
-            monkeypatch.delenv(knob.variable, raising=False)
+        for name in list(os.environ):
+            if name.startswith("REPRO_"):
+                monkeypatch.delenv(name)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_JIT", "")  # empty means unset
         before = dict(os.environ)
@@ -181,6 +182,19 @@ class TestConfig:
         assert os.environ == before
         assert settings.get("jit") is False
 
+    def test_lists_unknown_repro_variables_as_ignored(self, monkeypatch):
+        from repro import settings
+
+        monkeypatch.setenv("REPRO_JIT_THREADS", "2")  # a removed knob
+        monkeypatch.setenv("REPRO_UNUSED", "")  # empty means unset
+        code, text = _run(["config"])
+        assert code == 0
+        rows = [line.split() for line in text.splitlines()]
+        assert [row[0] for row in rows[:len(settings.KNOBS)]] == [
+            knob.variable for knob in settings.KNOBS]
+        assert ["REPRO_JIT_THREADS", "2", "ignored"] in rows
+        assert not any(row[0] == "REPRO_UNUSED" for row in rows)
+
 
 class TestEngineFlags:
     @pytest.mark.parametrize("argv", [
@@ -189,7 +203,7 @@ class TestEngineFlags:
         ["--jobs", "two"],
         ["--cache-max-bytes", "-5"],
         ["--cache-max-bytes", "0"],
-        ["--jit-threads", "0"],
+        ["--checkpoint-every", "two"],
         ["--checkpoint-every", "-3"],
     ])
     def test_out_of_range_engine_flags_are_usage_errors(self, argv, capsys):

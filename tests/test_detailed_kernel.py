@@ -1,28 +1,19 @@
-"""Golden digests and stepper parity for the detailed pipeline.
+"""Golden digests, snapshots and checkpoints of the detailed pipeline.
 
-The detailed backend has two steppers — the object-model interpreter
-and the numba-compiled struct-of-arrays batch kernel — that must
-produce bit-identical statistic streams.  This module pins:
+The detailed backend has one stepper, the event-driven interpreter
+:meth:`~repro.uarch.pipeline.OutOfOrderCore.run_interval`.  This module
+pins:
 
 * golden sha256 digests of full detailed runs for five
-  (benchmark, config) pairs, including DVM-enabled ones, for each
-  stepper, run alone and as one group (the interpreter in
-  :func:`test_interpreter_matches_goldens` and
-  ``test_detailed_batch``, the compiled kernel in
-  :func:`test_goldens`) — any
-  behavioural drift in the pipeline, caches, predictor or DVM
-  controller fails loudly;
-* canonical-snapshot conversion between the object and array
-  representations, checkpoint resume mid-run, and v1-checkpoint
-  invalidation;
-* the interpreter's dead-cycle skipping against the kernel, which
-  steps every cycle (:class:`TestDeadCycleSkip`);
+  (benchmark, config) pairs, including DVM-enabled ones (run alone
+  here, as one group in ``test_detailed_batch``) — any behavioural
+  drift in the pipeline, caches, predictor or DVM controller fails
+  loudly;
+* the canonical snapshot round-trip, checkpoint resume mid-run, and
+  v1-checkpoint invalidation;
+* the interpreter's dead-cycle skipping, against digests recorded from
+  an every-cycle stepper (:class:`TestDeadCycleSkip`);
 * the trace memo's sharing and isolation guarantees.
-
-The kernel runs only compiled, so every cell that steps it needs numba
-and runs in CI's with-numba leg.  Where it is absent,
-:class:`TestDeadCycleSkip` checks the interpreter against digests
-recorded from the stepping kernel.
 
 Regenerate the golden digest table with
 ``tools/capture_detailed_goldens.py`` after an *intended* behaviour
@@ -33,7 +24,6 @@ import dataclasses
 import hashlib
 import os
 import time
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -45,10 +35,9 @@ from repro.errors import SimulationError
 from repro.reliability.dvm import DVMController, DVMPolicy
 from repro.uarch import detailed, jit
 from repro.uarch.detailed import (CHECKPOINT_VERSION, DetailedSimulator,
-                                  run_detailed_group, sweep_checkpoints)
+                                  sweep_checkpoints)
 from repro.uarch.params import MachineConfig, baseline_config
 from repro.uarch.pipeline import _MAX_CPI, OutOfOrderCore
-from repro.uarch.pipeline_kernel import BatchKernelState, run_interval_on_batch
 from repro.uarch.trace import InstructionTrace, OpClass
 from repro.workloads.generator import clear_trace_memo, synthesize_interval
 from repro.workloads.spec2000 import BENCHMARK_NAMES, get_benchmark
@@ -73,26 +62,6 @@ GOLDEN_DIGESTS = {
     "gcc-dvm":
         "71b15594b533fecab8903fd7f17d2848e32bcbc98f803eb345404a2b11c40d8d",
 }
-
-needs_numba = pytest.mark.skipif(
-    not jit.jit_available(),
-    reason="numba not installed: the kernel runs only compiled")
-
-#: The two steppers, as the JIT setting that selects each.
-STEPPERS = [pytest.param(False, id="interpreter"),
-            pytest.param(True, id="compiled", marks=needs_numba)]
-
-
-@contextmanager
-def stepper(compiled):
-    """Run detailed simulations on the compiled kernel or the
-    interpreter, whatever ``REPRO_JIT`` says."""
-    jit.set_jit(compiled)
-    try:
-        yield
-    finally:
-        jit.set_jit(None)
-
 
 def golden_cases():
     weak = MachineConfig(fetch_width=2, rob_size=96, iq_size=32,
@@ -130,59 +99,31 @@ def _job(bench, config, **kwargs):
                   instructions_per_sample=IPS, **kwargs)
 
 
-def _kernel_step(core, trace):
-    """One interval of ``core`` through the compiled kernel, as a batch
-    of one (the core stays in kernel mode afterwards)."""
-    batch = BatchKernelState([core._enter_kernel_mode()])
-    stats, = run_interval_on_batch([core], batch, trace,
-                                   np.ones(1, dtype=np.uint8))
-    return stats
-
-
 # ----------------------------------------------------------------------
-# Golden digests per stepper, alone and grouped
+# Golden digests
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("label,bench,config", golden_cases(),
                          ids=[c[0] for c in golden_cases()])
 def test_interpreter_matches_goldens(label, bench, config):
-    with stepper(False):
-        assert _digest(_run_case(bench, config)) == GOLDEN_DIGESTS[label]
-
-
-@pytest.mark.parametrize("bench", ["gcc", "mcf", "swim"])
-@pytest.mark.parametrize("compiled", [STEPPERS[1]])
-def test_goldens(compiled, bench):
-    """Every golden case of ``bench`` through the compiled kernel, run
-    alone and as one group (heterogeneous, DVM members included; swim
-    is a group of one).  The interpreter's cells are
-    :func:`test_interpreter_matches_goldens` and
-    ``test_detailed_batch::test_batched_group_matches_goldens``."""
-    cases = [case for case in golden_cases() if case[1] == bench]
-    with stepper(compiled):
-        alone = [_run_case(bench, config) for _, _, config in cases]
-        grouped = run_detailed_group([_job(bench, config)
-                                      for _, _, config in cases])
-    for (label, _, _), one, member in zip(cases, alone, grouped):
-        assert _digest(one) == _digest(member) == GOLDEN_DIGESTS[label]
+    assert _digest(_run_case(bench, config)) == GOLDEN_DIGESTS[label]
 
 
 def test_jit_on_off_parity():
-    """Digest invariant under the JIT setting, whatever numba's state.
-
-    With numba absent a requested JIT silently falls back to the
-    interpreter; with numba present (CI's with-numba leg) runs step on
-    the compiled kernel — either way the streams must not move.
-    """
+    """``REPRO_JIT`` compiles only the interval model's scan: a detailed
+    run's streams do not move with it, whatever numba's state."""
     label, bench, config = golden_cases()[0]
-    with stepper(False):
-        off = _digest(_run_case(bench, config))
-    with stepper(True):
-        on = _digest(_run_case(bench, config))
-    assert off == on == GOLDEN_DIGESTS[label]
+    try:
+        digests = set()
+        for enabled in (False, True):
+            jit.set_jit(enabled)
+            digests.add(_digest(_run_case(bench, config)))
+    finally:
+        jit.set_jit(None)
+    assert digests == {GOLDEN_DIGESTS[label]}
 
 
 # ----------------------------------------------------------------------
-# Snapshot round-trips across representations
+# Snapshot round-trips
 # ----------------------------------------------------------------------
 def _interval_signature(stats):
     return (stats.cycles, stats.branch_mispredicts,
@@ -199,63 +140,25 @@ def _gcc_interval(i):
     return synthesize_interval(get_benchmark("gcc"), i, N_SAMPLES, IPS)
 
 
-def _run_intervals(core, lo, hi, step=OutOfOrderCore.run_interval):
-    return [_interval_signature(step(core, _gcc_interval(i)))
-            for i in range(lo, hi)]
-
-
-def test_alternating_engines_bit_identical():
-    """Even intervals go through the array representation — stepped by
-    the compiled kernel where numba is installed, else converted in and
-    back out around an interpreter step — odd ones through the
-    interpreter; the streams match the interpreter alone."""
-    reference = _run_intervals(_core_with_dvm(), 0, N_SAMPLES)
+def test_snapshot_round_trip_bit_identical():
+    """Every interval runs on a fresh core restored from the previous
+    core's snapshot (DVM controller state included); the streams and
+    the final snapshot match one core run straight through."""
+    reference = _core_with_dvm()
+    want = [_interval_signature(reference.run_interval(_gcc_interval(i)))
+            for i in range(N_SAMPLES)]
     core = _core_with_dvm()
-    mixed = []
+    got = []
     for i in range(N_SAMPLES):
-        trace = _gcc_interval(i)
-        if i % 2 == 0 and jit.jit_available():
-            stats = _kernel_step(core, trace)
-        else:
-            if i % 2 == 0:
-                core._enter_kernel_mode()
-            core.restore_state(core.snapshot_state())  # back to objects
-            stats = core.run_interval(trace)
-        mixed.append(_interval_signature(stats))
-    assert mixed == reference
-
-
-@needs_numba
-@pytest.mark.parametrize("first,second",
-                         [("compiled", "interpreter"),
-                          ("interpreter", "compiled")])
-def test_snapshot_round_trip_across_engines(first, second):
-    steps = {"compiled": _kernel_step,
-             "interpreter": OutOfOrderCore.run_interval}
-    reference = _run_intervals(_core_with_dvm(), 0, N_SAMPLES)
-    core = _core_with_dvm()
-    head = _run_intervals(core, 0, 4, steps[first])
-    snapshot = core.snapshot_state()
-    resumed = _core_with_dvm()
-    resumed.restore_state(snapshot)
-    tail = _run_intervals(resumed, 4, N_SAMPLES, steps[second])
-    assert head == reference[:4]
-    assert tail == reference[4:]
-
-
-def test_kernel_and_object_snapshots_identical():
-    """Converting a warmed core to the array representation and
-    exporting it reproduces the object-model snapshot exactly."""
-    core = _core_with_dvm()
-    _run_intervals(core, 0, 4)
-    from_objects = core.snapshot_state()
-    core._enter_kernel_mode()
-    from_kernel = core.snapshot_state()
-    assert set(from_kernel) == set(from_objects)
-    for key in from_kernel:
-        assert np.array_equal(from_kernel[key], from_objects[key]), key
-    with pytest.raises(SimulationError, match="array kernel"):
-        core.run_interval(_gcc_interval(4))
+        got.append(_interval_signature(core.run_interval(_gcc_interval(i))))
+        snapshot = core.snapshot_state()
+        core = _core_with_dvm()
+        core.restore_state(snapshot)
+    assert got == want
+    final, expected = core.snapshot_state(), reference.snapshot_state()
+    assert sorted(final) == sorted(expected)
+    for key in final:
+        assert np.array_equal(final[key], expected[key]), key
 
 
 def test_restore_rejects_mismatched_shapes():
@@ -266,7 +169,7 @@ def test_restore_rejects_mismatched_shapes():
 
 
 # ----------------------------------------------------------------------
-# Dead-cycle skipping: interpreter vs the every-cycle kernel
+# Dead-cycle skipping: interpreter vs an every-cycle stepper's digests
 # ----------------------------------------------------------------------
 def _exact(value):
     """``value`` with every float as its exact bit pattern."""
@@ -295,7 +198,8 @@ def _stream_digest(stats_list, snapshot) -> str:
 
 
 #: :func:`_stream_digest` of each :class:`TestDeadCycleSkip` case,
-#: recorded from the array kernel stepping every cycle.
+#: recorded from a struct-of-arrays kernel that stepped every cycle
+#: (since deleted); the skipping interpreter must keep reproducing them.
 DEAD_CYCLE_DIGESTS = {
     "0-bzip2-nodvm": "d344f63b919991d5",
     "0-bzip2-dvm0.05": "19a921e631427717",
@@ -409,11 +313,10 @@ def _lhs_cases():
 
 class TestDeadCycleSkip:
     """The interpreter jumps over cycles in which nothing commits,
-    issues, dispatches or fetches; the array kernel steps every cycle.
-    Every statistic and the final snapshot must agree to the bit,
-    including where an event lands inside a dead run: live against the
-    compiled kernel where numba is installed, and always against the
-    digest recorded from the kernel.
+    issues, dispatches or fetches.  Every statistic and the final
+    snapshot must match, to the bit, the digest recorded from a stepper
+    that stepped every cycle, including where an event lands inside a
+    dead run.
     """
 
     @staticmethod
@@ -427,16 +330,6 @@ class TestDeadCycleSkip:
         stats = [skipping.run_interval(trace) for trace in traces]
         assert (_stream_digest(stats, skipping.snapshot_state())
                 == DEAD_CYCLE_DIGESTS[case])
-        if jit.jit_available():
-            stepping = self._core(config)
-            for got, trace in zip(stats, traces):
-                want = _kernel_step(stepping, trace)
-                assert _exact_stats(got) == _exact_stats(want)
-            got, want = skipping.snapshot_state(), stepping.snapshot_state()
-            assert sorted(got) == sorted(want)
-            for key in got:
-                assert got[key].dtype == want[key].dtype, key
-                assert got[key].tobytes() == want[key].tobytes(), key
         return stats, skipping
 
     @pytest.mark.parametrize("case,bench,config", _lhs_cases())
@@ -513,7 +406,7 @@ class TestDeadCycleSkip:
     def test_max_cycles_guard_raises_at_same_cycle(self, dvm):
         """A load that never returns inside the interval's cycle budget
         trips the deadlock guard at ``max_cycles + 1``, with no cycle
-        skipped past it; the kernel trips its guard too."""
+        skipped past it."""
         config = MachineConfig(memory_latency=50_000)
         if dvm is not None:
             config = config.with_dvm(True, dvm)
@@ -523,9 +416,6 @@ class TestDeadCycleSkip:
         with pytest.raises(SimulationError,
                            match=f"at cycle {limit + 1} "):
             self._core(config).run_interval(trace)
-        if jit.jit_available():
-            with pytest.raises(SimulationError, match="model deadlock"):
-                _kernel_step(self._core(config), trace)
 
 
 # ----------------------------------------------------------------------
@@ -537,7 +427,7 @@ class _Crash(Exception):
 
 def crash_at(monkeypatch, interval):
     """Make the detailed interval loop crash when it synthesizes
-    measured ``interval`` (before stepping it, on either stepper)."""
+    measured ``interval`` (before stepping it)."""
     original = detailed.synthesize_interval
 
     def failing(workload, i, n, ips, seed=None):
@@ -550,20 +440,14 @@ def crash_at(monkeypatch, interval):
     monkeypatch.setattr(detailed, "synthesize_interval", failing)
 
 
-@pytest.mark.parametrize("crash_compiled,resume_compiled", [
-    pytest.param(False, False, id="interpreter-interpreter"),
-    pytest.param(True, False, id="compiled-interpreter", marks=needs_numba),
-    pytest.param(False, True, id="interpreter-compiled", marks=needs_numba),
-])
-def test_checkpoint_resume_mid_run(monkeypatch, tmp_path,
-                                   crash_compiled, resume_compiled):
-    """A crashed run resumes bit-identically — on either stepper, from a
-    snapshot written by either stepper (DVM controller state included)."""
+def test_checkpoint_resume_mid_run(monkeypatch, tmp_path):
+    """A crashed run resumes bit-identically from its snapshot (DVM
+    controller state included)."""
     label, bench, config = golden_cases()[4]  # gcc-dvm
     path = tmp_path / "run.ckpt.npz"
     # Warmup + intervals 0..3 simulate; snapshot lands at next=3.
     crash_at(monkeypatch, 4)
-    with stepper(crash_compiled), pytest.raises(_Crash):
+    with pytest.raises(_Crash):
         _run_case(bench, config, checkpoint_every=3, checkpoint_path=path)
     monkeypatch.undo()
     assert path.exists()
@@ -576,9 +460,8 @@ def test_checkpoint_resume_mid_run(monkeypatch, tmp_path,
         return original(workload, i, n, ips, seed=seed)
 
     monkeypatch.setattr(detailed, "synthesize_interval", counting)
-    with stepper(resume_compiled):
-        result = _run_case(bench, config, checkpoint_every=3,
-                           checkpoint_path=path)
+    result = _run_case(bench, config, checkpoint_every=3,
+                       checkpoint_path=path)
     assert _digest(result) == GOLDEN_DIGESTS[label]
     # No warmup, intervals 3..7 only.
     assert calls == [(i, None) for i in range(3, N_SAMPLES)]

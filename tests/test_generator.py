@@ -6,6 +6,7 @@ bit; regenerate it with ``tools/capture_detailed_goldens.py`` after an
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,14 @@ class TestStatisticalFidelity:
         trace = synthesize_interval(get_benchmark("eon"), 0, 16, 1000)
         assert np.all(trace.src1_dist >= 1)
         assert np.all(trace.src2_dist >= 0)
+
+    def test_empty_trace_mix_is_zero(self):
+        trace = synthesize_interval(get_benchmark("gcc"), 0, 16, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mix = trace.slice(5, 5).mix_fractions()
+        assert mix == {"f_load": 0.0, "f_store": 0.0, "f_branch": 0.0,
+                       "f_fp": 0.0}
 
     def test_swim_branch_fraction_tiny(self):
         trace = synthesize_interval(get_benchmark("swim"), 4, 16, 4000)

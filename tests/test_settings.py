@@ -33,7 +33,6 @@ ROWS = {
     "shm": (True, "off", False, True, "flase"),
     "batch_kernel": (True, "0", False, True, "maybe"),
     "jit": (False, "yes", True, False, "ture"),
-    "jit_threads": (1, "3", 3, 2, "0"),
     "jit_cache_dir": (None, "/tmp/nc", "/tmp/nc", "/tmp/flag", None),
     "trace_memo": (True, "no", False, True, "2"),
 }
@@ -106,7 +105,7 @@ def test_rejected_value(knob, clear_override):
 def test_int_rows_reject_non_integers():
     for bad in ("2.5", "two", 2.0, True):
         with pytest.raises(ConfigurationError, match="integer >= 1"):
-            settings.check("jit_threads", bad)
+            settings.check("jobs", bad)
 
 
 def test_derived_defaults_follow_the_cache_dir():
@@ -138,12 +137,11 @@ def test_engine_options_carry_the_engine_fields():
     (batch_kernel_enabled, "batch_kernel", "off", False),
     (_memo_enabled, "trace_memo", "0", False),
     (jit.jit_requested, "jit", "on", True),
-    (jit.jit_threads, "jit_threads", "3", 3),
     (jit.jit_cache_dir, "jit_cache_dir", "/tmp/nc", "/tmp/nc"),
     (lambda: Scale.from_env().name, "scale", "quick", "quick"),
     (lambda: resolve_checkpoint_settings()[0], "checkpoint_every", "8", 8),
 ], ids=["shm_from_env", "ParallelExecutor.shm", "batch_kernel_enabled",
-        "_memo_enabled", "jit_requested", "jit_threads", "jit_cache_dir",
+        "_memo_enabled", "jit_requested", "jit_cache_dir",
         "Scale.from_env", "resolve_checkpoint_settings"])
 def test_reader_follows_its_row(reader, name, text, expected, monkeypatch):
     variable = settings.BY_NAME[name].variable
@@ -160,17 +158,6 @@ def test_scale_from_env_default_applies_only_when_unset(monkeypatch):
     assert Scale.from_env(default="quick").name == "quick"
     monkeypatch.setenv("REPRO_SCALE", "paper")
     assert Scale.from_env(default="quick").name == "paper"
-
-
-def test_set_jit_threads_writes_the_override(clear_override, monkeypatch):
-    monkeypatch.setenv("REPRO_JIT_THREADS", "3")
-    jit.set_jit_threads(2)
-    assert jit.jit_threads() == 2
-    assert 1 <= jit.apply_jit_threads() <= 2
-    jit.set_jit_threads(None)
-    assert jit.jit_threads() == 3
-    with pytest.raises(ConfigurationError, match="jit_threads"):
-        jit.set_jit_threads(0)
 
 
 def test_readme_lists_exactly_the_table_variables():

@@ -2,14 +2,17 @@
 synthesis.
 
 Run this against a known-good revision to (re)generate the two digest
-tables: the detailed-run table pinned in
-``tests/test_detailed_kernel.py`` and the synthesis table pinned in
+tables: ``GOLDEN_DIGESTS`` in ``tests/test_detailed_kernel.py`` (the
+interpreter's golden runs) and ``SYNTHESIS_DIGESTS`` in
 ``tests/test_generator.py``.  The run digests cover every stream a
 detailed run emits (traces + components) so any behavioural drift in
 the pipeline, caches, branch predictor or DVM controller is caught
 bit-for-bit; the synthesis digests cover every field (values and
 dtype) of every synthesized interval, so drift in
 ``synthesize_interval`` is caught before it reaches a run.
+``DEAD_CYCLE_DIGESTS`` in ``tests/test_detailed_kernel.py`` was
+recorded from a since-deleted every-cycle stepper and is not produced
+here.
 
 Usage: ``PYTHONPATH=src python tools/capture_detailed_goldens.py``
 prints both tables as one JSON object.
